@@ -36,7 +36,10 @@ __all__ = ["main"]
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("YS_SEED", "0"))
+    value = os.environ.get("YS_SEED", "0")
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"YS_SEED must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _parse_init(value: str):
@@ -275,9 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "seed") and args.seed is None:
-        args.seed = _default_seed()
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
         if args.command == "fit":
             return _cmd_fit(args)
         if args.command == "diagnose":

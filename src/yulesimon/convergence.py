@@ -13,12 +13,11 @@ differences give empirical rate paths from any recorded trace.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import CountSample
+from .distribution import CountSample, _check_lambda
 from .em import FitResult
 from .special import pooled_harmonic_sum, pooled_harmonic_sum_sq
 
@@ -39,13 +38,6 @@ SUBLINEAR_THRESHOLD = 0.9
 # successive differences below this are floating-point noise; rate
 # entries needing them are dropped and the sequence marked truncated
 _DENOMINATOR_FLOOR = 1e-14
-
-
-def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lambda must be positive and finite")
-    return lam
 
 
 def rate_theoretical(data: CountSample, lam: float) -> float:

@@ -60,9 +60,6 @@ class RngStream:
     def child(self, *keys: int) -> "RngStream":
         return RngStream(self.seed, self.stream_id, self.subkeys + keys)
 
-    def with_stream(self, stream_id: int) -> "RngStream":
-        return RngStream(self.seed, stream_id)
-
 
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RngStream):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import CountSample
+from .distribution import CountSample, _check_lambda
 from .special import (
     digamma,
     log_gamma,
@@ -112,9 +112,7 @@ class FitResult:
 
 def observed_loglik(data: CountSample, lam: float) -> float:
     """Observed-data log-likelihood sum_i log g(k_i | lam)."""
-    lam = float(lam)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lambda must be positive and finite")
+    lam = _check_lambda(lam)
     u, c = np.unique(data.counts, return_counts=True)
     n = data.n
     uf = u.astype(np.float64)
@@ -241,8 +239,6 @@ def em_fit(data: CountSample, config: FitConfig | None = None) -> FitResult:
 def convexity_check(data: CountSample, lam: float) -> tuple[float, bool]:
     """Second derivative of the log-likelihood at lam and whether lam
     lies inside the certified concavity interval (0, sqrt(6)/pi)."""
-    lam = float(lam)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lambda must be positive and finite")
+    lam = _check_lambda(lam)
     second = -data.n / lam**2 + pooled_harmonic_sum_sq(lam, data.counts)
     return second, lam < CONVEXITY_BOUND

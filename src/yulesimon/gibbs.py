@@ -12,13 +12,17 @@ conjugacy of the Gamma prior gives, and at text scale the difference
 from dropping it is far below reporting precision anyway. Only the sum
 of the w_i enters the lambda draw, and -log Beta(lam+1, k) for integer
 k is a sum of k independent exponentials with rates lam+1 .. lam+k, so
-when the largest count is smaller than the sample size the sweep draws
-the distributionally identical aggregate
+for any split level T the sweep draws the distributionally identical
 
-    sum_i w_i = sum_t Gamma(m_t) / (lam + t),   m_t = #{i : k_i >= t}
+    sum_i w_i = sum_{t<=T} Gamma(m_t) / (lam + t)      m_t = #{i : k_i >= t}
+              + sum_{i: k_i > T} -log Beta(lam+T+1, k_i-T)
 
-with one gamma variate per count level instead of one beta per
-observation. Chains are reproducible given the seed either way.
+with each beta remainder evaluated as log1p(G_b/G_a) of two gammas.
+T = 0 is one beta per observation, T = max(k) one gamma per level; T is
+chosen once per dataset among {0} and the distinct counts to minimise
+the T + 2 #{k_i > T} variates of a sweep. They all come from one
+standard_gamma call on a preallocated shape vector whose lam+T+1 slots
+alone change between sweeps. Chains are reproducible given the seed.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distribution import CountSample, RngStream, _as_generator
+from .special import _tail_multiplicity
 
 __all__ = [
     "GibbsConfig",
@@ -37,6 +42,7 @@ __all__ = [
     "gibbs_run",
     "autocorrelation",
     "conditional_lambda_draw",
+    "split_level",
 ]
 
 _ACF_LAGS = 100
@@ -90,29 +96,42 @@ def conditional_lambda_draw(sum_w, n: int, prior_a: float, prior_b: float, rng, 
     return float(draw) if size is None else draw
 
 
+def split_level(counts) -> int:
+    """Level T in {0} and the distinct counts minimising the variates
+    drawn per sweep, T + 2 #{k_i > T}; ties go to the smaller T."""
+    k = np.sort(counts)
+    cost = k + 2 * (k.size - np.searchsorted(k, k, side="right"))
+    best = int(np.argmin(cost))
+    return int(k[best]) if cost[best] < 2 * k.size else 0
+
+
+def _sum_w_sampler(counts: np.ndarray, split: int, g: np.random.Generator):
+    """Return lam -> one draw of sum_i w_i, split at level `split`."""
+    levels = np.arange(1.0, split + 1.0)
+    tail = counts[counts > split] - split
+    g_a = slice(split, split + tail.size)
+    shape = np.concatenate(
+        [_tail_multiplicity(np.minimum(counts, split)), np.empty(tail.size), tail]
+    )
+
+    def draw(lam: float) -> float:
+        shape[g_a] = lam + split + 1.0
+        x = g.standard_gamma(shape)
+        return float(x[:split] @ (1.0 / (lam + levels)) + np.log1p(x[g_a.stop:] / x[g_a]).sum())
+
+    return draw
+
+
 def gibbs_run(data: CountSample, config: GibbsConfig | None = None) -> GibbsResult:
     """Run the sampler and summarize the retained chain."""
     config = config or GibbsConfig()
     g = config.seed.generator()
-    n = data.n
+    draw_sum_w = _sum_w_sampler(data.counts, split_level(data.counts), g)
     lam = config.lambda_init
     raw = np.empty(config.n_samples)
-
-    if int(data.counts.max()) < n:
-        # count-level aggregation: one gamma per level t = 1..max(k)
-        m = np.bincount(data.counts)[::-1].cumsum()[::-1][1:].astype(np.float64)
-        levels = np.arange(1.0, len(m) + 1.0)
-        for t in range(config.n_samples):
-            sum_w = float(np.sum(g.standard_gamma(m) / (lam + levels)))
-            lam = g.gamma(config.prior_a + n, 1.0 / (config.prior_b + sum_w))
-            raw[t] = lam
-    else:
-        counts = data.counts.astype(np.float64)
-        for t in range(config.n_samples):
-            p = g.beta(lam + 1.0, counts)
-            sum_w = float(-np.log(p).sum())
-            lam = g.gamma(config.prior_a + n, 1.0 / (config.prior_b + sum_w))
-            raw[t] = lam
+    for t in range(config.n_samples):
+        lam = conditional_lambda_draw(draw_sum_w(lam), data.n, config.prior_a, config.prior_b, g)
+        raw[t] = lam
 
     chain = raw[config.burn_in :: config.thin]
     max_lag = min(_ACF_LAGS, chain.size - 1)

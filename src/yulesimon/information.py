@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import CountSample
+from .distribution import CountSample, _check_lambda
 from .em import observed_loglik
 from .special import beta_log_moments, pooled_harmonic_sum_sq
 
@@ -47,13 +47,6 @@ class InformationReport:
     variance: float
     std_err: float
     info_numeric: float
-
-
-def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lambda must be positive and finite")
-    return lam
 
 
 def _warn_if_nonpositive(info: float, label: str) -> None:

@@ -139,6 +139,14 @@ def test_simulate_seed_env_default(tmp_path, capsys, monkeypatch):
     assert env_file.read_bytes() == explicit.read_bytes()
 
 
+def test_simulate_bad_seed_env_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("YS_SEED", "abc")
+    code, _, err = run_cli(capsys, "simulate", "--lambda", "0.6", "--n", "100",
+                           "--out", str(tmp_path / "x.txt"))
+    assert code == 1
+    assert err.startswith("ys: error:") and "YS_SEED" in err
+
+
 def test_text_pipeline(tmp_path, capsys):
     counts_out = tmp_path / "c.txt"
     tsv_out = tmp_path / "w.tsv"

@@ -85,26 +85,38 @@ def test_gibbs_config_validation():
 
 
 def test_sum_w_routes_share_analytic_moments():
-    # the per-observation beta sweep and the count-aggregated gamma
-    # sweep draw sum_w from the same distribution; both must match the
-    # analytic mean S1 and variance S2 of sum_i -log Beta(lam+1, k_i)
+    # the production sweep draws sum_w from the same distribution at any
+    # split level: per observation (T = 0), per count level (T = max k,
+    # the level the rule picks here) and split in between; each must
+    # match the analytic mean S1 and variance S2 of
+    # sum_i -log Beta(lam+1, k_i)
+    from yulesimon.gibbs import _sum_w_sampler, split_level
     from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
     from yulesimon import CountSample
 
     data = CountSample(np.tile([1, 2, 3, 7, 20], 40))
     lam, reps = 1.3, 20_000
-    kf = data.counts.astype(float)
-    g1 = RngStream(501).generator()
-    sw_direct = np.array([-np.log(g1.beta(lam + 1.0, kf)).sum() for _ in range(reps)])
-    m = np.bincount(data.counts)[::-1].cumsum()[::-1][1:].astype(float)
-    levels = np.arange(1.0, len(m) + 1.0)
-    g2 = RngStream(502).generator()
-    sw_agg = np.array([np.sum(g2.standard_gamma(m) / (lam + levels)) for _ in range(reps)])
+    assert split_level(data.counts) == 20
     s1 = pooled_harmonic_sum(lam, data.counts)
     s2 = pooled_harmonic_sum_sq(lam, data.counts)
-    for sw in (sw_direct, sw_agg):
+    for split, seed in ((0, 501), (20, 502), (3, 503)):
+        draw = _sum_w_sampler(data.counts, split, RngStream(seed).generator())
+        sw = np.array([draw(lam) for _ in range(reps)])
         assert sw.mean() == pytest.approx(s1, abs=5.0 * np.sqrt(s2 / reps))
         assert sw.var(ddof=1) == pytest.approx(s2, rel=0.1)
+
+
+def test_split_level_minimises_variates_per_sweep():
+    from yulesimon.gibbs import split_level
+
+    # cost T + 2 #{k > T}: 20 at T = 0 beats 100 at T = max k
+    assert split_level([100] * 10) == 0
+    # 20, then 1 + 2 = 3 at T = 1, then 2 at T = max k
+    assert split_level([1] * 9 + [2]) == 2
+    # 20, then 1 + 2 = 3 at T = 1, then 1000 at T = max k
+    assert split_level([1] * 9 + [1000]) == 1
+    # ties go to the smaller level: 4 at T = 0 and at T = max k
+    assert split_level([4, 4]) == 0
 
 
 def test_gibbs_posterior_concentration():
