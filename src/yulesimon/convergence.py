@@ -43,7 +43,7 @@ _DENOMINATOR_FLOOR = 1e-14
 def rate_theoretical(data: CountSample, lam: float) -> float:
     """Missing/complete information ratio at lam."""
     lam = _check_lambda(lam)
-    return lam**2 * pooled_harmonic_sum_sq(lam, data.counts) / data.n
+    return lam**2 * pooled_harmonic_sum_sq(lam, data) / data.n
 
 
 def em_map_jacobian(
@@ -59,8 +59,8 @@ def em_map_jacobian(
     which reduces to rate_theoretical at the fixed point when a=1, b=0.
     """
     lam = _check_lambda(lam)
-    s1 = pooled_harmonic_sum(lam, data.counts)
-    s2 = pooled_harmonic_sum_sq(lam, data.counts)
+    s1 = pooled_harmonic_sum(lam, data)
+    s2 = pooled_harmonic_sum_sq(lam, data)
     return (data.n + prior_a - 1.0) * s2 / (prior_b + s1) ** 2
 
 

@@ -70,9 +70,12 @@ def _as_generator(rng) -> np.random.Generator:
 
 
 class CountSample:
-    """Ordered collection of observed counts, every entry an integer >= 1."""
+    """Ordered collection of observed counts, every entry an integer >= 1.
 
-    __slots__ = ("counts",)
+    histogram() computes the count histogram once and caches it; the
+    counts array is read-only, so the cache cannot go stale."""
+
+    __slots__ = ("counts", "_histogram")
 
     def __init__(self, counts):
         arr = np.asarray(counts)
@@ -87,7 +90,9 @@ class CountSample:
             arr = arr.astype(np.int64, copy=True)
         if arr.min() < 1:
             raise ValueError("every count must be >= 1")
+        arr.flags.writeable = False
         self.counts = arr
+        self._histogram = None
 
     @property
     def n(self) -> int:
@@ -100,10 +105,19 @@ class CountSample:
         return isinstance(other, CountSample) and np.array_equal(self.counts, other.counts)
 
     def __repr__(self) -> str:
-        return f"CountSample(n={self.n}, total={int(self.counts.sum())})"
+        return f"CountSample(n={self.n}, total={self.total()})"
+
+    def histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, c): the distinct counts in ascending order and how often
+        each occurs."""
+        if self._histogram is None:
+            self._histogram = np.unique(self.counts, return_counts=True)
+        return self._histogram
 
     def total(self) -> int:
-        return int(self.counts.sum())
+        """Exact sum of the counts: Python-int arithmetic, no int64 wrap."""
+        u, c = self.histogram()
+        return u.astype(object) @ c
 
     def sample_mean(self) -> float:
         return float(self.counts.mean())
@@ -225,24 +239,45 @@ class CountFileError(ValueError):
 
 
 def read_count_file(path) -> CountSample:
-    """Read the one-integer-per-line count format; errors name the
-    offending line number."""
-    counts = []
+    """Read the count format: one integer from 1 to 2**63 - 1 per line,
+    written in ASCII digits; surrounding whitespace and blank lines are
+    ignored. Errors name the offending line number."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise CountFileError(f"line {lineno}: not an integer: {text!r}") from None
-            if value < 1:
-                raise CountFileError(f"line {lineno}: counts must be >= 1, got {value}")
-            counts.append(value)
-    if not counts:
+        lines = fh.read().split("\n")
+    tokens = [text for text in map(str.strip, lines) if text]
+    if not tokens:
         raise CountFileError("count file holds no counts")
-    return CountSample(np.array(counts, dtype=np.int64))
+    # one check over the whole file; a file that fails it is parsed again
+    # line by line, which names the offending line
+    digits = "".join(tokens)
+    if digits.isascii() and digits.isdigit():
+        try:
+            counts = np.array(tokens, dtype=np.int64)
+        except (OverflowError, ValueError):  # beyond int64, or too long for int()
+            pass
+        else:
+            if counts.min() >= 1:
+                return CountSample(counts)
+    return CountSample(np.array(_parse_lines(lines), dtype=np.int64))
+
+
+def _parse_lines(lines) -> list[int]:
+    """The counts, read one line at a time; the first line outside the
+    format raises CountFileError with its number."""
+    counts = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if not (text.isascii() and text.isdigit()):
+            raise CountFileError(f"line {lineno}: expected ASCII digits, got {text!r}")
+        digits = text.lstrip("0")
+        if not digits:
+            raise CountFileError(f"line {lineno}: counts must be >= 1, got 0")
+        if len(digits) > 19 or int(digits) > np.iinfo(np.int64).max:
+            raise CountFileError(f"line {lineno}: count exceeds 2**63 - 1")
+        counts.append(int(digits))
+    return counts
 
 
 def write_count_file(path, sample: CountSample) -> None:

@@ -7,8 +7,13 @@ iteration is the single update
 
 with Gamma(a, rate b) prior; a=1, b=0 reduces it to the pure-likelihood
 fixed point lam' = N / sum_i [psi(lam+1+k_i) - psi(lam+1)]. Both
-denominator forms are identical through the digamma recurrence and both
-are exposed via the ``method`` argument.
+denominator forms are identical through the digamma recurrence; fits
+use the digamma-difference form and the ``method`` argument exposes the
+finite sum as a cross-check.
+
+The likelihood, the update and the curvature read the data through its
+cached count histogram (CountSample.histogram), so a whole fit
+compresses the sample once and an iteration costs O(#distinct counts).
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ class FitResult:
 def observed_loglik(data: CountSample, lam: float) -> float:
     """Observed-data log-likelihood sum_i log g(k_i | lam)."""
     lam = _check_lambda(lam)
-    u, c = np.unique(data.counts, return_counts=True)
+    u, c = data.histogram()
     n = data.n
     uf = u.astype(np.float64)
     return float(
@@ -140,7 +145,7 @@ def q_function(lam: float, lam_prev: float, data: CountSample) -> float:
     lam_prev = float(lam_prev)
     if not (lam > 0.0 and lam_prev > 0.0):
         raise ValueError("both lambda arguments must be positive")
-    u, c = np.unique(data.counts, return_counts=True)
+    u, c = data.histogram()
     uf = u.astype(np.float64)
     n = data.n
     psi_shift = digamma(lam_prev + 1.0 + uf)
@@ -154,7 +159,7 @@ def em_step(
     data: CountSample,
     prior_a: float = 1.0,
     prior_b: float = 0.0,
-    method: str = "auto",
+    method: str = "polygamma",
 ) -> float:
     """One EM/MAP update; lam_prev = 0 is a legal start."""
     lam_prev = float(lam_prev)
@@ -163,7 +168,7 @@ def em_step(
     numerator = data.n + prior_a - 1.0
     if numerator <= 0.0:
         raise ValueError("degenerate update: N + a - 1 must be positive")
-    denominator = prior_b + pooled_harmonic_sum(lam_prev, data.counts, method=method)
+    denominator = prior_b + pooled_harmonic_sum(lam_prev, data, method=method)
     return numerator / denominator
 
 
@@ -208,7 +213,7 @@ def em_fit(data: CountSample, config: FitConfig | None = None) -> FitResult:
     degenerate = (
         config.prior_b == 0.0
         and config.prior_a >= 1.0
-        and int(data.counts.max()) == 1
+        and data.histogram()[0][-1] == 1
     )
     status = MAX_ITER_REACHED
     iterations = 0
@@ -240,5 +245,5 @@ def convexity_check(data: CountSample, lam: float) -> tuple[float, bool]:
     """Second derivative of the log-likelihood at lam and whether lam
     lies inside the certified concavity interval (0, sqrt(6)/pi)."""
     lam = _check_lambda(lam)
-    second = -data.n / lam**2 + pooled_harmonic_sum_sq(lam, data.counts)
+    second = -data.n / lam**2 + pooled_harmonic_sum_sq(lam, data)
     return second, lam < CONVEXITY_BOUND

@@ -51,7 +51,9 @@ _ACF_LAGS = 100
 @dataclass
 class GibbsConfig:
     """Sampler controls; defaults are 8000 draws, 500 burn-in, no
-    thinning, Gamma(0.05, 0.25) prior."""
+    thinning, Gamma(0.05, 0.25) prior. The retained chain, draws
+    burn_in, burn_in + thin, ... below n_samples, must hold at least
+    two draws for its standard deviation and autocorrelations."""
 
     prior_a: float = 0.05
     prior_b: float = 0.25
@@ -68,6 +70,12 @@ class GibbsConfig:
             raise ValueError("need n_samples > burn_in >= 0")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        retained = len(range(self.burn_in, self.n_samples, self.thin))
+        if retained < 2:
+            raise ValueError(
+                f"the retained chain needs at least 2 draws, got {retained} "
+                f"(n_samples={self.n_samples}, burn_in={self.burn_in}, thin={self.thin})"
+            )
         if not (self.lambda_init > 0.0 and math.isfinite(self.lambda_init)):
             raise ValueError("lambda_init must be positive")
 
@@ -110,9 +118,8 @@ def _sum_w_sampler(counts: np.ndarray, split: int, g: np.random.Generator):
     levels = np.arange(1.0, split + 1.0)
     tail = counts[counts > split] - split
     g_a = slice(split, split + tail.size)
-    shape = np.concatenate(
-        [_tail_multiplicity(np.minimum(counts, split)), np.empty(tail.size), tail]
-    )
+    below = np.unique(np.minimum(counts, split), return_counts=True)
+    shape = np.concatenate([_tail_multiplicity(*below), np.empty(tail.size), tail])
 
     def draw(lam: float) -> float:
         shape[g_a] = lam + split + 1.0
@@ -138,7 +145,7 @@ def gibbs_run(data: CountSample, config: GibbsConfig | None = None) -> GibbsResu
     return GibbsResult(
         chain=chain,
         posterior_mean=float(chain.mean()),
-        posterior_sd=float(chain.std(ddof=1)) if chain.size > 1 else 0.0,
+        posterior_sd=float(chain.std(ddof=1)),
         autocorrelations=autocorrelation(chain, max_lag),
         raw_chain=raw,
     )

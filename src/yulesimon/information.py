@@ -62,7 +62,7 @@ def _warn_if_nonpositive(info: float, label: str) -> None:
 def oakes_information(data: CountSample, lambda_hat: float) -> float:
     """N/lam^2 minus the pooled squared-reciprocal sum."""
     lam = _check_lambda(lambda_hat)
-    info = data.n / lam**2 - pooled_harmonic_sum_sq(lam, data.counts)
+    info = data.n / lam**2 - pooled_harmonic_sum_sq(lam, data)
     _warn_if_nonpositive(info, "Oakes")
     return info
 
@@ -82,7 +82,7 @@ def louis_information(data: CountSample, lambda_hat: float) -> float:
     score (zero at the converged estimate).
     """
     lam = _check_lambda(lambda_hat)
-    u, c = np.unique(data.counts, return_counts=True)
+    u, c = data.histogram()
     mean_log, var_log = beta_log_moments(lam + 1.0, u.astype(np.float64))
     inv = 1.0 / lam
     e_s = inv + mean_log

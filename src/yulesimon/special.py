@@ -9,6 +9,12 @@ truncation error at the threshold is a few ulp.
 
 All functions accept scalars or numpy arrays and broadcast like numpy
 ufuncs; scalars in, float out.
+
+The pooled sums over a whole sample need the data only through its
+count histogram (distinct counts u, multiplicities c) and take the
+polygamma-difference form on it, so their cost and memory grow with the
+number of distinct counts, never with max(k) or sum(k). The finite
+sums stay as the reference route that the tests compare against.
 """
 
 from __future__ import annotations
@@ -69,16 +75,24 @@ def _poly(coef: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return acc
 
 
-def log_gamma(x):
-    """ln Gamma(x) for x > 0."""
-    z, scalar = _validated(x, "x")
+def _shift_up(z: np.ndarray, term) -> tuple[np.ndarray, np.ndarray]:
+    """Raise every argument below _SHIFT by whole steps until none is
+    left, summing term(z) over the values stepped past; returns the
+    shifted arguments and that sum, the recurrence correction."""
     z = np.atleast_1d(z).copy()
     adj = np.zeros_like(z)
     mask = z < _SHIFT
     while mask.any():
-        adj[mask] += np.log(z[mask])
+        adj[mask] += term(z[mask])
         z[mask] += 1.0
         mask = z < _SHIFT
+    return z, adj
+
+
+def log_gamma(x):
+    """ln Gamma(x) for x > 0."""
+    z, scalar = _validated(x, "x")
+    z, adj = _shift_up(z, np.log)
     r = 1.0 / z
     out = (z - 0.5) * np.log(z) - z + _HALF_LN_2PI + r * _poly(_LGAMMA_COEF, r * r)
     out -= adj
@@ -91,13 +105,7 @@ def digamma(x):
     Satisfies the recurrence psi(x+1) = psi(x) + 1/x to float precision.
     """
     z, scalar = _validated(x, "x")
-    z = np.atleast_1d(z).copy()
-    adj = np.zeros_like(z)
-    mask = z < _SHIFT
-    while mask.any():
-        adj[mask] += 1.0 / z[mask]
-        z[mask] += 1.0
-        mask = z < _SHIFT
+    z, adj = _shift_up(z, lambda v: 1.0 / v)
     r = 1.0 / z
     r2 = r * r
     out = np.log(z) - 0.5 * r - r2 * _poly(_DIGAMMA_COEF, r2)
@@ -112,13 +120,7 @@ def trigamma(x):
     pi^2/6.
     """
     z, scalar = _validated(x, "x")
-    z = np.atleast_1d(z).copy()
-    adj = np.zeros_like(z)
-    mask = z < _SHIFT
-    while mask.any():
-        adj[mask] += 1.0 / (z[mask] * z[mask])
-        z[mask] += 1.0
-        mask = z < _SHIFT
+    z, adj = _shift_up(z, lambda v: 1.0 / (v * v))
     r = 1.0 / z
     r2 = r * r
     out = r + 0.5 * r2 + r * r2 * _poly(_BERNOULLI, r2)
@@ -172,48 +174,46 @@ def harmonic_sum_sq(lam: float, k: int) -> float:
     return float(np.sum(1.0 / (j * j)))
 
 
-# Above this many total terms the explicit sums stop paying off and the
-# polygamma-difference form (identical value) bounds the runtime on
-# heavy-tailed samples.
-_FINITE_SUM_TERM_LIMIT = 1_000_000
+def _histogram(counts) -> tuple[np.ndarray, np.ndarray]:
+    """(u, c) of a CountSample (its cache) or of a raw count array."""
+    if hasattr(counts, "histogram"):
+        return counts.histogram()
+    return np.unique(np.asarray(counts), return_counts=True)
 
 
-def _tail_multiplicity(counts: np.ndarray) -> np.ndarray:
-    """m[t-1] = #{i : counts_i >= t} for t = 1..max(counts)."""
-    bc = np.bincount(counts)
-    return bc[::-1].cumsum()[::-1][1:]
+def _tail_multiplicity(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """m[t-1] = #{i : k_i >= t} for t = 1..max(u), from the distinct
+    counts u (ascending, >= 0) and their multiplicities c."""
+    return np.repeat(c[::-1].cumsum()[::-1], np.diff(u, prepend=0))
 
 
-def pooled_harmonic_sum(lam: float, counts: np.ndarray, method: str = "auto") -> float:
+def pooled_harmonic_sum(lam: float, counts, method: str = "polygamma") -> float:
     """sum_i sum_{j=1..k_i} 1/(lam + j) over a whole count sample.
 
-    method: "finite" sums reciprocals grouped by tail multiplicity,
-    "polygamma" uses digamma differences, "auto" picks finite while the
-    total term count stays under a million.
+    counts is a CountSample (its cached histogram is read) or a raw
+    count array. The "polygamma" form sum_u c_u psi(lam+1+u) -
+    N psi(lam+1) costs one digamma per distinct count. The "finite" form
+    sums reciprocals grouped by tail multiplicity over an array of
+    length max(k); it is the reference route the tests compare against.
     """
-    counts = np.asarray(counts)
-    if method == "auto":
-        method = "finite" if counts.sum() < _FINITE_SUM_TERM_LIMIT else "polygamma"
+    u, c = _histogram(counts)
     if method == "finite":
-        m = _tail_multiplicity(counts)
+        m = _tail_multiplicity(u, c)
         j = lam + np.arange(1.0, len(m) + 1.0)
         return float(np.sum(m / j))
     if method == "polygamma":
-        u, c = np.unique(counts, return_counts=True)
-        return float(np.sum(c * digamma(lam + 1.0 + u)) - len(counts) * digamma(lam + 1.0))
+        return float(np.sum(c * digamma(lam + 1.0 + u)) - c.sum() * digamma(lam + 1.0))
     raise ValueError(f"unknown method {method!r}")
 
 
-def pooled_harmonic_sum_sq(lam: float, counts: np.ndarray, method: str = "auto") -> float:
-    """sum_i sum_{j=1..k_i} 1/(lam + j)^2 over a whole count sample."""
-    counts = np.asarray(counts)
-    if method == "auto":
-        method = "finite" if counts.sum() < _FINITE_SUM_TERM_LIMIT else "polygamma"
+def pooled_harmonic_sum_sq(lam: float, counts, method: str = "polygamma") -> float:
+    """sum_i sum_{j=1..k_i} 1/(lam + j)^2 over a whole count sample;
+    arguments as for pooled_harmonic_sum."""
+    u, c = _histogram(counts)
     if method == "finite":
-        m = _tail_multiplicity(counts)
+        m = _tail_multiplicity(u, c)
         j = lam + np.arange(1.0, len(m) + 1.0)
         return float(np.sum(m / (j * j)))
     if method == "polygamma":
-        u, c = np.unique(counts, return_counts=True)
-        return float(len(counts) * trigamma(lam + 1.0) - np.sum(c * trigamma(lam + 1.0 + u)))
+        return float(c.sum() * trigamma(lam + 1.0) - np.sum(c * trigamma(lam + 1.0 + u)))
     raise ValueError(f"unknown method {method!r}")

@@ -56,10 +56,11 @@ def test_fit_all_ones_exits_2(tmp_path, capsys):
 
 def test_fit_bad_line_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text("2\n3\n0\n5\n")
-    code, _, err = run_cli(capsys, "fit", str(path))
-    assert code == 1
-    assert "line 3" in err
+    for bad in ("0", "1_0", str(2**63)):
+        path.write_text(f"2\n3\n{bad}\n5\n")
+        code, _, err = run_cli(capsys, "fit", str(path))
+        assert code == 1
+        assert err.startswith("ys: error: line 3")
 
 
 def test_fit_missing_file_exits_1(capsys):

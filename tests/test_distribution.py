@@ -213,3 +213,14 @@ def test_count_file_errors_name_the_line(tmp_path):
     path.write_text("")
     with pytest.raises(CountFileError):
         read_count_file(path)
+    # only ASCII digits: no digit separators, signs or non-ASCII digits
+    for bad in ("1_0", "+3", "-3", "\u0663", "1 2"):
+        path.write_text(f"2\n\n{bad}\n4\n", encoding="utf-8")
+        with pytest.raises(CountFileError, match="line 3"):
+            read_count_file(path)
+    for big in (str(2**63), "9" * 5000):
+        path.write_text(f"1\n{big}\n")
+        with pytest.raises(CountFileError, match="line 2"):
+            read_count_file(path)
+    path.write_text(f" 7 \n\n{2**63 - 1}\n{'0' * 5000}3\n")
+    assert read_count_file(path).counts.tolist() == [7, 2**63 - 1, 3]

@@ -7,14 +7,16 @@ from yulesimon import (
     CONVEXITY_BOUND,
     CountSample,
     FitConfig,
+    RngStream,
     convexity_check,
     em_fit,
     em_step,
     init_lambda,
     observed_loglik,
     q_function,
+    sample_mixture,
 )
-from yulesimon.em import CONVERGED, DIVERGING
+from yulesimon.em import CONVERGED, DIVERGING, MAX_ITER_REACHED
 
 from _oracles import golden_section_maximize, random_dataset
 
@@ -70,6 +72,16 @@ def test_em_step_accepts_zero_start():
 def test_em_step_degenerate_prior_errors():
     with pytest.raises(ValueError):
         em_step(1.0, CountSample([2]), prior_a=0.0)
+
+
+def test_em_fit_on_counts_near_the_int64_limit():
+    # at lambda = 0.05 a tenth of the draws sit at the 2**62 generator
+    # cap and the sum of the counts is far beyond int64
+    data = sample_mixture(0.05, 3000, RngStream(2))[0]
+    assert data.total() > 2**63
+    fit = em_fit(data)
+    assert fit.status in (CONVERGED, DIVERGING, MAX_ITER_REACHED)
+    assert math.isfinite(fit.lambda_hat) and fit.lambda_hat > 0.0
 
 
 def test_em_step_forms_agree():

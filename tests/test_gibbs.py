@@ -82,6 +82,12 @@ def test_gibbs_config_validation():
         GibbsConfig(thin=0)
     with pytest.raises(ValueError):
         GibbsConfig(lambda_init=0.0)
+    # the retained chain, counted after thinning, needs two draws
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        GibbsConfig(n_samples=2, burn_in=1)
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        GibbsConfig(n_samples=10, burn_in=5, thin=5)
+    assert GibbsConfig(n_samples=10, burn_in=5, thin=4).n_samples == 10
 
 
 def test_sum_w_routes_share_analytic_moments():

@@ -1,0 +1,66 @@
+"""Properties of the count-histogram core over the whole parameter range:
+lambda in [0.02, 50], samples of up to 10^5 counts, counts up to the
+int64 limit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from yulesimon import CountSample, RngStream, sample_mixture
+from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
+
+# a fixed example sequence, so the suite is reproducible run to run
+reproducible = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+lambdas = st.floats(min_value=0.02, max_value=50.0)
+# the same range on a log grid, so the heavy tails of small rates show up
+# in the data as often as the light tails of large ones
+log_lambdas = st.integers(0, 1000).map(lambda i: 0.02 * 2500.0 ** (i / 1000))
+
+
+def magnitudes(top: int):
+    """Integers from 1 to top, spread over every power of ten: d * 10**e."""
+    digits = len(str(top)) - 1
+    return st.builds(lambda d, e: min(d * 10**e, top), st.integers(1, 10), st.integers(0, digits))
+
+
+@st.composite
+def mixture_samples(draw, max_count=None):
+    """Yule-Simon samples of 1..10^5 counts at a drawn rate; with
+    max_count, counts above a drawn cap are set to the cap."""
+    lam = draw(log_lambdas)
+    n = draw(magnitudes(100_000))
+    counts = sample_mixture(lam, n, RngStream(draw(st.integers(0, 2**32 - 1))))[0].counts
+    if max_count is not None:
+        counts = np.minimum(counts, draw(magnitudes(max_count)))
+    return counts
+
+
+@reproducible
+@given(counts=mixture_samples(max_count=1_000_000), lam=lambdas)
+def test_finite_and_polygamma_sums_agree(counts, lam):
+    sample = CountSample(counts)
+    for pooled in (pooled_harmonic_sum, pooled_harmonic_sum_sq):
+        finite = pooled(lam, counts, method="finite")
+        assert pooled(lam, counts) == pytest.approx(finite, rel=1e-12)
+        assert pooled(lam, sample) == pooled(lam, counts)
+
+
+@reproducible
+@given(counts=mixture_samples())
+def test_cached_histogram_is_np_unique(counts):
+    sample = CountSample(counts)
+    u, c = sample.histogram()
+    want_u, want_c = np.unique(counts, return_counts=True)
+    assert np.array_equal(u, want_u) and np.array_equal(c, want_c)
+    assert sample.histogram() is sample.histogram()
+    assert not sample.counts.flags.writeable
+
+
+@reproducible
+@given(st.lists(st.integers(min_value=1, max_value=2**63 - 1), min_size=1, max_size=200))
+def test_total_is_exact(values):
+    sample = CountSample(np.array(values, dtype=np.int64))
+    assert sample.total() == sum(values)
+    assert repr(sample) == f"CountSample(n={len(values)}, total={sum(values)})"
