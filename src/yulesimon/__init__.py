@@ -57,7 +57,6 @@ from .gibbs import (
     gibbs_run,
 )
 from .information import (
-    InformationReport,
     louis_information,
     numeric_information,
     oakes_information,
@@ -78,7 +77,6 @@ __all__ = [
     "FitResult",
     "GibbsConfig",
     "GibbsResult",
-    "InformationReport",
     "LatentDraws",
     "RateSequence",
     "ReplicationRecord",

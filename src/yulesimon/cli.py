@@ -80,7 +80,7 @@ def _cmd_fit(args) -> int:
     fit = em_fit(data, _fit_config(args))
     report = diagnose(data, fit, args.prior_a, args.prior_b)
     if fit.status == CONVERGED:
-        std_err = standard_error(data, fit.lambda_hat).std_err
+        std_err = standard_error(data, fit.lambda_hat)
     else:
         std_err = math.nan
     _emit(

@@ -14,6 +14,7 @@ This module provides the mass function, moments, both data generators
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,7 +180,8 @@ def sample_mixture(lam: float, n: int, rng) -> tuple[CountSample, LatentDraws]:
     computed in log space), w = -log p, and k by geometric inversion
     k = ceil(log(U') / log(1-p)), which avoids trial-by-trial Bernoulli
     loops on heavy-tailed draws. The latents are returned alongside the
-    counts so tests can check the hierarchy directly.
+    counts so tests can check the hierarchy directly. Draws beyond 2**62
+    are clipped to it with a RuntimeWarning that says how many.
     """
     lam = _check_lambda(lam)
     if n < 1:
@@ -191,6 +193,10 @@ def sample_mixture(lam: float, n: int, rng) -> tuple[CountSample, LatentDraws]:
     log_u = np.log1p(-g.random(n))
     with np.errstate(divide="ignore"):
         raw = np.ceil(log_u / np.log1p(-p))
+    clipped = int(np.count_nonzero(raw > _MAX_COUNT))
+    if clipped:
+        warnings.warn(f"sample_mixture clipped {clipped} of {n} draws at 2**62",
+                      RuntimeWarning, stacklevel=2)
     k = np.minimum(np.maximum(raw, 1.0), float(_MAX_COUNT)).astype(np.int64)
     return CountSample(k), LatentDraws(w=w, p=p, k=k)
 

@@ -14,6 +14,8 @@ finite sum as a cross-check.
 The likelihood, the update and the curvature read the data through its
 cached count histogram (CountSample.histogram), so a whole fit
 compresses the sample once and an iteration costs O(#distinct counts).
+The likelihood takes log B(lam+1, u) from special.log_beta, as log_pmf
+does, which keeps its digits for counts up to the int64 limit.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distribution import CountSample, _check_lambda
-from .special import (
-    digamma,
-    log_gamma,
-    pooled_harmonic_sum,
-    pooled_harmonic_sum_sq,
-)
+from .special import digamma, log_beta, pooled_harmonic_sum, pooled_harmonic_sum_sq
 
 __all__ = [
     "CONVEXITY_BOUND",
@@ -93,7 +90,7 @@ class FitConfig:
         if self.divergence_ceiling <= 0.0:
             raise ValueError("divergence_ceiling must be positive")
         if isinstance(self.init, str):
-            if self.init not in (INIT_MODE_ONE, INIT_MOMENTS, "method_of_moments"):
+            if self.init not in (INIT_MODE_ONE, INIT_MOMENTS):
                 raise ValueError(f"unknown init policy {self.init!r}")
         elif not (float(self.init) >= 0.0 and math.isfinite(float(self.init))):
             raise ValueError("fixed init must be a finite value >= 0")
@@ -116,16 +113,11 @@ class FitResult:
 
 
 def observed_loglik(data: CountSample, lam: float) -> float:
-    """Observed-data log-likelihood sum_i log g(k_i | lam)."""
+    """Observed-data log-likelihood sum_i log g(k_i | lam) =
+    N log lam + sum_u c_u log B(lam+1, u) on the count histogram."""
     lam = _check_lambda(lam)
     u, c = data.histogram()
-    n = data.n
-    uf = u.astype(np.float64)
-    return float(
-        n * math.log(lam)
-        + n * log_gamma(lam + 1.0)
-        + np.sum(c * (log_gamma(uf) - log_gamma(lam + 1.0 + uf)))
-    )
+    return float(data.n * math.log(lam) + c @ log_beta(lam + 1.0, u.astype(np.float64)))
 
 
 def _loglik_or_neg_inf(data: CountSample, lam: float) -> float:
@@ -181,7 +173,7 @@ def init_lambda(data: CountSample, policy) -> float:
         return value
     if policy == INIT_MODE_ONE:
         return 1.0
-    if policy in (INIT_MOMENTS, "method_of_moments"):
+    if policy == INIT_MOMENTS:
         kbar = data.sample_mean()
         if kbar <= 1.0:
             warnings.warn(

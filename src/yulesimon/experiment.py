@@ -114,7 +114,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
         if "em" in spec.estimators:
             fit = em_fit(data, spec.fit_config)
             if fit.status == CONVERGED:
-                se = standard_error(data, fit.lambda_hat).std_err
+                se = standard_error(data, fit.lambda_hat)
             else:
                 se = math.nan
             records.append(

@@ -1,25 +1,25 @@
-"""Observed Fisher information and standard errors for the EM estimate.
+"""Observed Fisher information and the standard error of the EM estimate.
 
-Two algebraically equivalent assemblies are provided. The direct
-(Oakes-style) route combines the curvature of the expectation step with
-the mixed partial and collapses to
+The production route is Oakes's identity: the curvature of the
+expectation step plus the mixed partial collapses to
 
-    I = N/lam^2 - sum_i sum_{j=1..k_i} 1/(lam + j)^2.
+    I = N/lam^2 - sum_i sum_{j=1..k_i} 1/(lam + j)^2,
 
-The Louis-style route assembles the same quantity from complete-data
-moments: minus expected complete-data curvature B = N/lam^2, the
-expected squared score built from beta log-moments, the pairwise score
-cross-products, and the squared observed score. The last term vanishes
-at a converged estimate; keeping it makes the two routes agree at any
-evaluation point, which the tests exploit. A finite-difference
-curvature of the observed log-likelihood serves as a slow third route.
+and standard_error is 1/sqrt(I). Two cross-checks compute the same
+quantity another way and are kept for the tests. The Louis-style route
+assembles it from complete-data moments: minus expected complete-data
+curvature B = N/lam^2, the expected squared score built from beta
+log-moments, the pairwise score cross-products, and the squared
+observed score. The last term vanishes at a converged estimate; keeping
+it makes the two routes agree at any evaluation point. A
+finite-difference curvature of the observed log-likelihood is a slow
+third route.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,25 +28,11 @@ from .em import observed_loglik
 from .special import beta_log_moments, pooled_harmonic_sum_sq
 
 __all__ = [
-    "InformationReport",
     "oakes_information",
     "louis_information",
     "numeric_information",
     "standard_error",
 ]
-
-
-@dataclass
-class InformationReport:
-    """Information estimates at lambda_hat; variance = 1/info_oakes and
-    std_err its square root (NaN when the information is not positive,
-    which happens only off an interior maximum)."""
-
-    info_oakes: float
-    info_louis: float
-    variance: float
-    std_err: float
-    info_numeric: float
 
 
 def _warn_if_nonpositive(info: float, label: str) -> None:
@@ -107,21 +93,9 @@ def numeric_information(data: CountSample, lambda_hat: float, step: float | None
     return -second
 
 
-def standard_error(data: CountSample, lambda_hat: float) -> InformationReport:
-    """Full information report; std_err = oakes_information**-0.5."""
-    info_oakes = oakes_information(data, lambda_hat)
-    info_louis = louis_information(data, lambda_hat)
-    info_numeric = numeric_information(data, lambda_hat)
-    if info_oakes > 0.0:
-        variance = 1.0 / info_oakes
-        std_err = math.sqrt(variance)
-    else:
-        variance = math.nan
-        std_err = math.nan
-    return InformationReport(
-        info_oakes=info_oakes,
-        info_louis=info_louis,
-        variance=variance,
-        std_err=std_err,
-        info_numeric=info_numeric,
-    )
+def standard_error(data: CountSample, lambda_hat: float) -> float:
+    """Standard error of lambda_hat, 1/sqrt(oakes_information); NaN
+    when the information is not positive, which happens only off an
+    interior maximum."""
+    info = oakes_information(data, lambda_hat)
+    return math.sqrt(1.0 / info) if info > 0.0 else math.nan

@@ -75,26 +75,32 @@ def _poly(coef: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _shift_up(z: np.ndarray, term) -> tuple[np.ndarray, np.ndarray]:
+def _shift_up(z: np.ndarray, term, *args) -> tuple[np.ndarray, np.ndarray]:
     """Raise every argument below _SHIFT by whole steps until none is
-    left, summing term(z) over the values stepped past; returns the
-    shifted arguments and that sum, the recurrence correction."""
+    left, summing term(z, *args) over the values stepped past (args are
+    arrays of z's shape); returns the shifted arguments and that sum,
+    the recurrence correction."""
     z = np.atleast_1d(z).copy()
     adj = np.zeros_like(z)
     mask = z < _SHIFT
     while mask.any():
-        adj[mask] += term(z[mask])
+        adj[mask] += term(z[mask], *(x[mask] for x in args))
         z[mask] += 1.0
         mask = z < _SHIFT
     return z, adj
+
+
+def _series(z: np.ndarray) -> np.ndarray:
+    """S(z), the Bernoulli tail of the Stirling series for ln Gamma(z)."""
+    r = 1.0 / z
+    return r * _poly(_LGAMMA_COEF, r * r)
 
 
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
     z, scalar = _validated(x, "x")
     z, adj = _shift_up(z, np.log)
-    r = 1.0 / z
-    out = (z - 0.5) * np.log(z) - z + _HALF_LN_2PI + r * _poly(_LGAMMA_COEF, r * r)
+    out = (z - 0.5) * np.log(z) - z + _HALF_LN_2PI + _series(z)
     out -= adj
     return float(out[0]) if scalar else out
 
@@ -128,12 +134,28 @@ def trigamma(x):
     return float(out[0]) if scalar else out
 
 
+def _log_gamma_ratio(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """D(b, a) = ln Gamma(b+a) - ln Gamma(b), taken as one difference
+    that never forms ln Gamma(b): b is shifted up to z >= 6 through
+    D(v, a) = D(v+1, a) - log1p(a/v), then
+
+        D(z, a) = (z - 1/2) log1p(a/z) + a log(z+a) - a + S(z+a) - S(z)
+
+    with S the Stirling tail. No term grows like b log b, so the digits
+    hold for b up to the int64 limit."""
+    a, b = np.broadcast_arrays(np.atleast_1d(a), b)
+    z, adj = _shift_up(b, lambda v, av: np.log1p(av / v), a)
+    x = z + a
+    return (z - 0.5) * np.log1p(a / z) + a * np.log(x) - a + _series(x) - _series(z) - adj
+
+
 def log_beta(a, b):
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b)."""
+    """ln B(a, b) = ln Gamma(a) - D(b, a), with D = _log_gamma_ratio, so
+    the digits hold where b is huge and ln Gamma(b) alone is ~b log b."""
     aa, sa = _validated(a, "a")
     bb, sb = _validated(b, "b")
-    out = log_gamma(aa) + log_gamma(bb) - log_gamma(aa + bb)
-    return float(out) if (sa and sb) else out
+    out = log_gamma(aa) - _log_gamma_ratio(bb, aa)
+    return float(out[0]) if (sa and sb) else out
 
 
 def beta_log_moments(alpha, beta):

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from yulesimon import CountSample, RngStream, sample_mixture
 
@@ -35,6 +36,13 @@ def random_dataset(lam: float, n: int, seed: int, stream: int = 0) -> CountSampl
         counts[0] = 2
         sample = CountSample(counts)
     return sample
+
+
+def int64_limit_sample() -> CountSample:
+    """sample_mixture(0.05, 3000, RngStream(2)): 327 of its draws sit at
+    the generator's 2**62 cap, and the counts sum far beyond int64."""
+    with pytest.warns(RuntimeWarning, match="clipped 327 of 3000"):
+        return sample_mixture(0.05, 3000, RngStream(2))[0]
 
 
 def dataset_grid(seed0: int, how_many: int, lams=(0.6, 0.8, 1.25, 5.0, 10.0), ns=(50, 500, 5000)):

@@ -253,7 +253,7 @@ def test_criterion_11_text_reproduction():
     for name, (filename, _, se_table, _) in TEXT_TABLE.items():
         data = load_text_counts(filename)
         fit = em_fit(data, FitConfig(tol=1e-6))
-        se = standard_error(data, fit.lambda_hat).std_err
+        se = standard_error(data, fit.lambda_hat)
         gibbs = gibbs_run(data, GibbsConfig(seed=RngStream(1100)))
         agree = abs(gibbs.posterior_mean - fit.lambda_hat) < 5e-4
         se_ok = abs(se - se_table) <= 0.002

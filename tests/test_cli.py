@@ -44,6 +44,10 @@ def test_fit_deterministic_output(counts_file, capsys):
     _, out1, _ = run_cli(capsys, "fit", counts_file)
     _, out2, _ = run_cli(capsys, "fit", counts_file)
     assert out1 == out2
+    # the CLI alone spells the moments init as method-of-moments
+    _, moments, _ = run_cli(capsys, "fit", counts_file, "--init", "moments")
+    _, alias, _ = run_cli(capsys, "fit", counts_file, "--init", "method-of-moments")
+    assert alias == moments != out1
 
 
 def test_fit_all_ones_exits_2(tmp_path, capsys):

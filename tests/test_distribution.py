@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -98,6 +99,15 @@ def test_sample_mixture_reproducible():
     assert np.array_equal(la.w, lb.w)
     c, _ = sample_mixture(1.25, 500, RngStream(seed=99, stream_id=4))
     assert c != a
+
+
+def test_sample_mixture_warns_when_it_clips():
+    with pytest.warns(RuntimeWarning, match=r"clipped 327 of 3000 draws at 2\*\*62"):
+        sample, _ = sample_mixture(0.05, 3000, RngStream(2))
+    assert np.count_nonzero(sample.counts == 2**62) == 327
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample_mixture(0.6, 3000, RngStream(2))
 
 
 def test_sample_mixture_latent_consistency():

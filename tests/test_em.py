@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -7,18 +8,16 @@ from yulesimon import (
     CONVEXITY_BOUND,
     CountSample,
     FitConfig,
-    RngStream,
     convexity_check,
     em_fit,
     em_step,
     init_lambda,
     observed_loglik,
     q_function,
-    sample_mixture,
 )
 from yulesimon.em import CONVERGED, DIVERGING, MAX_ITER_REACHED
 
-from _oracles import golden_section_maximize, random_dataset
+from _oracles import golden_section_maximize, int64_limit_sample, random_dataset
 
 
 def test_observed_loglik_values():
@@ -75,13 +74,25 @@ def test_em_step_degenerate_prior_errors():
 
 
 def test_em_fit_on_counts_near_the_int64_limit():
-    # at lambda = 0.05 a tenth of the draws sit at the 2**62 generator
-    # cap and the sum of the counts is far beyond int64
-    data = sample_mixture(0.05, 3000, RngStream(2))[0]
+    data = int64_limit_sample()
     assert data.total() > 2**63
     fit = em_fit(data)
     assert fit.status in (CONVERGED, DIVERGING, MAX_ITER_REACHED)
     assert math.isfinite(fit.lambda_hat) and fit.lambda_hat > 0.0
+
+
+def test_observed_loglik_near_the_int64_limit_matches_mpmath():
+    # ln Gamma of a count near 2**62 is ~2e20: the likelihood must not
+    # take differences of such terms
+    data = int64_limit_sample()
+    lam = 0.0569
+    u, c = data.histogram()
+    with mp.workdps(50):
+        a = mp.mpf(lam) + 1
+        terms = (int(m) * (mp.loggamma(a) + mp.loggamma(int(k)) - mp.loggamma(a + int(k)))
+                 for k, m in zip(u, c))
+        ref = float(data.n * mp.log(lam) + mp.fsum(terms))
+    assert observed_loglik(data, lam) == pytest.approx(ref, rel=1e-12)
 
 
 def test_em_step_forms_agree():

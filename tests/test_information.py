@@ -14,7 +14,7 @@ from yulesimon import (
     standard_error,
 )
 
-from _oracles import dataset_grid, random_dataset
+from _oracles import dataset_grid, int64_limit_sample, random_dataset
 
 
 def test_oakes_hand_values():
@@ -58,24 +58,33 @@ def test_oakes_matches_numeric_curvature():
         assert abs(i_o - i_n) <= 1e-5 * abs(i_o)
 
 
+def test_numeric_curvature_matches_oakes_near_the_int64_limit():
+    data = int64_limit_sample()
+    fit = em_fit(data)
+    assert fit.converged
+    i_o = oakes_information(data, fit.lambda_hat)
+    assert numeric_information(data, fit.lambda_hat, step=1e-3) == pytest.approx(i_o, rel=1e-5)
+
+
 def test_standard_error_report_contract():
     data = random_dataset(0.6, 2000, 63)
     fit = em_fit(data, FitConfig(tol=1e-9))
-    report = standard_error(data, fit.lambda_hat)
-    assert report.info_oakes > 0
-    assert report.variance == pytest.approx(1.0 / report.info_oakes, rel=1e-14)
-    assert report.std_err == pytest.approx(math.sqrt(report.variance), rel=1e-14)
-    assert report.info_louis == pytest.approx(report.info_oakes, rel=1e-9)
-    assert report.info_numeric == pytest.approx(report.info_oakes, rel=1e-5)
+    info_oakes = oakes_information(data, fit.lambda_hat)
+    assert info_oakes > 0
+    assert standard_error(data, fit.lambda_hat) == pytest.approx(
+        math.sqrt(1.0 / info_oakes), rel=1e-14
+    )
+    assert louis_information(data, fit.lambda_hat) == pytest.approx(info_oakes, rel=1e-9)
+    assert numeric_information(data, fit.lambda_hat) == pytest.approx(info_oakes, rel=1e-5)
 
 
 def test_nonpositive_information_warns_and_nans():
     # lam far above the maximizer turns the curvature positive
     data = CountSample([1, 1, 1, 1, 2])
     with pytest.warns(RuntimeWarning):
-        report = standard_error(data, 50.0)
-    assert report.info_oakes <= 0
-    assert math.isnan(report.std_err)
+        assert oakes_information(data, 50.0) <= 0
+    with pytest.warns(RuntimeWarning):
+        assert math.isnan(standard_error(data, 50.0))
 
 
 def test_standard_errors_shrink_with_sample_size():
@@ -87,7 +96,7 @@ def test_standard_errors_shrink_with_sample_size():
             fit = em_fit(data)
             if not fit.converged:
                 continue
-            ses.append(standard_error(data, fit.lambda_hat).std_err)
+            ses.append(standard_error(data, fit.lambda_hat))
         medians[n] = float(np.median(ses))
     assert medians[5000] < medians[500] < medians[50]
 

@@ -93,6 +93,19 @@ def test_log_beta_known_points():
     assert log_beta(2.5, 3.0) == pytest.approx(ref, abs=1e-13)
 
 
+@pytest.mark.parametrize("b", [1.0, 2.5, 5.5, 6.0, 100.0, 1e6, 1e12, 2.0**62])
+def test_log_beta_against_mpmath_up_to_the_int64_limit(b):
+    # the likelihood's log B(lam+1, k): a = lam+1 over the rates, b = k
+    # up to the generator cap, where ln Gamma(b) alone is ~2e20
+    a = np.exp(np.linspace(math.log(1.02), math.log(51.0), 40))
+    ours = log_beta(a, b)
+    with mp.workdps(50):
+        for ai, got in zip(a, ours):
+            x, y = mp.mpf(float(ai)), mp.mpf(b)
+            ref = float(mp.loggamma(x) + mp.loggamma(y) - mp.loggamma(x + y))
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (ai, b)
+
+
 def test_beta_log_moments_uniform_cases():
     mean_log, _ = beta_log_moments(1.0, 1.0)
     assert mean_log == pytest.approx(-1.0, abs=1e-13)
