@@ -39,6 +39,8 @@ __all__ = [
 # ceil() of the geometric inversion is clipped here before the cast to
 # int64; beyond this the count is unrepresentable anyway
 _MAX_COUNT = 2**62
+# lines per write in write_count_file
+_WRITE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -211,9 +213,17 @@ def sample_urn(lam: float, total_items: int, rng) -> CountSample:
     this process makes the stationary size distribution Yule-Simon with
     parameter lam, which is why lam <= 1 is rejected: the innovation
     probability would leave (0, 1).
+
+    The copies form a forest: arrival t points at itself when it
+    innovates and at arrival floor(pick * t) otherwise, so its category
+    is the root of its tree. Pointer jumping (parent <- parent[parent])
+    reaches every root in O(log depth) array passes. The roots are the
+    innovations, so the tree sizes taken in arrival order of the roots
+    are the counts the arrival-by-arrival process gives for the same
+    draws, category by category in order of creation.
     """
-    lam = float(lam)
-    if not (lam > 1.0 and math.isfinite(lam)):
+    lam = _check_lambda(lam)
+    if lam <= 1.0:
         raise ValueError("the urn generator requires lambda > 1")
     if total_items < 1:
         raise ValueError("total_items must be >= 1")
@@ -221,15 +231,24 @@ def sample_urn(lam: float, total_items: int, rng) -> CountSample:
     alpha = 1.0 - 1.0 / lam
     innovate = g.random(total_items) < alpha
     pick = g.random(total_items)
-    category = np.empty(total_items, dtype=np.int64)
-    n_cat = 0
-    for t in range(total_items):
-        if t == 0 or innovate[t]:
-            category[t] = n_cat
-            n_cat += 1
-        else:
-            category[t] = category[int(pick[t] * t)]
-    return CountSample(np.bincount(category))
+    innovate[0] = True
+    parent = np.arange(total_items, dtype=np.int64)
+    pick *= parent
+    # truncation of the float product pick * t, as int() takes it
+    np.copyto(parent, pick, casting="unsafe", where=~innovate)
+    # each spent buffer is freed, so no more than two 8-byte arrays of
+    # total_items are alive at a time
+    del pick
+    hop = np.empty_like(parent)
+    while True:
+        # every index is in [0, t], so "clip" never clips; it only skips
+        # the bounds check
+        np.take(parent, parent, out=hop, mode="clip")
+        if np.array_equal(hop, parent):
+            break
+        parent, hop = hop, parent
+    del hop
+    return CountSample(np.bincount(parent, minlength=total_items)[innovate])
 
 
 def latent_posterior_params(k: int, lam: float) -> tuple[float, float]:
@@ -287,5 +306,10 @@ def _parse_lines(lines) -> list[int]:
 
 
 def write_count_file(path, sample: CountSample) -> None:
+    """Write the count format, one count per line, in blocks of
+    _WRITE_BLOCK lines: one join per block keeps the Python strings of
+    a block alive, never those of the whole sample."""
+    counts = sample.counts
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{int(k)}\n" for k in sample.counts)
+        for start in range(0, counts.size, _WRITE_BLOCK):
+            fh.write("\n".join(map(str, counts[start:start + _WRITE_BLOCK].tolist())) + "\n")

@@ -150,11 +150,15 @@ def _log_gamma_ratio(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def log_beta(a, b):
-    """ln B(a, b) = ln Gamma(a) - D(b, a), with D = _log_gamma_ratio, so
-    the digits hold where b is huge and ln Gamma(b) alone is ~b log b."""
+    """ln B(a, b) = ln Gamma(lo) - D(hi, lo), with lo, hi the smaller and
+    the larger argument (B is symmetric) and D = _log_gamma_ratio: the
+    digits hold where hi is huge and ln Gamma(hi) alone is ~hi log hi,
+    and ln Gamma never meets a D of its own size, as ln Gamma(51) would
+    against D(1, 51)."""
     aa, sa = _validated(a, "a")
     bb, sb = _validated(b, "b")
-    out = log_gamma(aa) - _log_gamma_ratio(bb, aa)
+    lo, hi = np.minimum(aa, bb), np.maximum(aa, bb)
+    out = log_gamma(lo) - _log_gamma_ratio(hi, lo)
     return float(out[0]) if (sa and sb) else out
 
 

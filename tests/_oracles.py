@@ -54,3 +54,21 @@ def dataset_grid(seed0: int, how_many: int, lams=(0.6, 0.8, 1.25, 5.0, 10.0), ns
         n = int(rng.choice(ns))
         out.append((lam, n, random_dataset(lam, n, seed0 + 1000 + i)))
     return out
+
+
+def urn_loop(lam: float, total_items: int, rng: RngStream) -> CountSample:
+    """The urn arrival by arrival, from the same two draws as
+    sample_urn: arrival t innovates, or copies the category of arrival
+    int(pick[t] * t)."""
+    g = rng.generator()
+    innovate = g.random(total_items) < 1.0 - 1.0 / lam
+    pick = g.random(total_items)
+    category = np.empty(total_items, dtype=np.int64)
+    n_cat = 0
+    for t in range(total_items):
+        if t == 0 or innovate[t]:
+            category[t] = n_cat
+            n_cat += 1
+        else:
+            category[t] = category[int(pick[t] * t)]
+    return CountSample(np.bincount(category))

@@ -22,6 +22,8 @@ from yulesimon import (
 )
 from yulesimon.distribution import mean
 
+from _oracles import urn_loop
+
 
 def test_log_pmf_known_values():
     assert log_pmf(1, 1.0) == pytest.approx(math.log(0.5), abs=1e-12)
@@ -176,6 +178,17 @@ def test_sample_urn_em_recovery():
     assert abs(float(np.median(estimates)) - 5.0) < 0.5
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 1000, 200_000])
+@pytest.mark.parametrize("lam", [1.0001, 1.25, 3.0, 50.0])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sample_urn_matches_the_arrival_loop(n, lam, seed):
+    sample = sample_urn(lam, n, RngStream(seed))
+    assert sample == urn_loop(lam, n, RngStream(seed))
+    innovate = RngStream(seed).generator().random(n) < 1.0 - 1.0 / lam
+    assert sample.total() == n
+    assert sample.n == 1 + np.count_nonzero(innovate[1:])
+
+
 def test_latent_posterior_params():
     assert latent_posterior_params(1, 1.0) == (2.0, 1.0)
     alpha, beta = latent_posterior_params(7, 0.6)
@@ -209,6 +222,20 @@ def test_count_file_roundtrip(tmp_path):
     sample = CountSample([3, 1, 1, 7])
     write_count_file(path, sample)
     assert path.read_bytes() == b"3\n1\n1\n7\n"
+    assert read_count_file(path) == sample
+
+
+@pytest.mark.parametrize("n", [2 * 4096, 2 * 4096 + 1])
+def test_count_file_blocks_write_one_line_per_count(tmp_path, n):
+    # n ends on, and one past, a boundary of write_count_file's 4096-line
+    # blocks; the counts run from 1 to the int64 limit
+    draws = np.random.default_rng(n).integers(1, 2**63 - 1, size=n, endpoint=True)
+    counts = np.maximum(draws >> (np.arange(n) % 63), 1)
+    counts[:2] = 1, 2**63 - 1
+    sample = CountSample(counts)
+    path = tmp_path / "counts.txt"
+    write_count_file(path, sample)
+    assert path.read_text(encoding="utf-8") == "".join(f"{k}\n" for k in counts)
     assert read_count_file(path) == sample
 
 

@@ -8,12 +8,14 @@ from yulesimon import (
     CONVEXITY_BOUND,
     CountSample,
     FitConfig,
+    RngStream,
     convexity_check,
     em_fit,
     em_step,
     init_lambda,
     observed_loglik,
     q_function,
+    sample_mixture,
 )
 from yulesimon.em import CONVERGED, DIVERGING, MAX_ITER_REACHED
 
@@ -136,6 +138,15 @@ def test_em_fit_ascent_property():
         fit = em_fit(data)
         ll = np.array(fit.loglik_trace[1:])  # drop the (possibly -inf) start
         assert np.all(np.diff(ll) >= -1e-10)
+
+
+def test_em_loglik_trace_ascends_at_tight_tol_near_lambda_50():
+    # the last steps gain ~1e-12; log B(51, k) taken as ln Gamma(51) minus
+    # a D of the same size rounded the trace down by up to 4.7e-10 here
+    data = sample_mixture(50.0, 3000, RngStream(7))[0]
+    fit = em_fit(data, FitConfig(tol=1e-10, max_iter=4000))
+    assert fit.converged
+    assert np.all(np.diff(fit.loglik_trace[1:]) >= -1e-10)
 
 
 def test_em_fit_fixed_point_residual():

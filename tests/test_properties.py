@@ -101,8 +101,8 @@ def converged_fit(counts, config=None):
 @reproducible
 @given(counts=fit_samples)
 def test_em_loglik_trace_ascends(counts):
-    # at the default tol; at tol = 1e-10 near lambda = 50 the last steps
-    # gain less than the ~1e-10 rounding of the likelihood itself
+    # at the default tol; test_em checks a tol = 1e-10 fit near lambda =
+    # 50, whose last steps gain ~1e-12
     _, fit = converged_fit(counts)
     assert np.all(np.diff(fit.loglik_trace[1:]) >= -1e-10)
 

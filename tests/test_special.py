@@ -106,6 +106,13 @@ def test_log_beta_against_mpmath_up_to_the_int64_limit(b):
             assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (ai, b)
 
 
+def test_log_beta_is_symmetric():
+    a = np.exp(np.linspace(math.log(1e-3), math.log(2.0**62), 200))
+    b = a[::-1]
+    assert np.array_equal(log_beta(a, b), log_beta(b, a))
+    assert log_beta(51.0, 1.0) == log_beta(1.0, 51.0)
+
+
 def test_beta_log_moments_uniform_cases():
     mean_log, _ = beta_log_moments(1.0, 1.0)
     assert mean_log == pytest.approx(-1.0, abs=1e-13)
