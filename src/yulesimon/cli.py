@@ -75,14 +75,17 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _cmd_fit(args) -> int:
+def _fit_and_diagnose(args):
+    """Read the count file, fit it and diagnose the fit: the shared part
+    of ys fit and ys diagnose."""
     data = read_count_file(args.input)
     fit = em_fit(data, _fit_config(args))
-    report = diagnose(data, fit, args.prior_a, args.prior_b)
-    if fit.status == CONVERGED:
-        std_err = standard_error(data, fit.lambda_hat)
-    else:
-        std_err = math.nan
+    return data, fit, diagnose(data, fit, args.prior_a, args.prior_b)
+
+
+def _cmd_fit(args) -> int:
+    data, fit, report = _fit_and_diagnose(args)
+    std_err = standard_error(data, fit.lambda_hat) if fit.status == CONVERGED else math.nan
     _emit(
         {
             "lambda_hat": fit.lambda_hat,
@@ -103,9 +106,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    data = read_count_file(args.input)
-    fit = em_fit(data, _fit_config(args))
-    report = diagnose(data, fit, args.prior_a, args.prior_b)
+    _, fit, report = _fit_and_diagnose(args)
     _emit(
         {
             "lambda_hat": fit.lambda_hat,

@@ -16,6 +16,11 @@ cached count histogram (CountSample.histogram), so a whole fit
 compresses the sample once and an iteration costs O(#distinct counts).
 The likelihood takes log B(lam+1, u) from special.log_beta, as log_pmf
 does, which keeps its digits for counts up to the int64 limit.
+
+There is one iteration loop, em_fit_stacked: it fits many samples at
+once on their stacked histograms (special.HistogramStack), one digamma
+and one log_beta call per iteration for all of them, and em_fit is its
+one-sample call.
 """
 
 from __future__ import annotations
@@ -27,7 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distribution import CountSample, _check_lambda
-from .special import digamma, log_beta, pooled_harmonic_sum, pooled_harmonic_sum_sq
+from .special import (
+    HistogramStack,
+    digamma,
+    log_beta,
+    pooled_harmonic_sum,
+    pooled_harmonic_sum_sq,
+)
 
 __all__ = [
     "CONVEXITY_BOUND",
@@ -37,6 +48,7 @@ __all__ = [
     "q_function",
     "em_step",
     "em_fit",
+    "em_fit_stacked",
     "init_lambda",
     "convexity_check",
 ]
@@ -115,15 +127,29 @@ class FitResult:
 def observed_loglik(data: CountSample, lam: float) -> float:
     """Observed-data log-likelihood sum_i log g(k_i | lam) =
     N log lam + sum_u c_u log B(lam+1, u) on the count histogram."""
-    lam = _check_lambda(lam)
-    u, c = data.histogram()
-    return float(data.n * math.log(lam) + c @ log_beta(lam + 1.0, u.astype(np.float64)))
+    return _logliks(HistogramStack([data]), [_check_lambda(lam)])[0]
 
 
-def _loglik_or_neg_inf(data: CountSample, lam: float) -> float:
-    if lam <= 0.0:
-        return -math.inf
-    return observed_loglik(data, lam)
+def _logliks(stack: HistogramStack, lams: list[float]) -> list[float]:
+    """observed_loglik of every sample of the stack at its own lam, one
+    log_beta call; -inf where lam is 0."""
+    log_b = log_beta(stack.spread(lams) + 1.0, stack.u)
+    return [
+        float(n * math.log(lam) + d) if lam > 0.0 else -math.inf
+        for n, lam, d in zip(stack.n, lams, stack.dots(log_b))
+    ]
+
+
+def _updates(
+    stack: HistogramStack, lams: list[float], prior_a: float, prior_b: float
+) -> list[float]:
+    """em_step of every sample of the stack from its own lam, one digamma
+    call: (N + a - 1) / (b + sum_u c_u psi(lam+1+u) - N psi(lam+1))."""
+    psi_u, psi_1 = stack.polygamma(digamma, lams)
+    return [
+        (n + prior_a - 1.0) / (prior_b + float(s - n * p1))
+        for n, s, p1 in zip(stack.n, stack.weighted_sums(psi_u), psi_1)
+    ]
 
 
 def q_function(lam: float, lam_prev: float, data: CountSample) -> float:
@@ -187,7 +213,17 @@ def init_lambda(data: CountSample, policy) -> float:
 
 
 def em_fit(data: CountSample, config: FitConfig | None = None) -> FitResult:
-    """Iterate em_step until the parameter change drops below tol.
+    """Iterate em_step until the parameter change drops below tol: the
+    one-sample call of em_fit_stacked."""
+    return em_fit_stacked([data], config)[0]
+
+
+def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
+    """Fit every sample with the same config, iterating all of them
+    together on their stacked histograms: each iteration makes one
+    digamma and one log_beta call for all samples still running, and a
+    sample leaves the stack when it stops. Each fit equals em_fit of its
+    sample alone.
 
     Never raises mid-run on degenerate data: samples with every count
     equal to one (and a flat-or-increasing prior) have no interior
@@ -196,41 +232,46 @@ def em_fit(data: CountSample, config: FitConfig | None = None) -> FitResult:
     ceiling, otherwise once the iteration budget is exhausted.
     """
     config = config or FitConfig()
-    lam = init_lambda(data, config.init)
-    trace = [lam]
-    loglik_trace = [_loglik_or_neg_inf(data, lam)]
+    samples = list(samples)
+    starts = [init_lambda(data, config.init) for data in samples]
+    stack = HistogramStack(samples)
+    fits = [
+        FitResult(lam, 0, [lam], [ll], MAX_ITER_REACHED)
+        for lam, ll in zip(starts, _logliks(stack, starts))
+    ]
+    if any(n + config.prior_a - 1.0 <= 0.0 for n in stack.n):
+        raise ValueError("degenerate update: N + a - 1 must be positive")
+    running = list(range(len(samples)))
+    for _ in range(config.max_iter):
+        prev = [fits[r].lambda_hat for r in running]
+        lams = _updates(stack, prev, config.prior_a, config.prior_b)
+        still = []
+        for r, lam, ll in zip(running, lams, _logliks(stack, lams)):
+            fit = fits[r]
+            delta = abs(lam - fit.lambda_hat)
+            fit.lambda_hat = lam
+            fit.iterations += 1
+            fit.trace.append(lam)
+            fit.loglik_trace.append(ll)
+            if lam > config.divergence_ceiling:
+                fit.status = DIVERGING
+            elif delta < config.tol:
+                fit.status = CONVERGED
+            else:
+                still.append(r)
+        if not still:
+            break
+        if len(still) < len(running):
+            running = still
+            stack = HistogramStack([samples[r] for r in running])
     # exact no-interior-maximum condition: likelihood factors are
     # strictly increasing in lambda iff every count is 1, and a Gamma
     # prior with b = 0, a >= 1 does not pull the update back down
-    degenerate = (
-        config.prior_b == 0.0
-        and config.prior_a >= 1.0
-        and data.histogram()[0][-1] == 1
-    )
-    status = MAX_ITER_REACHED
-    iterations = 0
-    for _ in range(config.max_iter):
-        new = em_step(lam, data, config.prior_a, config.prior_b)
-        delta = abs(new - lam)
-        lam = new
-        iterations += 1
-        trace.append(lam)
-        loglik_trace.append(_loglik_or_neg_inf(data, lam))
-        if lam > config.divergence_ceiling:
-            status = DIVERGING
-            break
-        if delta < config.tol:
-            status = CONVERGED
-            break
-    if status == MAX_ITER_REACHED and degenerate:
-        status = DIVERGING
-    return FitResult(
-        lambda_hat=lam,
-        iterations=iterations,
-        trace=trace,
-        loglik_trace=loglik_trace,
-        status=status,
-    )
+    if config.prior_b == 0.0 and config.prior_a >= 1.0:
+        for fit, data in zip(fits, samples):
+            if fit.status == MAX_ITER_REACHED and data.histogram()[0][-1] == 1:
+                fit.status = DIVERGING
+    return fits
 
 
 def convexity_check(data: CountSample, lam: float) -> tuple[float, bool]:

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distribution import CountSample, RngStream, sample_mixture, sample_urn
-from .em import CONVERGED, FitConfig, em_fit
+from .em import CONVERGED, FitConfig, em_fit_stacked
 from .gibbs import GibbsConfig, gibbs_run
-from .information import standard_error
+from .information import standard_errors
 
 __all__ = [
     "ExperimentSpec",
@@ -23,11 +23,14 @@ __all__ = [
     "ExperimentSummary",
     "run_experiment",
     "write_replication_csv",
-    "read_replication_csv",
     "summarize_records",
 ]
 
 CSV_HEADER = ["rep", "estimator", "lambda_hat", "se", "iters", "status"]
+
+# Replications are fitted in blocks of at most this many counts (at
+# least one rep), so memory grows with the block, not with n_rep.
+_BLOCK_COUNTS = 1 << 16
 
 _GENERATORS = ("mixture", "urn")
 _ESTIMATORS = ("em", "gibbs")
@@ -108,32 +111,45 @@ def _generate(spec: ExperimentSpec, rep: int) -> CountSample:
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
+    """Run every replication of the cell and summarize.
+
+    Replications are generated and EM-fitted in blocks of up to
+    _BLOCK_COUNTS counts, each block through one stacked fit
+    (em_fit_stacked, standard_errors); a rep's record does not depend on
+    the block size. Gibbs chains run one rep after another. Records are
+    in rep order, em before gibbs within a rep."""
     records: list[ReplicationRecord] = []
-    for rep in range(spec.n_rep):
-        data = _generate(spec, rep)
+    block = max(1, _BLOCK_COUNTS // spec.n)
+    for first in range(0, spec.n_rep, block):
+        reps = range(first, min(first + block, spec.n_rep))
+        samples = [_generate(spec, rep) for rep in reps]
+        rows = []
         if "em" in spec.estimators:
-            fit = em_fit(data, spec.fit_config)
-            if fit.status == CONVERGED:
-                se = standard_error(data, fit.lambda_hat)
-            else:
-                se = math.nan
-            records.append(
-                ReplicationRecord(rep, "em", fit.lambda_hat, se, fit.iterations, fit.status)
-            )
+            rows.append(_em_records(reps, samples, spec.fit_config))
         if "gibbs" in spec.estimators:
-            cfg = replace(spec.gibbs_config, seed=spec.seed.child(rep, 1))
-            result = gibbs_run(data, cfg)
-            records.append(
-                ReplicationRecord(
-                    rep,
-                    "gibbs",
-                    result.posterior_mean,
-                    result.posterior_sd,
-                    result.chain.size,
-                    CONVERGED,
-                )
-            )
+            rows.append([_gibbs_record(spec, rep, data) for rep, data in zip(reps, samples)])
+        records.extend(record for per_rep in zip(*rows) for record in per_rep)
     return ExperimentSummary(records=records, estimators=summarize_records(records))
+
+
+def _em_records(reps, samples, config: FitConfig) -> list[ReplicationRecord]:
+    """EM rows of one block; the standard error only for converged fits."""
+    fits = em_fit_stacked(samples, config)
+    done = [i for i, fit in enumerate(fits) if fit.converged]
+    errors = standard_errors([samples[i] for i in done], [fits[i].lambda_hat for i in done])
+    se = dict(zip(done, errors))
+    return [
+        ReplicationRecord(rep, "em", fit.lambda_hat, se.get(i, math.nan), fit.iterations,
+                          fit.status)
+        for i, (rep, fit) in enumerate(zip(reps, fits))
+    ]
+
+
+def _gibbs_record(spec: ExperimentSpec, rep: int, data: CountSample) -> ReplicationRecord:
+    result = gibbs_run(data, replace(spec.gibbs_config, seed=spec.seed.child(rep, 1)))
+    return ReplicationRecord(
+        rep, "gibbs", result.posterior_mean, result.posterior_sd, result.chain.size, CONVERGED
+    )
 
 
 def summarize_records(records: list[ReplicationRecord]) -> dict[str, EstimatorSummary]:
@@ -172,20 +188,3 @@ def write_replication_csv(records: list[ReplicationRecord], path) -> None:
         writer.writerow(CSV_HEADER)
         for r in records:
             writer.writerow([r.rep, r.estimator, repr(r.lambda_hat), repr(r.se), r.iters, r.status])
-
-
-def read_replication_csv(path) -> list[ReplicationRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                ReplicationRecord(
-                    rep=int(row["rep"]),
-                    estimator=row["estimator"],
-                    lambda_hat=float(row["lambda_hat"]),
-                    se=float(row["se"]),
-                    iters=int(row["iters"]),
-                    status=row["status"],
-                )
-            )
-    return records

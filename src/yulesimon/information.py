@@ -5,15 +5,16 @@ expectation step plus the mixed partial collapses to
 
     I = N/lam^2 - sum_i sum_{j=1..k_i} 1/(lam + j)^2,
 
-and standard_error is 1/sqrt(I). Two cross-checks compute the same
-quantity another way and are kept for the tests. The Louis-style route
-assembles it from complete-data moments: minus expected complete-data
-curvature B = N/lam^2, the expected squared score built from beta
-log-moments, the pairwise score cross-products, and the squared
-observed score. The last term vanishes at a converged estimate; keeping
-it makes the two routes agree at any evaluation point. A
-finite-difference curvature of the observed log-likelihood is a slow
-third route.
+and standard_error is 1/sqrt(I); standard_errors stacks the count
+histograms of many samples so that one trigamma call serves them all.
+Two cross-checks compute the same quantity another way and are kept for
+the tests. The Louis-style route assembles it from complete-data
+moments: minus expected complete-data curvature B = N/lam^2, the
+expected squared score built from beta log-moments, the pairwise score
+cross-products, and the squared observed score. The last term vanishes
+at a converged estimate; keeping it makes the two routes agree at any
+evaluation point. A finite-difference curvature of the observed
+log-likelihood is a slow third route.
 """
 
 from __future__ import annotations
@@ -25,32 +26,47 @@ import numpy as np
 
 from .distribution import CountSample, _check_lambda
 from .em import observed_loglik
-from .special import beta_log_moments, pooled_harmonic_sum_sq
+from .special import HistogramStack, beta_log_moments, trigamma
 
 __all__ = [
     "oakes_information",
     "louis_information",
     "numeric_information",
     "standard_error",
+    "standard_errors",
 ]
 
 
-def _warn_if_nonpositive(info: float, label: str) -> None:
+def _warn_if_nonpositive(info: float, label: str, stacklevel: int = 3) -> None:
+    # stacklevel 3 names the line that called the public function
     if info <= 0.0:
         warnings.warn(
             f"{label} information is not positive ({info:.6g}); "
             "lambda is not an interior maximum for this data",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
 def oakes_information(data: CountSample, lambda_hat: float) -> float:
     """N/lam^2 minus the pooled squared-reciprocal sum."""
-    lam = _check_lambda(lambda_hat)
-    info = data.n / lam**2 - pooled_harmonic_sum_sq(lam, data)
-    _warn_if_nonpositive(info, "Oakes")
-    return info
+    return _oakes([data], [lambda_hat])[0]
+
+
+def _oakes(samples, lambda_hats) -> list[float]:
+    """oakes_information of every sample at its own estimate, from one
+    trigamma call over the stacked histograms:
+    N/lam^2 - (N psi_1(lam+1) - sum_u c_u psi_1(lam+1+u))."""
+    lams = [_check_lambda(lam) for lam in lambda_hats]
+    stack = HistogramStack(samples)
+    tri_u, tri_1 = stack.polygamma(trigamma, lams)
+    infos = [
+        n / lam**2 - float(n * t1 - s)
+        for n, lam, t1, s in zip(stack.n, lams, tri_1, stack.weighted_sums(tri_u))
+    ]
+    for info in infos:
+        _warn_if_nonpositive(info, "Oakes", stacklevel=4)  # one frame deeper
+    return infos
 
 
 def louis_information(data: CountSample, lambda_hat: float) -> float:
@@ -97,5 +113,11 @@ def standard_error(data: CountSample, lambda_hat: float) -> float:
     """Standard error of lambda_hat, 1/sqrt(oakes_information); NaN
     when the information is not positive, which happens only off an
     interior maximum."""
-    info = oakes_information(data, lambda_hat)
-    return math.sqrt(1.0 / info) if info > 0.0 else math.nan
+    return standard_errors([data], [lambda_hat])[0]
+
+
+def standard_errors(samples, lambda_hats) -> list[float]:
+    """standard_error of every sample at its own estimate, with one
+    trigamma call for all of them."""
+    return [math.sqrt(1.0 / info) if info > 0.0 else math.nan
+            for info in _oakes(samples, lambda_hats)]

@@ -15,6 +15,8 @@ count histogram (distinct counts u, multiplicities c) and take the
 polygamma-difference form on it, so their cost and memory grow with the
 number of distinct counts, never with max(k) or sum(k). The finite
 sums stay as the reference route that the tests compare against.
+HistogramStack lays the histograms of several samples end to end, so
+that one special-function call serves all of them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "harmonic_sum_sq",
     "pooled_harmonic_sum",
     "pooled_harmonic_sum_sq",
+    "HistogramStack",
 ]
 
 _SHIFT = 6.0
@@ -79,14 +82,23 @@ def _shift_up(z: np.ndarray, term, *args) -> tuple[np.ndarray, np.ndarray]:
     """Raise every argument below _SHIFT by whole steps until none is
     left, summing term(z, *args) over the values stepped past (args are
     arrays of z's shape); returns the shifted arguments and that sum,
-    the recurrence correction."""
+    the recurrence correction.
+
+    The arguments below _SHIFT are gathered once and stepped together;
+    a step adds term only where its argument is still below _SHIFT, so
+    each value gets the same additions in the same order as it would
+    alone."""
     z = np.atleast_1d(z).copy()
     adj = np.zeros_like(z)
-    mask = z < _SHIFT
+    low = np.flatnonzero(z < _SHIFT)
+    zl, acc = z[low], np.zeros(low.size)
+    rest = [x[low] for x in args]
+    mask = np.ones(low.size, dtype=bool)
     while mask.any():
-        adj[mask] += term(z[mask], *(x[mask] for x in args))
-        z[mask] += 1.0
-        mask = z < _SHIFT
+        np.add(acc, term(zl, *rest), out=acc, where=mask)
+        np.add(zl, 1.0, out=zl, where=mask)
+        np.less(zl, _SHIFT, out=mask)
+    z[low], adj[low] = zl, acc
     return z, adj
 
 
@@ -243,3 +255,45 @@ def pooled_harmonic_sum_sq(lam: float, counts, method: str = "polygamma") -> flo
     if method == "polygamma":
         return float(c.sum() * trigamma(lam + 1.0) - np.sum(c * trigamma(lam + 1.0 + u)))
     raise ValueError(f"unknown method {method!r}")
+
+
+class HistogramStack:
+    """The count histograms of several samples laid end to end.
+
+    Values are spread over the stack one per sample (spread), special
+    functions act on the whole stack in one call (polygamma), and the
+    per-sample sums reduce each sample's own slice with the expressions
+    a lone histogram takes, c @ x and np.sum(c * x). The functions act
+    elementwise, so a sample's results do not depend on which samples
+    share its stack, and a stack of one sample reproduces the
+    one-sample arithmetic bit for bit."""
+
+    def __init__(self, samples):
+        hists = [_histogram(s) for s in samples]
+        self.n = [int(c.sum()) for _, c in hists]
+        self.lengths = [u.size for u, _ in hists]
+        none = np.zeros(0, dtype=np.int64)  # a stack of no samples is empty
+        self.u = np.concatenate([none, *(u for u, _ in hists)]).astype(np.float64)
+        self.c = np.concatenate([none, *(c for _, c in hists)])
+        ends = np.cumsum(self.lengths).tolist()
+        self._slices = [slice(e - m, e) for e, m in zip(ends, self.lengths)]
+
+    def spread(self, values) -> np.ndarray:
+        """values[r] repeated over the histogram of sample r."""
+        return np.repeat(np.asarray(values, dtype=np.float64), self.lengths)
+
+    def polygamma(self, fn, lams) -> tuple[np.ndarray, np.ndarray]:
+        """fn(lam_r + 1 + u) over the stack and fn(lam_r + 1) per sample,
+        from one call of fn."""
+        lam1 = np.asarray(lams, dtype=np.float64) + 1.0
+        out = fn(np.concatenate([self.spread(lam1) + self.u, lam1]))
+        return out[: self.u.size], out[self.u.size :]
+
+    def dots(self, x: np.ndarray) -> list:
+        """c @ x per sample."""
+        return [self.c[s] @ x[s] for s in self._slices]
+
+    def weighted_sums(self, x: np.ndarray) -> list:
+        """np.sum(c * x) per sample."""
+        cx = self.c * x
+        return [cx[s].sum() for s in self._slices]

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from yulesimon import CountSample, RngStream, sample_mixture
+from yulesimon import (
+    CountSample,
+    FitConfig,
+    FitResult,
+    RngStream,
+    em_step,
+    init_lambda,
+    sample_mixture,
+)
+from yulesimon.special import log_beta, pooled_harmonic_sum_sq
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -72,3 +81,43 @@ def urn_loop(lam: float, total_items: int, rng: RngStream) -> CountSample:
         else:
             category[t] = category[int(pick[t] * t)]
     return CountSample(np.bincount(category))
+
+
+def _loglik(data: CountSample, lam: float) -> float:
+    if lam <= 0.0:
+        return -math.inf
+    u, c = data.histogram()
+    return float(data.n * math.log(lam) + c @ log_beta(lam + 1.0, u.astype(np.float64)))
+
+
+def em_fit_loop(data: CountSample, config: FitConfig | None = None) -> FitResult:
+    """EM on one sample, iteration by iteration through em_step, with
+    the same stopping rules as em_fit: the ceiling, tol, max_iter, and
+    "diverging" for an all-ones sample that ran out of iterations."""
+    config = config or FitConfig()
+    lam = init_lambda(data, config.init)
+    trace, loglik_trace = [lam], [_loglik(data, lam)]
+    status, iterations = "max_iter_reached", 0
+    for _ in range(config.max_iter):
+        new = em_step(lam, data, config.prior_a, config.prior_b)
+        delta = abs(new - lam)
+        lam = new
+        iterations += 1
+        trace.append(lam)
+        loglik_trace.append(_loglik(data, lam))
+        if lam > config.divergence_ceiling:
+            status = "diverging"
+            break
+        if delta < config.tol:
+            status = "converged"
+            break
+    degenerate = config.prior_b == 0.0 and config.prior_a >= 1.0 and data.counts.max() == 1
+    if status == "max_iter_reached" and degenerate:
+        status = "diverging"
+    return FitResult(lam, iterations, trace, loglik_trace, status)
+
+
+def oakes_standard_error(data: CountSample, lam: float) -> float:
+    """1/sqrt(N/lam^2 - sum_i sum_j (lam+j)^-2), NaN when that is not positive."""
+    info = data.n / lam**2 - pooled_harmonic_sum_sq(lam, data)
+    return math.sqrt(1.0 / info) if info > 0.0 else math.nan

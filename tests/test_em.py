@@ -230,3 +230,35 @@ def test_convexity_negative_inside_certified_interval():
             second, inside = convexity_check(data, float(lam))
             assert inside
             assert second < 0
+
+
+# em_fit at the default config, pinned bit for bit as float.hex: ys fit
+# prints these digits, so a change in how the sums reduce shows here
+EM_FIT_BITS = {
+    "lambda 0.6, N 2.5e5": (
+        lambda: sample_mixture(0.6, 250_000, RngStream(6))[0],
+        ["0x1.0000000000000p+0", "0x1.5b4365e949d09p-1", "0x1.3b23d06dc842ap-1",
+         "0x1.34832558a43a1p-1", "0x1.3320d15874340p-1", "0x1.32d6a195ea16bp-1",
+         "0x1.32c7171971ea1p-1"],
+        ["-0x1.7fe1aa2435832p+19", "-0x1.728df0b5814c2p+19", "-0x1.71d3fb81d33f2p+19",
+         "-0x1.71cb5d242bbfep+19", "-0x1.71cafb2188925p+19", "-0x1.71caf6d15edfdp+19",
+         "-0x1.71caf6a0e0509p+19"],
+    ),
+    "lambda 0.05 near the int64 limit": (
+        int64_limit_sample,
+        ["0x1.0000000000000p+0", "0x1.eab6be16b6b13p-5", "0x1.d299774d6ce1ep-5",
+         "0x1.d27c36992fda2p-5"],
+        ["-0x1.8ffdcf3ec8f89p+16", "-0x1.ea01784fed80fp+15", "-0x1.e9f9af5d10230p+15",
+         "-0x1.e9f9af513635cp+15"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EM_FIT_BITS)
+def test_em_fit_reproduces_pinned_bits(case):
+    sample, trace, loglik_trace = EM_FIT_BITS[case]
+    fit = em_fit(sample())
+    assert fit.converged
+    assert fit.lambda_hat.hex() == trace[-1]
+    assert [x.hex() for x in fit.trace] == trace
+    assert [x.hex() for x in fit.loglik_trace] == loglik_trace

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -8,11 +9,29 @@ from yulesimon import (
     ExperimentSpec,
     FitConfig,
     GibbsConfig,
+    ReplicationRecord,
     RngStream,
     run_experiment,
     write_replication_csv,
 )
-from yulesimon.experiment import CSV_HEADER, read_replication_csv, summarize_records
+from yulesimon import experiment
+from yulesimon.experiment import CSV_HEADER, summarize_records
+
+
+def read_replication_csv(path) -> list[ReplicationRecord]:
+    """Records back from write_replication_csv's file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [
+            ReplicationRecord(
+                rep=int(row["rep"]),
+                estimator=row["estimator"],
+                lambda_hat=float(row["lambda_hat"]),
+                se=float(row["se"]),
+                iters=int(row["iters"]),
+                status=row["status"],
+            )
+            for row in csv.DictReader(fh)
+        ]
 
 
 def small_spec(**overrides):
@@ -130,3 +149,33 @@ def test_em_right_tail_heavier_than_gibbs_at_high_lambda_small_n():
     summary = run_experiment(spec)
     em, gibbs = summary.estimators["em"], summary.estimators["gibbs"]
     assert em.lambda_p95 > gibbs.lambda_p95
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(n_rep=7, estimators=("em", "gibbs"),
+             gibbs_config=GibbsConfig(n_samples=200, burn_in=50, seed=RngStream(0))),
+        # mostly all-ones samples: diverging reps with a NaN standard error
+        dict(true_lambda=2000.0, n=8, n_rep=9),
+    ],
+)
+def test_records_do_not_depend_on_the_block_size(monkeypatch, overrides):
+    spec = small_spec(**overrides)
+    whole = [repr(r) for r in run_experiment(spec).records]
+    order = [(rep, est) for rep in range(spec.n_rep) for est in spec.estimators]
+    fit_stacked, blocks = experiment.em_fit_stacked, []
+
+    def spy(samples, config):
+        blocks.append(len(samples))
+        return fit_stacked(samples, config)
+
+    monkeypatch.setattr(experiment, "em_fit_stacked", spy)
+    for reps_per_block in (1, 3):
+        blocks.clear()
+        monkeypatch.setattr(experiment, "_BLOCK_COUNTS", reps_per_block * spec.n)
+        records = run_experiment(spec).records
+        assert [repr(r) for r in records] == whole
+        assert [(r.rep, r.estimator) for r in records] == order
+        full, rest = divmod(spec.n_rep, reps_per_block)
+        assert blocks == [reps_per_block] * full + [rest] * (rest > 0)

@@ -2,6 +2,7 @@
 invariants over the whole parameter range: lambda in [0.02, 50], samples
 of up to 10^5 counts (3000 for the fits), counts up to the int64 limit."""
 
+import math
 import warnings
 
 import numpy as np
@@ -20,7 +21,11 @@ from yulesimon import (
     rate_theoretical,
     sample_mixture,
 )
+from yulesimon.em import em_fit_stacked
+from yulesimon.information import standard_errors
 from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
+
+from _oracles import em_fit_loop, oakes_standard_error
 
 # a fixed example sequence, so the suite is reproducible run to run
 reproducible = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -85,9 +90,8 @@ def test_total_is_exact(values):
 # a thousand iterations; the rate comes from a float on the log scale,
 # which spreads the examples over the range where log_lambdas' integer
 # index keeps most of them near 0.02
-fit_samples = mixture_samples(
-    max_n=3000, rates=st.floats(0.0, 1.0).map(lambda t: 0.02 * 2500.0**t)
-)
+fit_rates = st.floats(0.0, 1.0).map(lambda t: 0.02 * 2500.0**t)
+fit_samples = mixture_samples(max_n=3000, rates=fit_rates)
 
 
 def converged_fit(counts, config=None):
@@ -122,3 +126,60 @@ def test_em_map_jacobian_equals_rate_at_the_fixed_point(counts):
     data, fit = converged_fit(counts, FitConfig(tol=1e-10, max_iter=4000))
     lam = fit.lambda_hat
     assert abs(em_map_jacobian(data, lam) - rate_theoretical(data, lam)) <= 1e-8
+
+
+@st.composite
+def fit_blocks(draw):
+    """1-3 samples of up to 300 counts at rates over [0.02, 50] and one
+    all-ones sample, with a config drawn so that over the examples reps
+    stop every way: converged, out of iterations (max_iter 3), over a
+    small ceiling (3.0), and the all-ones divergence; the init policies
+    include 0.0 and moments, whose fallback the all-ones sample takes.
+    The last item is where to split the block in two."""
+    samples = [CountSample(c) for c in draw(
+        st.lists(mixture_samples(max_n=300, rates=fit_rates), min_size=1, max_size=3))]
+    ones = CountSample(np.ones(draw(st.integers(1, 50)), dtype=np.int64))
+    samples.insert(draw(st.integers(0, len(samples))), ones)
+    config = FitConfig(
+        init=draw(st.sampled_from([0.0, "moments", "mode_one", 2.5])),
+        max_iter=draw(st.sampled_from([3, 60])),
+        divergence_ceiling=draw(st.sampled_from([3.0, 1e6])),
+    )
+    return samples, config, draw(st.integers(0, len(samples)))
+
+
+def _close(got, want) -> bool:
+    """Equal within 1e-12 relative; NaN matches NaN, -inf matches -inf."""
+    if not math.isfinite(want):
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+def _warning_texts(caught) -> list[str]:
+    return sorted(str(w.message) for w in caught)
+
+
+@reproducible
+@given(block=fit_blocks())
+def test_stacked_fits_match_the_one_sample_loop(block):
+    samples, config, split = block
+    with warnings.catch_warnings(record=True) as caught_stacked:
+        warnings.simplefilter("always")
+        fits = em_fit_stacked(samples, config)
+        se = standard_errors(samples, [f.lambda_hat for f in fits])
+    with warnings.catch_warnings(record=True) as caught_loop:
+        warnings.simplefilter("always")
+        want = [em_fit_loop(data, config) for data in samples]
+        want_se = [oakes_standard_error(data, f.lambda_hat) for data, f in zip(samples, want)]
+    assert _warning_texts(caught_stacked) == _warning_texts(caught_loop)
+    assert [f.status for f in fits] == [f.status for f in want]
+    assert [f.iterations for f in fits] == [f.iterations for f in want]
+    for fit, ref, got_se, ref_se in zip(fits, want, se, want_se):
+        assert _close(fit.lambda_hat, ref.lambda_hat)
+        assert all(map(_close, fit.trace, ref.trace))
+        assert all(map(_close, fit.loglik_trace, ref.loglik_trace))
+        assert _close(got_se, ref_se)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        parts = em_fit_stacked(samples[:split], config) + em_fit_stacked(samples[split:], config)
+    assert parts == fits
