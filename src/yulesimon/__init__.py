@@ -4,7 +4,6 @@ cross-checking, data generators, and word-frequency extraction."""
 
 from .convergence import (
     ConvergenceReport,
-    RateSequence,
     diagnose,
     em_map_jacobian,
     empirical_rates,
@@ -21,9 +20,7 @@ from .corpus import (
 from .distribution import (
     CountFileError,
     CountSample,
-    LatentDraws,
     RngStream,
-    latent_posterior_params,
     log_pmf,
     pmf,
     read_count_file,
@@ -77,8 +74,6 @@ __all__ = [
     "FitResult",
     "GibbsConfig",
     "GibbsResult",
-    "LatentDraws",
-    "RateSequence",
     "ReplicationRecord",
     "RngStream",
     "TokenizerOptions",
@@ -92,7 +87,6 @@ __all__ = [
     "empirical_rates",
     "gibbs_run",
     "init_lambda",
-    "latent_posterior_params",
     "log_pmf",
     "louis_information",
     "numeric_information",

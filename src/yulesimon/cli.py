@@ -10,6 +10,7 @@ fit did not converge, 1 on I/O or format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -66,11 +67,6 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
                         help="mode_one, moments, or a fixed starting value")
 
 
-def _fit_config(args) -> FitConfig:
-    return FitConfig(prior_a=args.prior_a, prior_b=args.prior_b, tol=args.tol,
-                     max_iter=args.max_iter, init=args.init)
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -79,7 +75,8 @@ def _fit_and_diagnose(args):
     """Read the count file, fit it and diagnose the fit: the shared part
     of ys fit and ys diagnose."""
     data = read_count_file(args.input)
-    fit = em_fit(data, _fit_config(args))
+    fit = em_fit(data, FitConfig(prior_a=args.prior_a, prior_b=args.prior_b, tol=args.tol,
+                                 max_iter=args.max_iter, init=args.init))
     return data, fit, diagnose(data, fit, args.prior_a, args.prior_b)
 
 
@@ -151,14 +148,14 @@ def _cmd_gibbs(args) -> int:
     return 0
 
 
-def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_simulate(args) -> int:
     rng = RngStream(args.seed, args.stream)
     if args.generator == "urn":
         if args.lam <= 1.0:
-            parser.error("--generator urn requires --lambda > 1")
+            _build_parser().error("--generator urn requires --lambda > 1")
         sample = sample_urn(args.lam, args.n, rng)
     else:
-        sample = sample_mixture(args.lam, args.n, rng)[0]
+        sample = sample_mixture(args.lam, args.n, rng)
     write_count_file(args.out, sample)
     print(
         f"n={sample.n} mean={sample.sample_mean():.6g} max={int(sample.counts.max())}",
@@ -215,7 +212,11 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every
+    later call in the process; each subcommand names its handler as
+    the default of args.handler."""
     parser = argparse.ArgumentParser(
         prog="ys",
         description="Yule-Simon rate estimation: EM and Gibbs, with diagnostics.",
@@ -225,10 +226,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="EM fit of a count file, JSON report on stdout")
     p_fit.add_argument("input", help="count file, one integer >= 1 per line")
     _add_fit_flags(p_fit)
+    p_fit.set_defaults(handler=_cmd_fit)
 
     p_diag = sub.add_parser("diagnose", help="fit plus convergence-rate diagnostics")
     p_diag.add_argument("input")
     _add_fit_flags(p_diag)
+    p_diag.set_defaults(handler=_cmd_diagnose)
 
     p_gibbs = sub.add_parser("gibbs", help="posterior sampling of a count file")
     p_gibbs.add_argument("input")
@@ -241,6 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gibbs.add_argument("--stream", type=int, default=0)
     p_gibbs.add_argument("--lambda-init", type=float, default=GibbsConfig.lambda_init)
     p_gibbs.add_argument("--chain-file", help="write retained draws as iter,lambda CSV")
+    p_gibbs.set_defaults(handler=_cmd_gibbs)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic count file")
     p_sim.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -249,6 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--stream", type=int, default=0)
     p_sim.add_argument("--out", required=True)
+    p_sim.set_defaults(handler=_cmd_simulate)
 
     p_text = sub.add_parser("text", help="word-frequency counts from a text file")
     p_text.add_argument("input")
@@ -258,6 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_text.add_argument("--keep-digits", action="store_true")
     p_text.add_argument("--counts", required=True, help="output count file")
     p_text.add_argument("--tsv", help="optional word<TAB>count table")
+    p_text.set_defaults(handler=_cmd_text)
 
     p_exp = sub.add_parser("experiment", help="replicated synthetic study")
     p_exp.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -272,32 +278,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--gibbs-samples", type=int, default=GibbsConfig.n_samples)
     p_exp.add_argument("--gibbs-burn-in", type=int, default=GibbsConfig.burn_in)
     p_exp.add_argument("--csv", help="write per-replication records here")
+    p_exp.set_defaults(handler=_cmd_experiment)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "diagnose":
-            return _cmd_diagnose(args)
-        if args.command == "gibbs":
-            return _cmd_gibbs(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args, parser)
-        if args.command == "text":
-            return _cmd_text(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
+        return args.handler(args)
     except (CountFileError, OSError, ValueError) as exc:
         print(f"ys: error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

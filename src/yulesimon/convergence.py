@@ -15,15 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .distribution import CountSample, _check_lambda
 from .em import FitResult
 from .special import pooled_harmonic_sum, pooled_harmonic_sum_sq
 
 __all__ = [
     "SUBLINEAR_THRESHOLD",
-    "RateSequence",
     "ConvergenceReport",
     "rate_theoretical",
     "em_map_jacobian",
@@ -36,7 +33,7 @@ __all__ = [
 SUBLINEAR_THRESHOLD = 0.9
 
 # successive differences below this are floating-point noise; rate
-# entries needing them are dropped and the sequence marked truncated
+# entries needing them are dropped and the path marked truncated
 _DENOMINATOR_FLOOR = 1e-14
 
 
@@ -64,48 +61,31 @@ def em_map_jacobian(
     return (data.n + prior_a - 1.0) * s2 / (prior_b + s1) ** 2
 
 
-@dataclass
-class RateSequence:
-    """Per-iteration empirical rates; truncated flags that trailing
-    entries were dropped because successive differences vanished."""
-
-    values: list[float]
-    truncated: bool = False
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def empirical_rates(trace, lambda_infinity: float | None = None) -> RateSequence:
-    """Empirical convergence rates from an iterate trace.
+def empirical_rates(trace, lambda_infinity: float | None = None) -> tuple[list[float], bool]:
+    """Empirical convergence rates from an iterate trace, as (values,
+    truncated); truncated flags that trailing entries were dropped
+    because successive differences vanished.
 
     Without lambda_infinity: r_{t+1} = (lam_{t+1}-lam_t)/(lam_t-lam_{t-1})
     (needs at least 3 iterates). With a known limit: r_{t+1} =
     (lam_t - lam_inf)/(lam_{t-1} - lam_inf) (needs at least 2).
     """
     trace = [float(x) for x in trace]
-    values: list[float] = []
     if lambda_infinity is None:
         if len(trace) < 3:
             raise ValueError("trace must hold at least 3 iterates")
-        for t in range(1, len(trace) - 1):
-            denom = trace[t] - trace[t - 1]
-            if abs(denom) < _DENOMINATOR_FLOOR:
-                return RateSequence(values, truncated=True)
-            values.append((trace[t + 1] - trace[t]) / denom)
+        gaps = [b - a for a, b in zip(trace, trace[1:])]
     else:
         if len(trace) < 2:
             raise ValueError("trace must hold at least 2 iterates")
-        lim = float(lambda_infinity)
-        for t in range(1, len(trace)):
-            denom = trace[t - 1] - lim
-            if abs(denom) < _DENOMINATOR_FLOOR:
-                return RateSequence(values, truncated=True)
-            values.append((trace[t] - lim) / denom)
-    return RateSequence(values)
+        gaps = [x - float(lambda_infinity) for x in trace]
+    # both forms are ratios of consecutive gaps
+    values: list[float] = []
+    for num, denom in zip(gaps[1:], gaps):
+        if abs(denom) < _DENOMINATOR_FLOOR:
+            return values, True
+        values.append(num / denom)
+    return values, False
 
 
 @dataclass
@@ -130,11 +110,7 @@ def diagnose(
     lam = fit.lambda_hat
     rate = rate_theoretical(data, lam)
     jac = em_map_jacobian(data, lam, prior_a, prior_b)
-    if len(fit.trace) >= 3:
-        seq = empirical_rates(fit.trace)
-        rates, truncated = seq.values, seq.truncated
-    else:
-        rates, truncated = [], False
+    rates, truncated = empirical_rates(fit.trace) if len(fit.trace) >= 3 else ([], False)
     return ConvergenceReport(
         r_theoretical=rate,
         jacobian_at_hat=jac,

@@ -18,7 +18,6 @@ __all__ = [
     "strip_gutenberg",
     "tokenize_count",
     "to_count_sample",
-    "sorted_items",
     "write_tsv",
 ]
 

@@ -6,9 +6,10 @@ The model has an exact mixture representation
     w ~ Exponential(lam),  p = exp(-w),  k ~ Geometric(p) on {1, 2, ...}
 
 whose marginal over p recovers g, and the conditional of the latent
-success probability given an observation is p | k, lam ~ Beta(lam+1, k).
-This module provides the mass function, moments, both data generators
-(mixture and preferential-attachment urn) and the latent conditional.
+success probability given an observation is p | k, lam ~ Beta(lam+1, k)
+(the Gibbs sampler draws from it). This module provides the mass
+function, both data generators (mixture and preferential-attachment
+urn), the count sample and the count-file format.
 """
 
 from __future__ import annotations
@@ -24,14 +25,11 @@ from .special import log_beta
 __all__ = [
     "RngStream",
     "CountSample",
-    "LatentDraws",
     "CountFileError",
     "log_pmf",
     "pmf",
-    "mean",
     "sample_mixture",
     "sample_urn",
-    "latent_posterior_params",
     "read_count_file",
     "write_count_file",
 ]
@@ -101,9 +99,6 @@ class CountSample:
     def n(self) -> int:
         return int(self.counts.size)
 
-    def __len__(self) -> int:
-        return self.counts.size
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CountSample) and np.array_equal(self.counts, other.counts)
 
@@ -126,23 +121,11 @@ class CountSample:
         return float(self.counts.mean())
 
 
-@dataclass(frozen=True)
-class LatentDraws:
-    """Latent variables of the mixture sampler, one entry per count:
-    w exponential, p = exp(-w) the geometric success probability."""
-
-    w: np.ndarray
-    p: np.ndarray
-    k: np.ndarray
-
-    def __len__(self) -> int:
-        return self.w.size
-
-
-def _check_lambda(lam: float) -> float:
+def _check_lambda(lam: float, name: str = "lambda") -> float:
+    """lam as a float; ValueError unless it is positive and finite."""
     lam = float(lam)
     if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lambda must be positive and finite")
+        raise ValueError(f"{name} must be positive and finite")
     return lam
 
 
@@ -167,31 +150,22 @@ def pmf(k, lam: float):
     return np.exp(log_pmf(k, lam))
 
 
-def mean(lam: float) -> float:
-    """lam/(lam-1) for lam > 1; the mean is infinite otherwise."""
-    lam = _check_lambda(lam)
-    if lam <= 1.0:
-        return math.inf
-    return lam / (lam - 1.0)
-
-
-def sample_mixture(lam: float, n: int, rng) -> tuple[CountSample, LatentDraws]:
+def sample_mixture(lam: float, n: int, rng) -> CountSample:
     """Draw n counts through the exponential/geometric mixture.
 
     p is drawn as a Beta(lam, 1) variate by inverse CDF (U**(1/lam),
-    computed in log space), w = -log p, and k by geometric inversion
-    k = ceil(log(U') / log(1-p)), which avoids trial-by-trial Bernoulli
-    loops on heavy-tailed draws. The latents are returned alongside the
-    counts so tests can check the hierarchy directly. Draws beyond 2**62
-    are clipped to it with a RuntimeWarning that says how many.
+    computed in log space, so w = -log p is exponential with rate lam),
+    and k by geometric inversion k = ceil(log(U') / log(1-p)), which
+    avoids trial-by-trial Bernoulli loops on heavy-tailed draws. The
+    latents are not returned: the first n uniforms of the stream fix p
+    and the next n fix k. Draws beyond 2**62 are clipped to it with a
+    RuntimeWarning that says how many.
     """
     lam = _check_lambda(lam)
     if n < 1:
         raise ValueError("n must be >= 1")
     g = _as_generator(rng)
-    log_p = np.log1p(-g.random(n)) / lam
-    p = np.exp(log_p)
-    w = -log_p
+    p = np.exp(np.log1p(-g.random(n)) / lam)
     log_u = np.log1p(-g.random(n))
     with np.errstate(divide="ignore"):
         raw = np.ceil(log_u / np.log1p(-p))
@@ -199,8 +173,7 @@ def sample_mixture(lam: float, n: int, rng) -> tuple[CountSample, LatentDraws]:
     if clipped:
         warnings.warn(f"sample_mixture clipped {clipped} of {n} draws at 2**62",
                       RuntimeWarning, stacklevel=2)
-    k = np.minimum(np.maximum(raw, 1.0), float(_MAX_COUNT)).astype(np.int64)
-    return CountSample(k), LatentDraws(w=w, p=p, k=k)
+    return CountSample(np.minimum(np.maximum(raw, 1.0), float(_MAX_COUNT)).astype(np.int64))
 
 
 def sample_urn(lam: float, total_items: int, rng) -> CountSample:
@@ -251,14 +224,6 @@ def sample_urn(lam: float, total_items: int, rng) -> CountSample:
     return CountSample(np.bincount(parent, minlength=total_items)[innovate])
 
 
-def latent_posterior_params(k: int, lam: float) -> tuple[float, float]:
-    """Parameters of p | k, lam ~ Beta(lam+1, k)."""
-    lam = _check_lambda(lam)
-    if k < 1 or int(k) != k:
-        raise ValueError("k must be an integer >= 1")
-    return lam + 1.0, float(k)
-
-
 class CountFileError(ValueError):
     """Malformed count-sample file (non-integer or < 1 entry)."""
 
@@ -267,7 +232,9 @@ def read_count_file(path) -> CountSample:
     """Read the count format: one integer from 1 to 2**63 - 1 per line,
     written in ASCII digits; surrounding whitespace and blank lines are
     ignored. Errors name the offending line number."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become U+FFFD, which fails the ASCII check of
+    # _parse_lines, so they are reported with their line number
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         lines = fh.read().split("\n")
     tokens = [text for text in map(str.strip, lines) if text]
     if not tokens:

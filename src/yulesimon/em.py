@@ -26,8 +26,9 @@ one-sample call.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,11 +102,7 @@ class FitConfig:
             raise ValueError("prior parameters must be >= 0")
         if self.divergence_ceiling <= 0.0:
             raise ValueError("divergence_ceiling must be positive")
-        if isinstance(self.init, str):
-            if self.init not in (INIT_MODE_ONE, INIT_MOMENTS):
-                raise ValueError(f"unknown init policy {self.init!r}")
-        elif not (float(self.init) >= 0.0 and math.isfinite(float(self.init))):
-            raise ValueError("fixed init must be a finite value >= 0")
+        _check_init(self.init)
 
 
 @dataclass
@@ -159,10 +156,8 @@ def q_function(lam: float, lam_prev: float, data: CountSample) -> float:
                     + sum_i (k_i-1)[psi(k_i) - psi(lam'+1+k_i)]
                     + N log lam
     """
-    lam = float(lam)
-    lam_prev = float(lam_prev)
-    if not (lam > 0.0 and lam_prev > 0.0):
-        raise ValueError("both lambda arguments must be positive")
+    lam = _check_lambda(lam)
+    lam_prev = _check_lambda(lam_prev, "lam_prev")
     u, c = data.histogram()
     uf = u.astype(np.float64)
     n = data.n
@@ -190,13 +185,22 @@ def em_step(
     return numerator / denominator
 
 
+def _check_init(policy) -> float | str:
+    """An init policy as em_fit resolves it: one of the two policy names,
+    or a fixed start as a float >= 0 (a real number, not a bool)."""
+    if isinstance(policy, str) and policy in (INIT_MODE_ONE, INIT_MOMENTS):
+        return policy
+    if isinstance(policy, bool) or not isinstance(policy, numbers.Real):
+        raise ValueError(f"unknown init policy {policy!r}")
+    value = float(policy)
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError("fixed init must be a finite value >= 0")
+    return value
+
+
 def init_lambda(data: CountSample, policy) -> float:
     """Resolve an initialization policy to a starting value."""
-    if isinstance(policy, (int, float)) and not isinstance(policy, bool):
-        value = float(policy)
-        if not (value >= 0.0 and math.isfinite(value)):
-            raise ValueError("fixed init must be a finite value >= 0")
-        return value
+    policy = _check_init(policy)
     if policy == INIT_MODE_ONE:
         return 1.0
     if policy == INIT_MOMENTS:
@@ -209,7 +213,7 @@ def init_lambda(data: CountSample, policy) -> float:
             )
             return 1.0
         return kbar / (kbar - 1.0)
-    raise ValueError(f"unknown init policy {policy!r}")
+    return policy
 
 
 def em_fit(data: CountSample, config: FitConfig | None = None) -> FitResult:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distribution import CountSample, RngStream, sample_mixture, sample_urn
+from .distribution import CountSample, RngStream, _check_lambda, sample_mixture, sample_urn
 from .em import CONVERGED, FitConfig, em_fit_stacked
 from .gibbs import GibbsConfig, gibbs_run
 from .information import standard_errors
@@ -55,8 +55,7 @@ class ExperimentSpec:
     gibbs_config: GibbsConfig = field(default_factory=GibbsConfig)
 
     def __post_init__(self):
-        if not (self.true_lambda > 0.0 and math.isfinite(self.true_lambda)):
-            raise ValueError("true_lambda must be positive and finite")
+        _check_lambda(self.true_lambda, "true_lambda")
         if self.generator not in _GENERATORS:
             raise ValueError(f"generator must be one of {_GENERATORS}")
         if self.generator == "urn" and self.true_lambda <= 1.0:
@@ -106,7 +105,7 @@ class ExperimentSummary:
 def _generate(spec: ExperimentSpec, rep: int) -> CountSample:
     rng = spec.seed.child(rep, 0).generator()
     if spec.generator == "mixture":
-        return sample_mixture(spec.true_lambda, spec.n, rng)[0]
+        return sample_mixture(spec.true_lambda, spec.n, rng)
     return sample_urn(spec.true_lambda, spec.n, rng)
 
 
@@ -152,6 +151,13 @@ def _gibbs_record(spec: ExperimentSpec, rep: int, data: CountSample) -> Replicat
     )
 
 
+def _moments(x: np.ndarray) -> list[float]:
+    """Mean, median, 95th percentile and standard deviation (ddof 1, or
+    0 for a single value) of the successful replications."""
+    sd = float(x.std(ddof=1)) if x.size > 1 else 0.0
+    return [float(x.mean()), float(np.median(x)), float(np.percentile(x, 95)), sd]
+
+
 def summarize_records(records: list[ReplicationRecord]) -> dict[str, EstimatorSummary]:
     out: dict[str, EstimatorSummary] = {}
     for name in _ESTIMATORS:
@@ -159,26 +165,14 @@ def summarize_records(records: list[ReplicationRecord]) -> dict[str, EstimatorSu
         if not rows:
             continue
         ok = [r for r in rows if r.status == CONVERGED]
+        if not ok:
+            out[name] = EstimatorSummary(name, 0, len(rows), *([math.nan] * 9))
+            continue
         lam = np.array([r.lambda_hat for r in ok])
         se = np.array([r.se for r in ok])
         iters = np.array([r.iters for r in ok], dtype=float)
-        if len(ok) == 0:
-            out[name] = EstimatorSummary(name, 0, len(rows), *([math.nan] * 9))
-            continue
-        out[name] = EstimatorSummary(
-            estimator=name,
-            n_used=len(ok),
-            n_failed=len(rows) - len(ok),
-            lambda_mean=float(lam.mean()),
-            lambda_median=float(np.median(lam)),
-            lambda_p95=float(np.percentile(lam, 95)),
-            lambda_sd=float(lam.std(ddof=1)) if len(ok) > 1 else 0.0,
-            se_mean=float(se.mean()),
-            se_median=float(np.median(se)),
-            se_p95=float(np.percentile(se, 95)),
-            se_sd=float(se.std(ddof=1)) if len(ok) > 1 else 0.0,
-            mean_iterations=float(iters.mean()),
-        )
+        out[name] = EstimatorSummary(name, len(ok), len(rows) - len(ok), *_moments(lam),
+                                     *_moments(se), float(iters.mean()))
     return out
 
 

@@ -27,13 +27,12 @@ alone change between sweeps. Chains are reproducible given the seed.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import CountSample, RngStream, _as_generator
+from .distribution import CountSample, RngStream, _as_generator, _check_lambda
 from .special import _tail_multiplicity
 
 __all__ = [
@@ -76,8 +75,7 @@ class GibbsConfig:
                 f"the retained chain needs at least 2 draws, got {retained} "
                 f"(n_samples={self.n_samples}, burn_in={self.burn_in}, thin={self.thin})"
             )
-        if not (self.lambda_init > 0.0 and math.isfinite(self.lambda_init)):
-            raise ValueError("lambda_init must be positive")
+        _check_lambda(self.lambda_init, "lambda_init")
 
 
 @dataclass

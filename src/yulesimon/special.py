@@ -181,42 +181,33 @@ def beta_log_moments(alpha, beta):
     psi(alpha+beta) and var_log = psi_1(alpha) - psi_1(alpha+beta).
     The raw second moment E[(log p)^2] is var_log + mean_log**2.
     """
-    aa, sa = _validated(alpha, "alpha")
-    bb, sb = _validated(beta, "beta")
+    aa, _ = _validated(alpha, "alpha")
+    bb, _ = _validated(beta, "beta")
     total = aa + bb
-    mean_log = digamma(aa) - digamma(total)
-    var_log = trigamma(aa) - trigamma(total)
-    if sa and sb:
-        return float(mean_log), float(var_log)
-    return mean_log, var_log
+    # digamma and trigamma return floats for 0-d input, so scalars give floats
+    return digamma(aa) - digamma(total), trigamma(aa) - trigamma(total)
 
 
-def harmonic_sum(lam: float, k: int) -> float:
-    """sum_{j=1..k} 1/(lam + j), the finite-sum form of
-    psi(lam+k+1) - psi(lam+1). Requires lam >= 0, k >= 1."""
+def _shifted_levels(lam: float, k: int) -> np.ndarray:
+    """lam + j for j = 1..k; requires lam >= 0, k >= 1."""
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise ValueError("lam must be finite and >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return float(np.sum(1.0 / (lam + np.arange(1.0, k + 1.0))))
+    return lam + np.arange(1.0, k + 1.0)
+
+
+def harmonic_sum(lam: float, k: int) -> float:
+    """sum_{j=1..k} 1/(lam + j), the finite-sum form of
+    psi(lam+k+1) - psi(lam+1)."""
+    return float(np.sum(1.0 / _shifted_levels(lam, k)))
 
 
 def harmonic_sum_sq(lam: float, k: int) -> float:
     """sum_{j=1..k} 1/(lam + j)^2, the finite-sum form of
     psi_1(lam+1) - psi_1(lam+k+1)."""
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ValueError("lam must be finite and >= 0")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    j = lam + np.arange(1.0, k + 1.0)
+    j = _shifted_levels(lam, k)
     return float(np.sum(1.0 / (j * j)))
-
-
-def _histogram(counts) -> tuple[np.ndarray, np.ndarray]:
-    """(u, c) of a CountSample (its cache) or of a raw count array."""
-    if hasattr(counts, "histogram"):
-        return counts.histogram()
-    return np.unique(np.asarray(counts), return_counts=True)
 
 
 def _tail_multiplicity(u: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -225,16 +216,15 @@ def _tail_multiplicity(u: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.repeat(c[::-1].cumsum()[::-1], np.diff(u, prepend=0))
 
 
-def pooled_harmonic_sum(lam: float, counts, method: str = "polygamma") -> float:
-    """sum_i sum_{j=1..k_i} 1/(lam + j) over a whole count sample.
-
-    counts is a CountSample (its cached histogram is read) or a raw
-    count array. The "polygamma" form sum_u c_u psi(lam+1+u) -
-    N psi(lam+1) costs one digamma per distinct count. The "finite" form
-    sums reciprocals grouped by tail multiplicity over an array of
-    length max(k); it is the reference route the tests compare against.
+def pooled_harmonic_sum(lam: float, data, method: str = "polygamma") -> float:
+    """sum_i sum_{j=1..k_i} 1/(lam + j) over a whole CountSample, read
+    through its cached histogram. The "polygamma" form
+    sum_u c_u psi(lam+1+u) - N psi(lam+1) costs one digamma per
+    distinct count. The "finite" form sums reciprocals grouped by tail
+    multiplicity over an array of length max(k); it is the reference
+    route the tests compare against.
     """
-    u, c = _histogram(counts)
+    u, c = data.histogram()
     if method == "finite":
         m = _tail_multiplicity(u, c)
         j = lam + np.arange(1.0, len(m) + 1.0)
@@ -244,10 +234,10 @@ def pooled_harmonic_sum(lam: float, counts, method: str = "polygamma") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def pooled_harmonic_sum_sq(lam: float, counts, method: str = "polygamma") -> float:
+def pooled_harmonic_sum_sq(lam: float, data, method: str = "polygamma") -> float:
     """sum_i sum_{j=1..k_i} 1/(lam + j)^2 over a whole count sample;
     arguments as for pooled_harmonic_sum."""
-    u, c = _histogram(counts)
+    u, c = data.histogram()
     if method == "finite":
         m = _tail_multiplicity(u, c)
         j = lam + np.arange(1.0, len(m) + 1.0)
@@ -258,7 +248,7 @@ def pooled_harmonic_sum_sq(lam: float, counts, method: str = "polygamma") -> flo
 
 
 class HistogramStack:
-    """The count histograms of several samples laid end to end.
+    """The count histograms of several CountSamples laid end to end.
 
     Values are spread over the stack one per sample (spread), special
     functions act on the whole stack in one call (polygamma), and the
@@ -269,7 +259,7 @@ class HistogramStack:
     one-sample arithmetic bit for bit."""
 
     def __init__(self, samples):
-        hists = [_histogram(s) for s in samples]
+        hists = [s.histogram() for s in samples]
         self.n = [int(c.sum()) for _, c in hists]
         self.lengths = [u.size for u, _ in hists]
         none = np.zeros(0, dtype=np.int64)  # a stack of no samples is empty

@@ -39,7 +39,7 @@ def golden_section_maximize(fn, lo: float, hi: float, tol: float = 1e-8) -> floa
 
 def random_dataset(lam: float, n: int, seed: int, stream: int = 0) -> CountSample:
     """Seeded synthetic count sample with at least one count above 1."""
-    sample, _ = sample_mixture(lam, n, RngStream(seed, stream))
+    sample = sample_mixture(lam, n, RngStream(seed, stream))
     if sample.counts.max() == 1:  # keep the likelihood maximizable
         counts = sample.counts.copy()
         counts[0] = 2
@@ -51,7 +51,21 @@ def int64_limit_sample() -> CountSample:
     """sample_mixture(0.05, 3000, RngStream(2)): 327 of its draws sit at
     the generator's 2**62 cap, and the counts sum far beyond int64."""
     with pytest.warns(RuntimeWarning, match="clipped 327 of 3000"):
-        return sample_mixture(0.05, 3000, RngStream(2))[0]
+        return sample_mixture(0.05, 3000, RngStream(2))
+
+
+def mixture_latents(lam: float, n: int, rng: RngStream):
+    """(p, w, k) of the exponential/geometric mixture, rebuilt from the
+    same two blocks of uniforms that sample_mixture draws from rng:
+    w = -log(1 - U) / lam is exponential with rate lam, p = exp(-w), and
+    k = ceil(log(1 - U') / log(1 - p)) is geometric on {1, 2, ...},
+    capped at 2**62 as the generator caps it."""
+    g = rng.generator()
+    w = -np.log1p(-g.random(n)) / lam
+    p = np.exp(-w)
+    with np.errstate(divide="ignore"):
+        k = np.ceil(np.log1p(-g.random(n)) / np.log1p(-p))
+    return p, w, np.clip(k, 1.0, 2.0**62).astype(np.int64)
 
 
 def dataset_grid(seed0: int, how_many: int, lams=(0.6, 0.8, 1.25, 5.0, 10.0), ns=(50, 500, 5000)):

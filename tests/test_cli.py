@@ -12,7 +12,7 @@ FIXTURE = Path(__file__).parent / "fixtures" / "gutenberg_excerpt.txt"
 
 @pytest.fixture()
 def counts_file(tmp_path):
-    sample, _ = sample_mixture(0.8, 1500, RngStream(3141))
+    sample = sample_mixture(0.8, 1500, RngStream(3141))
     path = tmp_path / "counts.txt"
     write_count_file(path, sample)
     return str(path)

@@ -74,20 +74,21 @@ def test_jacobian_equals_rate_at_fixed_point():
 
 
 def test_empirical_rates_successive_differences():
-    seq = empirical_rates([1.0, 1.5, 1.75])
-    assert seq.values == pytest.approx([0.5])
-    assert not seq.truncated
+    values, truncated = empirical_rates([1.0, 1.5, 1.75])
+    assert values == pytest.approx([0.5])
+    assert not truncated
 
 
 def test_empirical_rates_known_limit_form():
-    seq = empirical_rates([2.0, 1.5, 1.25], lambda_infinity=1.0)
-    assert seq.values == pytest.approx([0.5, 0.5])
+    values, truncated = empirical_rates([2.0, 1.5, 1.25], lambda_infinity=1.0)
+    assert values == pytest.approx([0.5, 0.5])
+    assert not truncated
 
 
 def test_empirical_rates_truncation_guard():
-    seq = empirical_rates([1.0, 1.5, 1.5, 1.5])
-    assert seq.truncated
-    assert seq.values == pytest.approx([0.0])
+    values, truncated = empirical_rates([1.0, 1.5, 1.5, 1.5])
+    assert truncated
+    assert values == pytest.approx([0.0])
 
 
 def test_empirical_rates_length_errors():
@@ -101,8 +102,8 @@ def test_both_rate_forms_share_a_limit():
     data = random_dataset(1.25, 1500, 99)
     fit = em_fit(data, FitConfig(tol=1e-10))
     assert fit.converged
-    diff_form = empirical_rates(fit.trace).values
-    limit_form = empirical_rates(fit.trace, lambda_infinity=fit.lambda_hat).values
+    diff_form, _ = empirical_rates(fit.trace)
+    limit_form, _ = empirical_rates(fit.trace, lambda_infinity=fit.lambda_hat)
     # compare where both paths have stabilized; taking the converged
     # iterate as the limit corrupts the last few limit-form entries
     window = slice(3, len(diff_form) - 4)

@@ -12,7 +12,6 @@ from yulesimon import (
     FitConfig,
     RngStream,
     em_fit,
-    latent_posterior_params,
     log_pmf,
     pmf,
     read_count_file,
@@ -20,9 +19,7 @@ from yulesimon import (
     sample_urn,
     write_count_file,
 )
-from yulesimon.distribution import mean
-
-from _oracles import urn_loop
+from _oracles import mixture_latents, urn_loop
 
 
 def test_log_pmf_known_values():
@@ -51,13 +48,6 @@ def test_log_pmf_domain_errors():
         log_pmf(1, 0.0)
     with pytest.raises(ValueError):
         log_pmf(1.5, 1.0)
-
-
-def test_mean_values():
-    assert mean(5.0) == pytest.approx(1.25)
-    assert mean(2.0) == pytest.approx(2.0)
-    assert mean(0.8) == math.inf
-    assert mean(1.0) == math.inf
 
 
 def test_pmf_normalization_partial_sums():
@@ -95,17 +85,17 @@ def test_joint_marginalizes_to_pmf():
 
 def test_sample_mixture_reproducible():
     stream = RngStream(seed=99, stream_id=3)
-    a, la = sample_mixture(1.25, 500, stream)
-    b, lb = sample_mixture(1.25, 500, stream)
+    a = sample_mixture(1.25, 500, stream)
+    b = sample_mixture(1.25, 500, stream)
     assert a == b
-    assert np.array_equal(la.w, lb.w)
-    c, _ = sample_mixture(1.25, 500, RngStream(seed=99, stream_id=4))
+    assert np.array_equal(mixture_latents(1.25, 500, stream)[2], a.counts)
+    c = sample_mixture(1.25, 500, RngStream(seed=99, stream_id=4))
     assert c != a
 
 
 def test_sample_mixture_warns_when_it_clips():
     with pytest.warns(RuntimeWarning, match=r"clipped 327 of 3000 draws at 2\*\*62"):
-        sample, _ = sample_mixture(0.05, 3000, RngStream(2))
+        sample = sample_mixture(0.05, 3000, RngStream(2))
     assert np.count_nonzero(sample.counts == 2**62) == 327
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -113,20 +103,21 @@ def test_sample_mixture_warns_when_it_clips():
 
 
 def test_sample_mixture_latent_consistency():
-    sample, latents = sample_mixture(0.8, 2000, RngStream(5))
-    assert np.allclose(latents.p, np.exp(-latents.w))
-    assert np.all((latents.p > 0) & (latents.p < 1))
-    assert np.array_equal(latents.k, sample.counts)
-    assert len(latents) == sample.n
+    sample = sample_mixture(0.8, 2000, RngStream(5))
+    p, w, k = mixture_latents(0.8, 2000, RngStream(5))
+    assert np.allclose(p, np.exp(-w))
+    assert np.all((p > 0) & (p < 1))
+    assert np.array_equal(k, sample.counts)
+    assert k.size == sample.n
 
 
 def test_sample_mixture_mean_matches_formula():
-    sample, _ = sample_mixture(5.0, 1_000_000, RngStream(42))
+    sample = sample_mixture(5.0, 1_000_000, RngStream(42))
     assert sample.sample_mean() == pytest.approx(1.25, rel=0.01)
 
 
 def test_sample_mixture_matches_pmf_at_one():
-    sample, _ = sample_mixture(1.25, 1_000_000, RngStream(43))
+    sample = sample_mixture(1.25, 1_000_000, RngStream(43))
     frac_ones = np.mean(sample.counts == 1)
     assert frac_ones == pytest.approx(pmf(1, 1.25), abs=0.005)
 
@@ -135,7 +126,7 @@ def test_sample_mixture_chi_square_gof():
     # pooled bins {1..20, >=21} against the exact pmf
     edges = np.arange(1, 21)
     for lam, seed in ((0.6, 1), (1.25, 2), (5.0, 3)):
-        sample, _ = sample_mixture(lam, 1_000_000, RngStream(7, seed))
+        sample = sample_mixture(lam, 1_000_000, RngStream(7, seed))
         observed = np.array(
             [np.sum(sample.counts == k) for k in edges] + [np.sum(sample.counts >= 21)]
         )
@@ -189,20 +180,17 @@ def test_sample_urn_matches_the_arrival_loop(n, lam, seed):
     assert sample.n == 1 + np.count_nonzero(innovate[1:])
 
 
-def test_latent_posterior_params():
-    assert latent_posterior_params(1, 1.0) == (2.0, 1.0)
-    alpha, beta = latent_posterior_params(7, 0.6)
-    assert alpha == pytest.approx(1.6)
-    assert beta == 7.0
-    with pytest.raises(ValueError):
-        latent_posterior_params(0, 1.0)
-
-
 def test_latent_posterior_mean_monte_carlo():
+    # the mixture's p among the draws that gave k = 7 follows the latent
+    # conditional p | k, lam ~ Beta(lam+1, k)
     k, lam = 7, 0.6
-    alpha, beta = latent_posterior_params(k, lam)
-    draws = RngStream(17).generator().beta(alpha, beta, size=1_000_000)
-    assert draws.mean() == pytest.approx(alpha / (alpha + beta), abs=1e-3)
+    p, _, counts = mixture_latents(lam, 1_000_000, RngStream(17))
+    draws = p[counts == k]
+    posterior = stats.beta(lam + 1.0, k)
+    assert draws.size > 10_000
+    sem = posterior.std() / math.sqrt(draws.size)
+    assert draws.mean() == pytest.approx(posterior.mean(), abs=5.0 * sem)
+    assert stats.kstest(draws, posterior.cdf).pvalue > 0.001
 
 
 def test_count_sample_validation():
@@ -259,5 +247,9 @@ def test_count_file_errors_name_the_line(tmp_path):
         path.write_text(f"1\n{big}\n")
         with pytest.raises(CountFileError, match="line 2"):
             read_count_file(path)
+    # a byte that is not UTF-8 is named by its line, not by a decode error
+    path.write_bytes(b"2\n\n\xff\n4\n")
+    with pytest.raises(CountFileError, match="line 3"):
+        read_count_file(path)
     path.write_text(f" 7 \n\n{2**63 - 1}\n{'0' * 5000}3\n")
     assert read_count_file(path).counts.tolist() == [7, 2**63 - 1, 3]

@@ -143,7 +143,7 @@ def test_em_fit_ascent_property():
 def test_em_loglik_trace_ascends_at_tight_tol_near_lambda_50():
     # the last steps gain ~1e-12; log B(51, k) taken as ln Gamma(51) minus
     # a D of the same size rounded the trace down by up to 4.7e-10 here
-    data = sample_mixture(50.0, 3000, RngStream(7))[0]
+    data = sample_mixture(50.0, 3000, RngStream(7))
     fit = em_fit(data, FitConfig(tol=1e-10, max_iter=4000))
     assert fit.converged
     assert np.all(np.diff(fit.loglik_trace[1:]) >= -1e-10)
@@ -193,6 +193,15 @@ def test_init_lambda_policies():
     assert init_lambda(five, "moments") == pytest.approx(5.0)
     with pytest.raises(ValueError):
         init_lambda(data, "nonsense")
+    # one check serves FitConfig and init_lambda: a policy is rejected
+    # by both or accepted by both, so a config that constructs also fits
+    assert init_lambda(data, np.int64(2)) == 2.0
+    assert em_fit(data, FitConfig(init=np.int64(2))).converged
+    for bad in (True, np.bool_(True), None, -1.0, math.inf):
+        with pytest.raises(ValueError):
+            init_lambda(data, bad)
+        with pytest.raises(ValueError):
+            FitConfig(init=bad)
 
 
 def test_init_lambda_moments_fallback_warns():
@@ -236,7 +245,7 @@ def test_convexity_negative_inside_certified_interval():
 # prints these digits, so a change in how the sums reduce shows here
 EM_FIT_BITS = {
     "lambda 0.6, N 2.5e5": (
-        lambda: sample_mixture(0.6, 250_000, RngStream(6))[0],
+        lambda: sample_mixture(0.6, 250_000, RngStream(6)),
         ["0x1.0000000000000p+0", "0x1.5b4365e949d09p-1", "0x1.3b23d06dc842ap-1",
          "0x1.34832558a43a1p-1", "0x1.3320d15874340p-1", "0x1.32d6a195ea16bp-1",
          "0x1.32c7171971ea1p-1"],

@@ -103,8 +103,8 @@ def test_sum_w_routes_share_analytic_moments():
     data = CountSample(np.tile([1, 2, 3, 7, 20], 40))
     lam, reps = 1.3, 20_000
     assert split_level(data.counts) == 20
-    s1 = pooled_harmonic_sum(lam, data.counts)
-    s2 = pooled_harmonic_sum_sq(lam, data.counts)
+    s1 = pooled_harmonic_sum(lam, data)
+    s2 = pooled_harmonic_sum_sq(lam, data)
     for split, seed in ((0, 501), (20, 502), (3, 503)):
         draw = _sum_w_sampler(data.counts, split, RngStream(seed).generator())
         sw = np.array([draw(lam) for _ in range(reps)])

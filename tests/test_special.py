@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from yulesimon import CountSample
 from yulesimon.special import (
     beta_log_moments,
     digamma,
@@ -170,7 +171,7 @@ def test_trigamma_is_derivative_of_digamma():
 def test_pooled_sums_methods_agree():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        counts = rng.integers(1, 500, size=rng.integers(1, 300))
+        counts = CountSample(rng.integers(1, 500, size=rng.integers(1, 300)))
         lam = rng.uniform(0.0, 10.0)
         fin = pooled_harmonic_sum(lam, counts, method="finite")
         pol = pooled_harmonic_sum(lam, counts, method="polygamma")
@@ -181,11 +182,11 @@ def test_pooled_sums_methods_agree():
 
 
 def test_pooled_sum_matches_direct_loop():
-    counts = np.array([1, 5, 3, 3])
+    counts = CountSample([1, 5, 3, 3])
     lam = 0.7
-    direct = sum(harmonic_sum(lam, int(k)) for k in counts)
+    direct = sum(harmonic_sum(lam, int(k)) for k in counts.counts)
     assert pooled_harmonic_sum(lam, counts) == pytest.approx(direct, rel=1e-14)
-    direct2 = sum(harmonic_sum_sq(lam, int(k)) for k in counts)
+    direct2 = sum(harmonic_sum_sq(lam, int(k)) for k in counts.counts)
     assert pooled_harmonic_sum_sq(lam, counts) == pytest.approx(direct2, rel=1e-14)
 
 
