@@ -151,8 +151,6 @@ def _cmd_gibbs(args) -> int:
 def _cmd_simulate(args) -> int:
     rng = RngStream(args.seed, args.stream)
     if args.generator == "urn":
-        if args.lam <= 1.0:
-            _build_parser().error("--generator urn requires --lambda > 1")
         sample = sample_urn(args.lam, args.n, rng)
     else:
         sample = sample_mixture(args.lam, args.n, rng)

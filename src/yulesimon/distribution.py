@@ -14,6 +14,7 @@ urn), the count sample and the count-file format.
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -39,6 +40,9 @@ __all__ = [
 _MAX_COUNT = 2**62
 # lines per write in write_count_file
 _WRITE_BLOCK = 4096
+_INT64_MAX = 2**63 - 1
+# the longest line the array reader takes: 19 digits stay below 2**64
+_MAX_DIGITS = 19
 
 
 @dataclass(frozen=True)
@@ -230,11 +234,24 @@ class CountFileError(ValueError):
 
 def read_count_file(path) -> CountSample:
     """Read the count format: one integer from 1 to 2**63 - 1 per line,
-    written in ASCII digits; surrounding whitespace and blank lines are
-    ignored. Errors name the offending line number."""
-    # undecodable bytes become U+FFFD, which fails the ASCII check of
-    # _parse_lines, so they are reported with their line number
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    written in ASCII digits; LF, CRLF or CR line ends, surrounding
+    whitespace and blank lines are accepted. Errors name the offending
+    line number.
+
+    A file as write_count_file writes it (nothing but ASCII digits and
+    LF, a final LF, 1 to 19 digits a line, every count from 1 to
+    2**63 - 1) is parsed as one byte array. Every other file is read as
+    text and parsed line by line, which accepts the rest of the format
+    and names the first bad line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    counts = _parse_digit_lines(raw)
+    if counts is not None:
+        return CountSample(counts)
+    # the text-mode read of open(): universal newlines, and undecodable
+    # bytes become U+FFFD, which fails the ASCII check of _parse_lines,
+    # so they are reported with their line number
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace") as fh:
         lines = fh.read().split("\n")
     tokens = [text for text in map(str.strip, lines) if text]
     if not tokens:
@@ -253,6 +270,42 @@ def read_count_file(path) -> CountSample:
     return CountSample(np.array(_parse_lines(lines), dtype=np.int64))
 
 
+def _parse_digit_lines(raw: bytes) -> np.ndarray | None:
+    """The counts of a file of 1- to 19-digit ASCII lines, each ended
+    by LF, all from 1 to 2**63 - 1; None for any other file.
+
+    Lines are grouped by digit count L, and each group's values are
+    built by L Horner steps over uint8 gathers. They accumulate in
+    uint64, where 19 digits cannot wrap, and are checked against the
+    int64 limit before the cast."""
+    if not raw.endswith(b"\n"):
+        return None
+    digits = np.frombuffer(raw, np.uint8) - 48
+    ends = np.flatnonzero(digits > 9)
+    # uint8 arithmetic takes LF (10) to 10 - 48 + 256
+    if np.any(digits[ends] != 218):
+        return None
+    lengths = np.diff(ends, prepend=-1) - 1
+    longest = int(lengths.max())
+    if lengths.min() < 1 or longest > _MAX_DIGITS:
+        return None
+    out = np.empty(ends.size, dtype=np.uint64)
+    for width in range(1, longest + 1):
+        rows = np.flatnonzero(lengths == width)
+        if not rows.size:
+            continue
+        pos = ends[rows] - width
+        value = digits[pos].astype(np.uint64)
+        for _ in range(width - 1):
+            pos += 1
+            value *= 10
+            value += digits[pos]
+        out[rows] = value
+    if out.min() < 1 or out.max() > _INT64_MAX:
+        return None
+    return out.view(np.int64)
+
+
 def _parse_lines(lines) -> list[int]:
     """The counts, read one line at a time; the first line outside the
     format raises CountFileError with its number."""
@@ -266,7 +319,7 @@ def _parse_lines(lines) -> list[int]:
         digits = text.lstrip("0")
         if not digits:
             raise CountFileError(f"line {lineno}: counts must be >= 1, got 0")
-        if len(digits) > 19 or int(digits) > np.iinfo(np.int64).max:
+        if len(digits) > _MAX_DIGITS or int(digits) > _INT64_MAX:
             raise CountFileError(f"line {lineno}: count exceeds 2**63 - 1")
         counts.append(int(digits))
     return counts

@@ -97,9 +97,13 @@ def conditional_lambda_draw(sum_w, n: int, prior_a: float, prior_b: float, rng, 
         raise ValueError("sum_w must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = _as_generator(rng)
-    draw = g.gamma(prior_a + n, 1.0 / (prior_b + sum_w), size=size)
+    draw = _lambda_draw(_as_generator(rng), prior_a + n, prior_b, sum_w, size)
     return float(draw) if size is None else draw
+
+
+def _lambda_draw(g: np.random.Generator, shape: float, rate_b: float, sum_w, size=None):
+    """Gamma(shape, rate rate_b + sum_w) draw, arguments unchecked."""
+    return g.gamma(shape, 1.0 / (rate_b + sum_w), size=size)
 
 
 def split_level(counts) -> int:
@@ -132,10 +136,13 @@ def gibbs_run(data: CountSample, config: GibbsConfig | None = None) -> GibbsResu
     config = config or GibbsConfig()
     g = config.seed.generator()
     draw_sum_w = _sum_w_sampler(data.counts, split_level(data.counts), g)
+    # the arguments conditional_lambda_draw checks are valid here: n >= 1
+    # and every sum of w is a sum of positive variates
+    shape = config.prior_a + data.n
     lam = config.lambda_init
     raw = np.empty(config.n_samples)
     for t in range(config.n_samples):
-        lam = conditional_lambda_draw(draw_sum_w(lam), data.n, config.prior_a, config.prior_b, g)
+        lam = _lambda_draw(g, shape, config.prior_b, draw_sum_w(lam))
         raw[t] = lam
 
     chain = raw[config.burn_in :: config.thin]

@@ -128,10 +128,10 @@ def test_simulate_urn_constraints(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "simulate", "--lambda", "1.25", "--n", "300",
                          "--generator", "urn", "--seed", "1", "--out", str(ok))
     assert code == 0
-    with pytest.raises(SystemExit):
-        main(["simulate", "--lambda", "0.8", "--n", "300",
-              "--generator", "urn", "--seed", "1", "--out", str(tmp_path / "no.txt")])
-    capsys.readouterr()
+    code, _, err = run_cli(capsys, "simulate", "--lambda", "0.8", "--n", "300",
+                           "--generator", "urn", "--seed", "1", "--out", str(tmp_path / "no.txt"))
+    assert code == 1
+    assert err.startswith("ys: error:")
 
 
 def test_simulate_seed_env_default(tmp_path, capsys, monkeypatch):

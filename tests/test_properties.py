@@ -1,6 +1,7 @@
-"""Properties of the count-histogram core and of the paper's EM
-invariants over the whole parameter range: lambda in [0.02, 50], samples
-of up to 10^5 counts (3000 for the fits), counts up to the int64 limit."""
+"""Properties of the count-file reader, of the count-histogram core and
+of the paper's EM invariants over the whole parameter range: lambda in
+[0.02, 50], samples of up to 10^5 counts (3000 for the fits), counts up
+to the int64 limit."""
 
 import math
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from yulesimon import (
+    CountFileError,
     CountSample,
     FitConfig,
     RngStream,
@@ -19,8 +21,10 @@ from yulesimon import (
     louis_information,
     oakes_information,
     rate_theoretical,
+    read_count_file,
     sample_mixture,
 )
+from yulesimon.distribution import _parse_digit_lines, _parse_lines
 from yulesimon.em import em_fit_stacked
 from yulesimon.information import standard_errors
 from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
@@ -83,6 +87,77 @@ def test_total_is_exact(values):
     sample = CountSample(np.array(values, dtype=np.int64))
     assert sample.total() == sum(values)
     assert repr(sample) == f"CountSample(n={len(values)}, total={sum(values)})"
+
+
+@st.composite
+def count_file_texts(draw):
+    """Text in write_count_file's layout: 1 to about 5000 lines, each
+    of 1 to 19 digits with leading zeros, values from 1 to 2**63 - 1."""
+    n = draw(magnitudes(5000))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a drawn longest line, so files of short lines only occur as well
+    width = g.integers(1, draw(st.integers(1, 19)), size=n, endpoint=True)
+    top = g.integers(n)
+    width[top] = 19
+    # the largest value of each width; 10**19 is beyond int64
+    high = np.where(width < 19, 10 ** np.minimum(width, 18) - 1, 2**63 - 1)
+    values = g.integers(10 ** (width - 1), high, endpoint=True)
+    values[top] = 2**63 - 1
+    zeros = (g.random(n) < draw(st.floats(0.0, 1.0))) * g.integers(0, 19 - width, endpoint=True)
+    return "".join(f"{'0' * z}{v}\n" for z, v in zip(zeros.tolist(), values.tolist()))
+
+
+def _read_outcome(path):
+    try:
+        return read_count_file(path).counts.tolist()
+    except CountFileError as exc:
+        return str(exc)
+
+
+def _line_parser_outcome(text):
+    """What the line parser gives on text after the universal-newline
+    translation of a text-mode read."""
+    try:
+        return _parse_lines(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
+    except CountFileError as exc:
+        return str(exc)
+
+
+@reproducible
+@given(text=count_file_texts())
+def test_array_reader_matches_int_on_valid_files(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("counts") / "valid.txt"
+    path.write_bytes(text.encode("ascii"))
+    want = [int(x) for x in text.split()]
+    assert _parse_digit_lines(text.encode("ascii")).tolist() == want
+    assert read_count_file(path).counts.tolist() == want
+
+
+PERTURBATIONS = ("crlf", "cr", "spaces", "blank", "no_final_newline", "zero", "too_big")
+
+
+@reproducible
+@given(text=count_file_texts(), kind=st.sampled_from(PERTURBATIONS), at=st.floats(0.0, 1.0))
+def test_reader_matches_line_parser_off_the_array_format(text, kind, at, tmp_path_factory):
+    lines = text.split("\n")[:-1]
+    i = min(int(at * len(lines)), len(lines) - 1)
+    if kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind == "cr":
+        text = text.replace("\n", "\r")
+    elif kind == "no_final_newline":
+        text = text[:-1]
+    else:
+        lines[i] = {"spaces": f"  {lines[i]} ", "blank": f"\n{lines[i]}", "zero": "0",
+                    "too_big": "9" * 19}[kind]
+        text = "\n".join(lines) + "\n"
+    assert _parse_digit_lines(text.encode("ascii")) is None
+    path = tmp_path_factory.mktemp("counts") / f"{kind}.txt"
+    path.write_bytes(text.encode("ascii"))
+    got = _read_outcome(path)
+    assert got == _line_parser_outcome(text)
+    if kind in ("zero", "too_big"):
+        assert got.startswith(f"line {i + 1}: ")
 
 
 # EM fits: up to 3000 counts, since at lambda near 50 a fit takes about
