@@ -14,7 +14,6 @@ urn), the count sample and the count-file format.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -238,36 +237,24 @@ def read_count_file(path) -> CountSample:
     whitespace and blank lines are accepted. Errors name the offending
     line number.
 
-    A file as write_count_file writes it (nothing but ASCII digits and
-    LF, a final LF, 1 to 19 digits a line, every count from 1 to
-    2**63 - 1) is parsed as one byte array. Every other file is read as
-    text and parsed line by line, which accepts the rest of the format
-    and names the first bad line."""
+    A file of 1- to 19-digit lines of ASCII digits, each ended by a line
+    end, every count from 1 to 2**63 - 1 (write_count_file's layout, or
+    the same with CR or CRLF ends) is parsed as one byte array. Every
+    other file is parsed line by line, which accepts the rest of the
+    format and names the first bad line."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    # universal newlines, as a text-mode read translates them
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     counts = _parse_digit_lines(raw)
     if counts is not None:
         return CountSample(counts)
-    # the text-mode read of open(): universal newlines, and undecodable
-    # bytes become U+FFFD, which fails the ASCII check of _parse_lines,
-    # so they are reported with their line number
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace") as fh:
-        lines = fh.read().split("\n")
-    tokens = [text for text in map(str.strip, lines) if text]
-    if not tokens:
+    # undecodable bytes become U+FFFD, which fails the ASCII check of
+    # _parse_lines, so they are reported with their line number
+    counts = _parse_lines(raw.decode("utf-8", errors="replace").split("\n"))
+    if not counts:
         raise CountFileError("count file holds no counts")
-    # one check over the whole file; a file that fails it is parsed again
-    # line by line, which names the offending line
-    digits = "".join(tokens)
-    if digits.isascii() and digits.isdigit():
-        try:
-            counts = np.array(tokens, dtype=np.int64)
-        except (OverflowError, ValueError):  # beyond int64, or too long for int()
-            pass
-        else:
-            if counts.min() >= 1:
-                return CountSample(counts)
-    return CountSample(np.array(_parse_lines(lines), dtype=np.int64))
+    return CountSample(np.array(counts, dtype=np.int64))
 
 
 def _parse_digit_lines(raw: bytes) -> np.ndarray | None:
@@ -276,8 +263,8 @@ def _parse_digit_lines(raw: bytes) -> np.ndarray | None:
 
     Lines are grouped by digit count L, and each group's values are
     built by L Horner steps over uint8 gathers. They accumulate in
-    uint64, where 19 digits cannot wrap, and are checked against the
-    int64 limit before the cast."""
+    uint64, where 19 digits cannot wrap; viewed as int64, a value above
+    2**63 - 1 turns negative, so one check rejects it and 0 alike."""
     if not raw.endswith(b"\n"):
         return None
     digits = np.frombuffer(raw, np.uint8) - 48
@@ -301,9 +288,8 @@ def _parse_digit_lines(raw: bytes) -> np.ndarray | None:
             value *= 10
             value += digits[pos]
         out[rows] = value
-    if out.min() < 1 or out.max() > _INT64_MAX:
-        return None
-    return out.view(np.int64)
+    counts = out.view(np.int64)
+    return counts if counts.min() >= 1 else None
 
 
 def _parse_lines(lines) -> list[int]:

@@ -97,13 +97,15 @@ def count_file_texts(draw):
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # a drawn longest line, so files of short lines only occur as well
     width = g.integers(1, draw(st.integers(1, 19)), size=n, endpoint=True)
-    top = g.integers(n)
-    width[top] = 19
     # the largest value of each width; 10**19 is beyond int64
     high = np.where(width < 19, 10 ** np.minimum(width, 18) - 1, 2**63 - 1)
     values = g.integers(10 ** (width - 1), high, endpoint=True)
-    values[top] = 2**63 - 1
-    zeros = (g.random(n) < draw(st.floats(0.0, 1.0))) * g.integers(0, 19 - width, endpoint=True)
+    if draw(st.booleans()):
+        top = g.integers(n)
+        width[top], values[top] = 19, 2**63 - 1
+    # leading zeros pad a line up to the widest value of the file
+    padded = g.random(n) < draw(st.floats(0.0, 1.0))
+    zeros = padded * g.integers(0, width.max() - width, endpoint=True)
     return "".join(f"{'0' * z}{v}\n" for z, v in zip(zeros.tolist(), values.tolist()))
 
 
