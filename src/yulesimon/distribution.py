@@ -244,8 +244,10 @@ def read_count_file(path) -> CountSample:
     format and names the first bad line."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    # universal newlines, as a text-mode read translates them
-    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # universal newlines, as a text-mode read translates them; the
+    # search alone costs a fraction of the replace on a file without CR
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     counts = _parse_digit_lines(raw)
     if counts is not None:
         return CountSample(counts)
