@@ -11,13 +11,17 @@ from yulesimon import (
     RngStream,
     convexity_check,
     em_fit,
+    em_map_jacobian,
     em_step,
     init_lambda,
     observed_loglik,
     q_function,
+    rate_theoretical,
     sample_mixture,
+    standard_error,
 )
 from yulesimon.em import CONVERGED, DIVERGING, MAX_ITER_REACHED
+from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
 
 from _oracles import golden_section_maximize, int64_limit_sample, random_dataset
 
@@ -271,3 +275,49 @@ def test_em_fit_reproduces_pinned_bits(case):
     assert fit.lambda_hat.hex() == trace[-1]
     assert [x.hex() for x in fit.trace] == trace
     assert [x.hex() for x in fit.loglik_trace] == loglik_trace
+
+
+# em_step (prior (2, 0.5)), pooled_harmonic_sum, pooled_harmonic_sum_sq,
+# standard_error, rate_theoretical, em_map_jacobian (prior (2, 0.5)) and
+# the second derivative of convexity_check on the samples above, at the
+# pinned estimate and at lambda 1, as float.hex: every route through the
+# pooled sums keeps its bits
+SUM_BITS = {
+    "lambda 0.6, N 2.5e5": {
+        "0x1.32c7171971ea1p-1": [
+            "0x1.32c40de6149d9p-1", "0x1.977a6293bae1bp+18", "0x1.1cf9de314c3b1p+17",
+            "0x1.6154953a98143p-10", "0x1.ad1dff98a9313p-3", "0x1.ad1510e0c63a8p-3",
+            "-0x1.0cc63e1489055p+19"],
+        "0x1.0000000000000p+0": [
+            "0x1.5b43a2129bb83p-1", "0x1.67f51af80b7c4p+18", "0x1.8c0c3f304c836p+16",
+            "0x1.5400e3504b590p-9", "0x1.9f494845636a6p-2", "0x1.7e14d71813418p-3",
+            "-0x1.2241e067d9be5p+17"],
+    },
+    "lambda 0.05 near the int64 limit": {
+        "0x1.d27c36992fda2p-5": [
+            "0x1.d2a2bf52a52d0p-5", "0x1.9b96cebcff6ddp+15", "0x1.1281791a3bb4bp+12",
+            "0x1.112ff47ad5e4ep-10", "0x1.371e5cac2f9e3p-8", "0x1.37373695a0107p-8",
+            "-0x1.c19a433b9c05bp+19"],
+        "0x1.0000000000000p+0": [
+            "0x1.eadf5cb9bb194p-5", "0x1.87444894e67e7p+15", "0x1.c659c08f6b2c3p+10",
+            "0x1.dc6ebc942c57ap-6", "0x1.362b8580a08b6p-1", "0x1.1d014af8f29d0p-9",
+            "-0x1.27a63f7094d3dp+10"],
+    },
+}
+
+
+@pytest.mark.parametrize("case", SUM_BITS)
+def test_pooled_sum_routes_reproduce_pinned_bits(case):
+    data = EM_FIT_BITS[case][0]()
+    for lam_hex, want in SUM_BITS[case].items():
+        lam = float.fromhex(lam_hex)
+        got = [
+            em_step(lam, data, 2.0, 0.5),
+            pooled_harmonic_sum(lam, data),
+            pooled_harmonic_sum_sq(lam, data),
+            standard_error(data, lam),
+            rate_theoretical(data, lam),
+            em_map_jacobian(data, lam, 2.0, 0.5),
+            convexity_check(data, lam)[0],
+        ]
+        assert [x.hex() for x in got] == want

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from yulesimon import (
+    CountSample,
     FitConfig,
     GibbsConfig,
     RngStream,
@@ -10,6 +11,7 @@ from yulesimon import (
     conditional_lambda_draw,
     em_fit,
     gibbs_run,
+    sample_mixture,
     standard_error,
 )
 
@@ -176,3 +178,27 @@ def test_gibbs_prior_insensitivity_at_scale():
         )
         means.append(res.posterior_mean)
     assert max(means) - min(means) < 1e-3
+
+
+# short chains pinned as float.hex (posterior mean, posterior sd, last
+# raw draw), one at each kind of split level the sweep can choose
+GIBBS_BITS = {
+    "T = 0": (lambda: CountSample(np.arange(100, 140)), 0,
+              ["0x1.ad5a7a0ecd3d6p-3", "0x1.ee7c9fc1ed302p-6", "0x1.398d36b5fc4c3p-3"]),
+    "interior T": (lambda: sample_mixture(1.25, 300, RngStream(5)), 13,
+                   ["0x1.6f69344500e02p+0", "0x1.20b53de013c7ep-3", "0x1.74427f6fee100p+0"]),
+    "T = max k": (lambda: sample_mixture(5.0, 200, RngStream(1)), 5,
+                  ["0x1.c2249fb9ff53ap+2", "0x1.27bfef436c65ap+0", "0x1.07384405c2f03p+3"]),
+}
+
+
+@pytest.mark.parametrize("case", GIBBS_BITS)
+def test_gibbs_chain_reproduces_pinned_bits(case):
+    from yulesimon.gibbs import split_level
+
+    sample, split, want = GIBBS_BITS[case]
+    data = sample()
+    assert split_level(data.counts) == split
+    res = gibbs_run(data, GibbsConfig(n_samples=40, burn_in=10, seed=RngStream(11),
+                                      prior_a=2.0, prior_b=0.5))
+    assert [res.posterior_mean.hex(), res.posterior_sd.hex(), res.raw_chain[-1].hex()] == want
