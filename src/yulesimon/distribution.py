@@ -132,6 +132,13 @@ def _check_lambda(lam: float, name: str = "lambda") -> float:
     return lam
 
 
+def _check_prior(prior_a: float, prior_b: float) -> None:
+    """ValueError unless the Gamma prior shape and rate are finite and >= 0."""
+    for name, value in (("prior_a", prior_a), ("prior_b", prior_b)):
+        if not (value >= 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def log_pmf(k, lam: float):
     """log g(k | lam) = log(lam) + log B(lam+1, k) for integer k >= 1."""
     lam = _check_lambda(lam)

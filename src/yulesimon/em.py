@@ -7,9 +7,9 @@ iteration is the single update
 
 with Gamma(a, rate b) prior; a=1, b=0 reduces it to the pure-likelihood
 fixed point lam' = N / sum_i [psi(lam+1+k_i) - psi(lam+1)]. Both
-denominator forms are identical through the digamma recurrence; fits
-use the digamma-difference form and the ``method`` argument exposes the
-finite sum as a cross-check.
+denominator forms are identical through the digamma recurrence; the
+update takes the digamma-difference form from HistogramStack.pooled,
+and the tests keep the finite sum as their reference.
 
 The likelihood, the update and the curvature read the data through its
 cached count histogram (CountSample.histogram), so a whole fit
@@ -17,10 +17,11 @@ compresses the sample once and an iteration costs O(#distinct counts).
 The likelihood takes log B(lam+1, u) from special.log_beta, as log_pmf
 does, which keeps its digits for counts up to the int64 limit.
 
-There is one iteration loop, em_fit_stacked: it fits many samples at
-once on their stacked histograms (special.HistogramStack), one digamma
-and one log_beta call per iteration for all of them, and em_fit is its
-one-sample call.
+There is one update, _updates, and one iteration loop, em_fit_stacked:
+it fits many samples at once on their stacked histograms
+(special.HistogramStack), one digamma and one log_beta call per
+iteration for all of them. em_step and em_fit are their one-sample
+calls.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import CountSample, _check_lambda
+from .distribution import CountSample, _check_lambda, _check_prior
 from .special import (
     HistogramStack,
     digamma,
@@ -98,9 +99,8 @@ class FitConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.prior_a < 0.0 or self.prior_b < 0.0:
-            raise ValueError("prior parameters must be >= 0")
-        if self.divergence_ceiling <= 0.0:
+        _check_prior(self.prior_a, self.prior_b)
+        if not (self.divergence_ceiling > 0.0):
             raise ValueError("divergence_ceiling must be positive")
         _check_init(self.init)
 
@@ -142,29 +142,24 @@ def _updates(
 ) -> list[float]:
     """em_step of every sample of the stack from its own lam, one digamma
     call: (N + a - 1) / (b + sum_u c_u psi(lam+1+u) - N psi(lam+1))."""
-    psi_u, psi_1 = stack.polygamma(digamma, lams)
     return [
-        (n + prior_a - 1.0) / (prior_b + float(s - n * p1))
-        for n, s, p1 in zip(stack.n, stack.weighted_sums(psi_u), psi_1)
+        (n + prior_a - 1.0) / (prior_b + s)
+        for n, s in zip(stack.n, stack.pooled(digamma, lams))
     ]
 
 
 def q_function(lam: float, lam_prev: float, data: CountSample) -> float:
     """Expected complete-data log-likelihood given the previous iterate.
 
-    Q(lam | lam') = N lam psi(lam'+1) - lam sum_i psi(lam'+1+k_i)
+    Q(lam | lam') = N log lam - lam sum_i sum_{j=1..k_i} 1/(lam'+j)
                     + sum_i (k_i-1)[psi(k_i) - psi(lam'+1+k_i)]
-                    + N log lam
     """
     lam = _check_lambda(lam)
     lam_prev = _check_lambda(lam_prev, "lam_prev")
     u, c = data.histogram()
     uf = u.astype(np.float64)
-    n = data.n
-    psi_shift = digamma(lam_prev + 1.0 + uf)
-    value = n * lam * digamma(lam_prev + 1.0) - lam * np.sum(c * psi_shift)
-    value += np.sum(c * (uf - 1.0) * (digamma(uf) - psi_shift))
-    return float(value + n * math.log(lam))
+    rest = np.sum(c * (uf - 1.0) * (digamma(uf) - digamma(lam_prev + 1.0 + uf)))
+    return float(data.n * math.log(lam) - lam * pooled_harmonic_sum(lam_prev, data) + rest)
 
 
 def em_step(
@@ -172,17 +167,15 @@ def em_step(
     data: CountSample,
     prior_a: float = 1.0,
     prior_b: float = 0.0,
-    method: str = "polygamma",
 ) -> float:
-    """One EM/MAP update; lam_prev = 0 is a legal start."""
+    """One EM/MAP update, the one-sample call of _updates; lam_prev = 0
+    is a legal start."""
     lam_prev = float(lam_prev)
     if not (lam_prev >= 0.0 and math.isfinite(lam_prev)):
         raise ValueError("lam_prev must be finite and >= 0")
-    numerator = data.n + prior_a - 1.0
-    if numerator <= 0.0:
+    if data.n + prior_a - 1.0 <= 0.0:
         raise ValueError("degenerate update: N + a - 1 must be positive")
-    denominator = prior_b + pooled_harmonic_sum(lam_prev, data, method=method)
-    return numerator / denominator
+    return _updates(HistogramStack([data]), [lam_prev], prior_a, prior_b)[0]
 
 
 def _check_init(policy) -> float | str:

@@ -20,9 +20,12 @@ for any split level T the sweep draws the distributionally identical
 with each beta remainder evaluated as log1p(G_b/G_a) of two gammas.
 T = 0 is one beta per observation, T = max(k) one gamma per level; T is
 chosen once per dataset among {0} and the distinct counts to minimise
-the T + 2 #{k_i > T} variates of a sweep. They all come from one
-standard_gamma call on a preallocated shape vector whose lam+T+1 slots
-alone change between sweeps. Chains are reproducible given the seed.
+the T + 2 #{k_i > T} variates of a sweep. T and the level
+multiplicities m_t come from the sample's cached count histogram, the
+representation the EM fit and the information read as well. The
+variates all come from one standard_gamma call on a preallocated shape
+vector whose lam+T+1 slots alone change between sweeps. Chains are
+reproducible given the seed.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import CountSample, RngStream, _as_generator, _check_lambda
-from .special import _tail_multiplicity
+from .distribution import CountSample, RngStream, _as_generator, _check_lambda, _check_prior
 
 __all__ = [
     "GibbsConfig",
@@ -63,8 +65,7 @@ class GibbsConfig:
     lambda_init: float = 1.0
 
     def __post_init__(self):
-        if self.prior_a < 0.0 or self.prior_b < 0.0:
-            raise ValueError("prior parameters must be >= 0")
+        _check_prior(self.prior_a, self.prior_b)
         if self.burn_in < 0 or self.n_samples <= self.burn_in:
             raise ValueError("need n_samples > burn_in >= 0")
         if self.thin < 1:
@@ -106,22 +107,30 @@ def _lambda_draw(g: np.random.Generator, shape: float, rate_b: float, sum_w, siz
     return g.gamma(shape, 1.0 / (rate_b + sum_w), size=size)
 
 
-def split_level(counts) -> int:
-    """Level T in {0} and the distinct counts minimising the variates
-    drawn per sweep, T + 2 #{k_i > T}; ties go to the smaller T."""
-    k = np.sort(counts)
-    cost = k + 2 * (k.size - np.searchsorted(k, k, side="right"))
+def split_level(u: np.ndarray, c: np.ndarray) -> int:
+    """Level T in {0} and the distinct counts u (ascending, with
+    multiplicities c) minimising the variates drawn per sweep,
+    T + 2 #{k_i > T}; ties go to the smaller T."""
+    n = int(c.sum())
+    cost = u + 2 * (n - np.cumsum(c))
     best = int(np.argmin(cost))
-    return int(k[best]) if cost[best] < 2 * k.size else 0
+    return int(u[best]) if cost[best] < 2 * n else 0
 
 
-def _sum_w_sampler(counts: np.ndarray, split: int, g: np.random.Generator):
+def _tail_multiplicity(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """m[t-1] = #{i : k_i >= t} for t = 1..max(u), from counts u
+    (ascending, >= 0, repeats allowed) and their multiplicities c."""
+    return np.repeat(c[::-1].cumsum()[::-1], np.diff(u, prepend=0))
+
+
+def _sum_w_sampler(data: CountSample, split: int, g: np.random.Generator):
     """Return lam -> one draw of sum_i w_i, split at level `split`."""
+    u, c = data.histogram()
     levels = np.arange(1.0, split + 1.0)
-    tail = counts[counts > split] - split
+    tail = data.counts[data.counts > split] - split
     g_a = slice(split, split + tail.size)
-    below = np.unique(np.minimum(counts, split), return_counts=True)
-    shape = np.concatenate([_tail_multiplicity(*below), np.empty(tail.size), tail])
+    m = _tail_multiplicity(np.minimum(u, split), c)
+    shape = np.concatenate([m, np.empty(tail.size), tail])
 
     def draw(lam: float) -> float:
         shape[g_a] = lam + split + 1.0
@@ -135,7 +144,7 @@ def gibbs_run(data: CountSample, config: GibbsConfig | None = None) -> GibbsResu
     """Run the sampler and summarize the retained chain."""
     config = config or GibbsConfig()
     g = config.seed.generator()
-    draw_sum_w = _sum_w_sampler(data.counts, split_level(data.counts), g)
+    draw_sum_w = _sum_w_sampler(data, split_level(*data.histogram()), g)
     # the arguments conditional_lambda_draw checks are valid here: n >= 1
     # and every sum of w is a sum of positive variates
     shape = config.prior_a + data.n

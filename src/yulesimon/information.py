@@ -5,8 +5,10 @@ expectation step plus the mixed partial collapses to
 
     I = N/lam^2 - sum_i sum_{j=1..k_i} 1/(lam + j)^2,
 
-and standard_error is 1/sqrt(I); standard_errors stacks the count
-histograms of many samples so that one trigamma call serves them all.
+and standard_error is 1/sqrt(I). The pooled sum comes from
+special.HistogramStack.pooled with trigamma, the kernel the EM update
+takes with digamma; standard_errors stacks the count histograms of many
+samples so that one trigamma call serves them all.
 Two cross-checks compute the same quantity another way and are kept for
 the tests. The Louis-style route assembles it from complete-data
 moments: minus expected complete-data curvature B = N/lam^2, the
@@ -56,13 +58,12 @@ def oakes_information(data: CountSample, lambda_hat: float) -> float:
 def _oakes(samples, lambda_hats) -> list[float]:
     """oakes_information of every sample at its own estimate, from one
     trigamma call over the stacked histograms:
-    N/lam^2 - (N psi_1(lam+1) - sum_u c_u psi_1(lam+1+u))."""
+    N/lam^2 + (sum_u c_u psi_1(lam+1+u) - N psi_1(lam+1))."""
     lams = [_check_lambda(lam) for lam in lambda_hats]
     stack = HistogramStack(samples)
-    tri_u, tri_1 = stack.polygamma(trigamma, lams)
     infos = [
-        n / lam**2 - float(n * t1 - s)
-        for n, lam, t1, s in zip(stack.n, lams, tri_1, stack.weighted_sums(tri_u))
+        n / lam**2 + s
+        for n, lam, s in zip(stack.n, lams, stack.pooled(trigamma, lams))
     ]
     for info in infos:
         _warn_if_nonpositive(info, "Oakes", stacklevel=4)  # one frame deeper

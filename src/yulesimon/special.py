@@ -10,13 +10,16 @@ truncation error at the threshold is a few ulp.
 All functions accept scalars or numpy arrays and broadcast like numpy
 ufuncs; scalars in, float out.
 
-The pooled sums over a whole sample need the data only through its
-count histogram (distinct counts u, multiplicities c) and take the
-polygamma-difference form on it, so their cost and memory grow with the
-number of distinct counts, never with max(k) or sum(k). The finite
-sums stay as the reference route that the tests compare against.
-HistogramStack lays the histograms of several samples end to end, so
-that one special-function call serves all of them.
+The pooled sums sum_i sum_{j=1..k_i} (lam + j)^-p for p = 1, 2, which
+the EM update, the Oakes information and the rate of convergence are
+built from, need the data only through its count histogram (distinct
+counts u, multiplicities c). Through the recurrences of psi and psi_1
+they are differences of polygammas, sum_u c_u fn(lam+1+u) - N fn(lam+1),
+so their cost and memory grow with the number of distinct counts, never
+with max(k) or sum(k). HistogramStack.pooled is the one place that forms
+that difference: it lays the histograms of several samples end to end,
+so that one special-function call serves all of them, and
+pooled_harmonic_sum and pooled_harmonic_sum_sq are its one-sample calls.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ __all__ = [
     "trigamma",
     "log_beta",
     "beta_log_moments",
-    "harmonic_sum",
-    "harmonic_sum_sq",
     "pooled_harmonic_sum",
     "pooled_harmonic_sum_sq",
     "HistogramStack",
@@ -188,70 +189,24 @@ def beta_log_moments(alpha, beta):
     return digamma(aa) - digamma(total), trigamma(aa) - trigamma(total)
 
 
-def _shifted_levels(lam: float, k: int) -> np.ndarray:
-    """lam + j for j = 1..k; requires lam >= 0, k >= 1."""
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ValueError("lam must be finite and >= 0")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return lam + np.arange(1.0, k + 1.0)
-
-
-def harmonic_sum(lam: float, k: int) -> float:
-    """sum_{j=1..k} 1/(lam + j), the finite-sum form of
-    psi(lam+k+1) - psi(lam+1)."""
-    return float(np.sum(1.0 / _shifted_levels(lam, k)))
-
-
-def harmonic_sum_sq(lam: float, k: int) -> float:
-    """sum_{j=1..k} 1/(lam + j)^2, the finite-sum form of
-    psi_1(lam+1) - psi_1(lam+k+1)."""
-    j = _shifted_levels(lam, k)
-    return float(np.sum(1.0 / (j * j)))
-
-
-def _tail_multiplicity(u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """m[t-1] = #{i : k_i >= t} for t = 1..max(u), from the distinct
-    counts u (ascending, >= 0) and their multiplicities c."""
-    return np.repeat(c[::-1].cumsum()[::-1], np.diff(u, prepend=0))
-
-
-def pooled_harmonic_sum(lam: float, data, method: str = "polygamma") -> float:
+def pooled_harmonic_sum(lam: float, data) -> float:
     """sum_i sum_{j=1..k_i} 1/(lam + j) over a whole CountSample, read
-    through its cached histogram. The "polygamma" form
-    sum_u c_u psi(lam+1+u) - N psi(lam+1) costs one digamma per
-    distinct count. The "finite" form sums reciprocals grouped by tail
-    multiplicity over an array of length max(k); it is the reference
-    route the tests compare against.
-    """
-    u, c = data.histogram()
-    if method == "finite":
-        m = _tail_multiplicity(u, c)
-        j = lam + np.arange(1.0, len(m) + 1.0)
-        return float(np.sum(m / j))
-    if method == "polygamma":
-        return float(np.sum(c * digamma(lam + 1.0 + u)) - c.sum() * digamma(lam + 1.0))
-    raise ValueError(f"unknown method {method!r}")
+    through its cached histogram as sum_u c_u psi(lam+1+u) - N psi(lam+1):
+    one digamma per distinct count."""
+    return HistogramStack([data]).pooled(digamma, [lam])[0]
 
 
-def pooled_harmonic_sum_sq(lam: float, data, method: str = "polygamma") -> float:
-    """sum_i sum_{j=1..k_i} 1/(lam + j)^2 over a whole count sample;
-    arguments as for pooled_harmonic_sum."""
-    u, c = data.histogram()
-    if method == "finite":
-        m = _tail_multiplicity(u, c)
-        j = lam + np.arange(1.0, len(m) + 1.0)
-        return float(np.sum(m / (j * j)))
-    if method == "polygamma":
-        return float(c.sum() * trigamma(lam + 1.0) - np.sum(c * trigamma(lam + 1.0 + u)))
-    raise ValueError(f"unknown method {method!r}")
+def pooled_harmonic_sum_sq(lam: float, data) -> float:
+    """sum_i sum_{j=1..k_i} 1/(lam + j)^2 over a whole CountSample, as
+    N psi_1(lam+1) - sum_u c_u psi_1(lam+1+u)."""
+    return -HistogramStack([data]).pooled(trigamma, [lam])[0]
 
 
 class HistogramStack:
     """The count histograms of several CountSamples laid end to end.
 
-    Values are spread over the stack one per sample (spread), special
-    functions act on the whole stack in one call (polygamma), and the
+    Values are spread over the stack one per sample (spread), a special
+    function acts on the whole stack in one call (pooled), and the
     per-sample sums reduce each sample's own slice with the expressions
     a lone histogram takes, c @ x and np.sum(c * x). The functions act
     elementwise, so a sample's results do not depend on which samples
@@ -272,18 +227,18 @@ class HistogramStack:
         """values[r] repeated over the histogram of sample r."""
         return np.repeat(np.asarray(values, dtype=np.float64), self.lengths)
 
-    def polygamma(self, fn, lams) -> tuple[np.ndarray, np.ndarray]:
-        """fn(lam_r + 1 + u) over the stack and fn(lam_r + 1) per sample,
-        from one call of fn."""
+    def pooled(self, fn, lams) -> list[float]:
+        """sum_u c_u fn(lam_r+1+u) - N_r fn(lam_r+1) for every sample r,
+        from one call of fn over the stack: with fn = digamma the pooled
+        sum of 1/(lam+j), with fn = trigamma minus that of 1/(lam+j)^2."""
         lam1 = np.asarray(lams, dtype=np.float64) + 1.0
         out = fn(np.concatenate([self.spread(lam1) + self.u, lam1]))
-        return out[: self.u.size], out[self.u.size :]
+        cx = self.c * out[: self.u.size]
+        return [
+            float(cx[s].sum() - n * f1)
+            for s, n, f1 in zip(self._slices, self.n, out[self.u.size :])
+        ]
 
     def dots(self, x: np.ndarray) -> list:
         """c @ x per sample."""
         return [self.c[s] @ x[s] for s in self._slices]
-
-    def weighted_sums(self, x: np.ndarray) -> list:
-        """np.sum(c * x) per sample."""
-        cx = self.c * x
-        return [cx[s].sum() for s in self._slices]

@@ -37,6 +37,28 @@ def golden_section_maximize(fn, lo: float, hi: float, tol: float = 1e-8) -> floa
     return 0.5 * (a + b)
 
 
+def posterior_mode(data: CountSample, prior_a: float, prior_b: float) -> float:
+    """Mode of the posterior of lam under a Gamma(a, rate b) prior,
+
+        log pi(lam | k) = (a+N-1) log lam - b lam + sum_u c_u log B(lam+1, u),
+
+    by golden-section search on log_beta alone, which shares no code
+    with the digamma kernel of the EM update. The posterior is unimodal:
+    its score is [(a+N-1) - b lam - sum_i sum_j lam/(lam+j)] / lam, whose
+    numerator decreases in lam."""
+    u, c = data.histogram()
+    uf = u.astype(np.float64)
+    shape = prior_a + data.n - 1.0
+
+    def log_post(lam: float) -> float:
+        return shape * math.log(lam) - prior_b * lam + float(c @ log_beta(lam + 1.0, uf))
+
+    # searched in log lam, so the bracket shrinks to a relative width
+    t = golden_section_maximize(lambda t: log_post(math.exp(t)), math.log(1e-6), math.log(1e3),
+                                tol=1e-10)
+    return math.exp(t)
+
+
 def random_dataset(lam: float, n: int, seed: int, stream: int = 0) -> CountSample:
     """Seeded synthetic count sample with at least one count above 1."""
     sample = sample_mixture(lam, n, RngStream(seed, stream))
@@ -129,6 +151,47 @@ def em_fit_loop(data: CountSample, config: FitConfig | None = None) -> FitResult
     if status == "max_iter_reached" and degenerate:
         status = "diverging"
     return FitResult(lam, iterations, trace, loglik_trace, status)
+
+
+def harmonic_sum(lam: float, k: int) -> float:
+    """sum_{j=1..k} 1/(lam + j) term by term, the finite-sum form of
+    psi(lam+k+1) - psi(lam+1)."""
+    return float(np.sum(1.0 / (lam + np.arange(1.0, k + 1.0))))
+
+
+def harmonic_sum_sq(lam: float, k: int) -> float:
+    """sum_{j=1..k} 1/(lam + j)^2 term by term, the finite-sum form of
+    psi_1(lam+1) - psi_1(lam+k+1)."""
+    j = lam + np.arange(1.0, k + 1.0)
+    return float(np.sum(1.0 / (j * j)))
+
+
+def _tail_levels(lam: float, data: CountSample):
+    """(m, lam + t) for t = 1..max(k), with m[t-1] = #{i : k_i >= t}
+    built from the histogram: an array of length max(k)."""
+    u, c = data.histogram()
+    m = np.repeat(c[::-1].cumsum()[::-1], np.diff(u, prepend=0))
+    return m, lam + np.arange(1.0, m.size + 1.0)
+
+
+def finite_pooled_sum(lam: float, data: CountSample) -> float:
+    """sum_i sum_{j=1..k_i} 1/(lam + j) as sum_t m_t / (lam + t), the
+    finite form the polygamma kernel is checked against."""
+    m, j = _tail_levels(lam, data)
+    return float(np.sum(m / j))
+
+
+def finite_pooled_sum_sq(lam: float, data: CountSample) -> float:
+    """sum_i sum_{j=1..k_i} 1/(lam + j)^2 as sum_t m_t / (lam + t)^2."""
+    m, j = _tail_levels(lam, data)
+    return float(np.sum(m / (j * j)))
+
+
+def finite_em_step(lam: float, data: CountSample, prior_a: float = 1.0,
+                   prior_b: float = 0.0) -> float:
+    """The EM/MAP update (N + a - 1) / (b + sum_i sum_j 1/(lam + j)) on
+    the finite sum."""
+    return (data.n + prior_a - 1.0) / (prior_b + finite_pooled_sum(lam, data))
 
 
 def oakes_standard_error(data: CountSample, lam: float) -> float:

@@ -35,7 +35,7 @@ from yulesimon import (
 from yulesimon.convergence import empirical_rates
 from yulesimon.em import CONVEXITY_BOUND
 
-from _oracles import golden_section_maximize, random_dataset
+from _oracles import finite_em_step, golden_section_maximize, random_dataset
 from _textdata import TEXT_TABLE, TEXTS_DIR, load_text_counts, missing_texts
 
 # acceptance bands for the two pinned estimates
@@ -120,8 +120,8 @@ def test_criterion_04_update_forms_agree():
         lam_true = float(rng.choice([0.6, 0.8, 1.25, 5.0]))
         data = random_dataset(lam_true, 60, 4000 + i)
         lam = float(rng.uniform(0.0, 10.0))
-        fin = em_step(lam, data, method="finite")
-        pol = em_step(lam, data, method="polygamma")
+        fin = finite_em_step(lam, data)
+        pol = em_step(lam, data)
         worst = max(worst, abs(fin - pol) / abs(fin))
     report(4, worst <= 1e-12, f"max relative gap finite vs polygamma = {worst:.3e} (<= 1e-12)")
 

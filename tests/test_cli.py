@@ -67,6 +67,17 @@ def test_fit_bad_line_exits_1(tmp_path, capsys):
         assert err.startswith("ys: error: line 3")
 
 
+@pytest.mark.parametrize("command", ["fit", "diagnose", "gibbs"])
+@pytest.mark.parametrize("flag, value", [
+    ("--prior-a", "nan"), ("--prior-a", "inf"), ("--prior-a", "-1"),
+    ("--prior-b", "nan"), ("--prior-b", "inf"), ("--prior-b", "-0.5"),
+])
+def test_bad_prior_exits_1_naming_it(counts_file, capsys, command, flag, value):
+    code, out, err = run_cli(capsys, command, counts_file, flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith("ys: error: " + flag[2:].replace("-", "_"))
+
+
 def test_fit_missing_file_exits_1(capsys):
     code, _, err = run_cli(capsys, "fit", "/nonexistent/file.txt")
     assert code == 1

@@ -23,7 +23,12 @@ from yulesimon import (
 from yulesimon.em import CONVERGED, DIVERGING, MAX_ITER_REACHED
 from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
 
-from _oracles import golden_section_maximize, int64_limit_sample, random_dataset
+from _oracles import (
+    finite_em_step,
+    golden_section_maximize,
+    int64_limit_sample,
+    random_dataset,
+)
 
 
 def test_observed_loglik_values():
@@ -106,8 +111,8 @@ def test_em_step_forms_agree():
     for _ in range(200):
         data = random_dataset(float(rng.choice([0.6, 1.25, 5.0])), 100, int(rng.integers(1e6)))
         lam = float(rng.uniform(0.0, 10.0))
-        fin = em_step(lam, data, method="finite")
-        pol = em_step(lam, data, method="polygamma")
+        fin = finite_em_step(lam, data)
+        pol = em_step(lam, data)
         assert fin == pytest.approx(pol, rel=1e-12)
 
 
@@ -206,6 +211,18 @@ def test_init_lambda_policies():
             init_lambda(data, bad)
         with pytest.raises(ValueError):
             FitConfig(init=bad)
+
+
+def test_fit_config_rejects_nonfinite_priors_and_ceiling():
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="prior_a"):
+            FitConfig(prior_a=bad)
+        with pytest.raises(ValueError, match="prior_b"):
+            FitConfig(prior_b=bad)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="divergence_ceiling"):
+            FitConfig(divergence_ceiling=bad)
+    assert FitConfig(divergence_ceiling=math.inf).divergence_ceiling == math.inf
 
 
 def test_init_lambda_moments_fallback_warns():

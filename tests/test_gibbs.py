@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -90,6 +92,11 @@ def test_gibbs_config_validation():
     with pytest.raises(ValueError, match="at least 2 draws"):
         GibbsConfig(n_samples=10, burn_in=5, thin=5)
     assert GibbsConfig(n_samples=10, burn_in=5, thin=4).n_samples == 10
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="prior_a"):
+            GibbsConfig(prior_a=bad)
+        with pytest.raises(ValueError, match="prior_b"):
+            GibbsConfig(prior_b=bad)
 
 
 def test_sum_w_routes_share_analytic_moments():
@@ -100,15 +107,14 @@ def test_sum_w_routes_share_analytic_moments():
     # sum_i -log Beta(lam+1, k_i)
     from yulesimon.gibbs import _sum_w_sampler, split_level
     from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
-    from yulesimon import CountSample
 
     data = CountSample(np.tile([1, 2, 3, 7, 20], 40))
     lam, reps = 1.3, 20_000
-    assert split_level(data.counts) == 20
+    assert split_level(*data.histogram()) == 20
     s1 = pooled_harmonic_sum(lam, data)
     s2 = pooled_harmonic_sum_sq(lam, data)
     for split, seed in ((0, 501), (20, 502), (3, 503)):
-        draw = _sum_w_sampler(data.counts, split, RngStream(seed).generator())
+        draw = _sum_w_sampler(data, split, RngStream(seed).generator())
         sw = np.array([draw(lam) for _ in range(reps)])
         assert sw.mean() == pytest.approx(s1, abs=5.0 * np.sqrt(s2 / reps))
         assert sw.var(ddof=1) == pytest.approx(s2, rel=0.1)
@@ -117,14 +123,17 @@ def test_sum_w_routes_share_analytic_moments():
 def test_split_level_minimises_variates_per_sweep():
     from yulesimon.gibbs import split_level
 
+    def level(counts):
+        return split_level(*CountSample(counts).histogram())
+
     # cost T + 2 #{k > T}: 20 at T = 0 beats 100 at T = max k
-    assert split_level([100] * 10) == 0
+    assert level([100] * 10) == 0
     # 20, then 1 + 2 = 3 at T = 1, then 2 at T = max k
-    assert split_level([1] * 9 + [2]) == 2
+    assert level([1] * 9 + [2]) == 2
     # 20, then 1 + 2 = 3 at T = 1, then 1000 at T = max k
-    assert split_level([1] * 9 + [1000]) == 1
+    assert level([1] * 9 + [1000]) == 1
     # ties go to the smaller level: 4 at T = 0 and at T = max k
-    assert split_level([4, 4]) == 0
+    assert level([4, 4]) == 0
 
 
 def test_gibbs_posterior_concentration():
@@ -198,7 +207,7 @@ def test_gibbs_chain_reproduces_pinned_bits(case):
 
     sample, split, want = GIBBS_BITS[case]
     data = sample()
-    assert split_level(data.counts) == split
+    assert split_level(*data.histogram()) == split
     res = gibbs_run(data, GibbsConfig(n_samples=40, burn_in=10, seed=RngStream(11),
                                       prior_a=2.0, prior_b=0.5))
     assert [res.posterior_mean.hex(), res.posterior_sd.hex(), res.raw_chain[-1].hex()] == want

@@ -15,6 +15,7 @@ from yulesimon import (
     CountFileError,
     CountSample,
     FitConfig,
+    GibbsConfig,
     RngStream,
     em_fit,
     em_map_jacobian,
@@ -29,7 +30,13 @@ from yulesimon.em import em_fit_stacked
 from yulesimon.information import standard_errors
 from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
 
-from _oracles import em_fit_loop, oakes_standard_error
+from _oracles import (
+    em_fit_loop,
+    finite_pooled_sum,
+    finite_pooled_sum_sq,
+    oakes_standard_error,
+    posterior_mode,
+)
 
 # a fixed example sequence, so the suite is reproducible run to run
 reproducible = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -65,9 +72,9 @@ def mixture_samples(draw, max_count=None, max_n=100_000, rates=log_lambdas):
 @given(counts=mixture_samples(max_count=1_000_000), lam=lambdas)
 def test_finite_and_polygamma_sums_agree(counts, lam):
     sample = CountSample(counts)
-    for pooled in (pooled_harmonic_sum, pooled_harmonic_sum_sq):
-        finite = pooled(lam, sample, method="finite")
-        assert pooled(lam, sample) == pytest.approx(finite, rel=1e-12)
+    for pooled, finite in ((pooled_harmonic_sum, finite_pooled_sum),
+                           (pooled_harmonic_sum_sq, finite_pooled_sum_sq)):
+        assert pooled(lam, sample) == pytest.approx(finite(lam, sample), rel=1e-12)
 
 
 @reproducible
@@ -202,6 +209,25 @@ def test_em_map_jacobian_equals_rate_at_the_fixed_point(counts):
     data, fit = converged_fit(counts, FitConfig(tol=1e-10, max_iter=4000))
     lam = fit.lambda_hat
     assert abs(em_map_jacobian(data, lam) - rate_theoretical(data, lam)) <= 1e-8
+
+
+# Golden-section search finds the mode to sqrt(eps |log pi| / (lam^2
+# |d^2 log pi / d lam^2|)) relative: about 1e-8 at large N, a few 1e-7 at
+# N = 1, where the curvature is only (a + N - 1)/lam^2 = 0.05/lam^2. The
+# EM fit at tol 1e-10 stops within about 1e-9 of its fixed point.
+MODE_REL_TOL = 1e-6
+
+
+@reproducible
+@given(counts=mixture_samples(max_n=3000, rates=st.floats(0.0, 1.0).map(
+    lambda t: 0.3 * (10.0 / 0.3) ** t)))
+def test_map_fit_is_the_log_beta_posterior_mode(counts):
+    data = CountSample(counts)
+    prior = GibbsConfig()
+    fit = em_fit(data, FitConfig(prior_a=prior.prior_a, prior_b=prior.prior_b, tol=1e-10))
+    assert fit.converged
+    mode = posterior_mode(data, prior.prior_a, prior.prior_b)
+    assert fit.lambda_hat == pytest.approx(mode, rel=MODE_REL_TOL)
 
 
 @st.composite
