@@ -189,17 +189,25 @@ def beta_log_moments(alpha, beta):
     return digamma(aa) - digamma(total), trigamma(aa) - trigamma(total)
 
 
+def _check_lambda(lam: float, name: str = "lambda") -> float:
+    """lam as a float; ValueError unless it is positive and finite."""
+    lam = float(lam)
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError(f"{name} must be positive and finite")
+    return lam
+
+
 def pooled_harmonic_sum(lam: float, data) -> float:
     """sum_i sum_{j=1..k_i} 1/(lam + j) over a whole CountSample, read
     through its cached histogram as sum_u c_u psi(lam+1+u) - N psi(lam+1):
     one digamma per distinct count."""
-    return HistogramStack([data]).pooled(digamma, [lam])[0]
+    return HistogramStack([data]).pooled(digamma, [_check_lambda(lam)])[0]
 
 
 def pooled_harmonic_sum_sq(lam: float, data) -> float:
     """sum_i sum_{j=1..k_i} 1/(lam + j)^2 over a whole CountSample, as
     N psi_1(lam+1) - sum_u c_u psi_1(lam+1+u)."""
-    return -HistogramStack([data]).pooled(trigamma, [lam])[0]
+    return -HistogramStack([data]).pooled(trigamma, [_check_lambda(lam)])[0]
 
 
 class HistogramStack:
@@ -230,7 +238,8 @@ class HistogramStack:
     def pooled(self, fn, lams) -> list[float]:
         """sum_u c_u fn(lam_r+1+u) - N_r fn(lam_r+1) for every sample r,
         from one call of fn over the stack: with fn = digamma the pooled
-        sum of 1/(lam+j), with fn = trigamma minus that of 1/(lam+j)^2."""
+        sum of 1/(lam+j), with fn = trigamma minus that of 1/(lam+j)^2.
+        The lams are not checked here: every caller has checked them."""
         lam1 = np.asarray(lams, dtype=np.float64) + 1.0
         out = fn(np.concatenate([self.spread(lam1) + self.u, lam1]))
         cx = self.c * out[: self.u.size]

@@ -1,6 +1,8 @@
 """Test-side oracles, independent of the library code paths they check."""
 
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from yulesimon import (
     FitConfig,
     FitResult,
     RngStream,
+    TokenizerOptions,
     em_step,
     init_lambda,
     sample_mixture,
 )
+from yulesimon.corpus import _END_MARKER, _START_MARKER, _token_pattern
 from yulesimon.special import log_beta, pooled_harmonic_sum_sq
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -198,3 +202,40 @@ def oakes_standard_error(data: CountSample, lam: float) -> float:
     """1/sqrt(N/lam^2 - sum_i sum_j (lam+j)^-2), NaN when that is not positive."""
     info = data.n / lam**2 - pooled_harmonic_sum_sq(lam, data)
     return math.sqrt(1.0 / info) if info > 0.0 else math.nan
+
+
+def tokenize_count_findall(text: str, options: TokenizerOptions | None = None):
+    """(vocabulary, n_unique, n_tokens, preprocessing) of tokenize_count
+    by one findall of the token pattern over the whole text: vocabulary
+    in order of first occurrence."""
+    options = options or TokenizerOptions()
+    if options.lowercase:
+        text = text.lower()
+    vocabulary = Counter(_token_pattern(options).findall(text))
+    preprocessing = {
+        "lowercase": options.lowercase,
+        "keep_apostrophes": options.keep_apostrophes,
+        "keep_digits": options.keep_digits,
+    }
+    return dict(vocabulary), len(vocabulary), sum(vocabulary.values()), preprocessing
+
+
+def strip_gutenberg_lines(text: str) -> str:
+    """strip_gutenberg with both marker searches on every line."""
+    lines = text.splitlines(keepends=True)
+    start = end = None
+    for idx, line in enumerate(lines):
+        if start is None and _START_MARKER.search(line):
+            start = idx
+        elif start is not None and _END_MARKER.search(line):
+            end = idx
+            break
+    if start is None and end is None:
+        warnings.warn("no Gutenberg markers found; text left unchanged",
+                      RuntimeWarning, stacklevel=2)
+        return text
+    if start is None or end is None:
+        warnings.warn("malformed Gutenberg markers; text left unchanged",
+                      RuntimeWarning, stacklevel=2)
+        return text
+    return "".join(lines[start + 1 : end])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -182,6 +183,52 @@ def test_text_pipeline(tmp_path, capsys):
     assert code == 0
     full_tokens = int(out_full.strip().split("n_tokens=")[1])
     assert full_tokens > stripped_tokens
+
+
+# stdout and the sha256 digests of the count file and the TSV of `ys text`
+# on the fixture and on a copy with curly apostrophes, "é" and em dashes,
+# with each set of flags: the tokenizer keeps every output byte
+TEXT_PINS = {
+    ("fixture", ()): (
+        "n_unique=32 n_tokens=47",
+        "76e86b352c0724112fc1f89765bd9a0760e293af8f5363ee274ed8e027cfe82a",
+        "4c7a99e9051004cd0de6b1129c7eafb5ece9a5c30489736788732304bc939bad"),
+    ("fixture", ("--no-strip",)): (
+        "n_unique=63 n_tokens=105",
+        "fa3ceaf0a5029d5243245dcaedd0b4cca3e34e58b9c8a398db8bd606c6bd58ac",
+        "db752ba9c54abd8e523df74b7087ce8eaf260a045fcdbab10ab47d78f2814f61"),
+    ("fixture", ("--keep-apostrophes", "--keep-digits")): (
+        "n_unique=32 n_tokens=46",
+        "76c6c496ec4e1d27b27d29b5a07d8f690fd253c2722c0e190dcbb1c09517a8b0",
+        "3ec4f084d39a7c0f0fd964cc922a0327954486846422a22ad442c90f7bd921b0"),
+    ("curly-accented", ()): (
+        "n_unique=33 n_tokens=47",
+        "53e717747fabc847a29f26ad44fc8620e5ff55528231b50f48b0869f3c12d232",
+        "f1651785497142d12c806a0d65505567088f3d478f471066900119f3f9c86e21"),
+    ("curly-accented", ("--no-strip",)): (
+        "n_unique=65 n_tokens=105",
+        "5c4657c27d03b8c2743596516d8f446e23d832e1cec9f93d11eb703e9f88ce2b",
+        "191510d3bbc86be42183a078306a6909f4af71a659ed47edae504f753eadd1cd"),
+    ("curly-accented", ("--keep-apostrophes", "--keep-digits")): (
+        "n_unique=34 n_tokens=48",
+        "7f4b28da5897860c5cc323c664ab4bc2e45ed0d11885e0e1d7fa95e36b9e13df",
+        "6ad2ebb67024c763dc134a6fcb89b62777e8e5d893831281bbb420c2d0dce35f"),
+}
+
+
+@pytest.mark.parametrize("text, flags", TEXT_PINS)
+def test_text_outputs_reproduce_pinned_digests(text, flags, tmp_path, capsys):
+    plain = FIXTURE.read_text(encoding="utf-8")
+    if text == "curly-accented":
+        plain = plain.replace("'", "\u2019").replace("e ", "\u00e9 ").replace(": ", " \u2014 ")
+    source = tmp_path / "in.txt"
+    source.write_text(plain, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "text", str(source), *flags,
+                           "--counts", str(tmp_path / "c.txt"), "--tsv", str(tmp_path / "w.tsv"))
+    assert code == 0
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("c.txt", "w.tsv")]
+    assert (out.strip(), *digests) == TEXT_PINS[text, flags]
 
 
 def test_experiment_summary_and_csv(tmp_path, capsys):

@@ -17,6 +17,8 @@ from yulesimon import (
     read_count_file,
     sample_mixture,
     sample_urn,
+    to_count_sample,
+    tokenize_count,
     write_count_file,
 )
 from _oracles import mixture_latents, urn_loop
@@ -203,6 +205,39 @@ def test_count_sample_validation():
     sample = CountSample([3.0, 1.0])  # integral floats accepted
     assert sample.counts.dtype == np.int64
     assert sample.n == 2
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.float64])
+def test_count_sample_never_shares_the_callers_array(dtype):
+    for given in (np.array([3, 1, 2], dtype=dtype), np.array([3, 1, 2], dtype=dtype)[::2]):
+        sample = CountSample(given)
+        assert not np.shares_memory(sample.counts, given)
+        given[0] = 9
+        assert sample.counts[0] == 3
+    frozen = np.array([3, 1, 2])
+    frozen.flags.writeable = False
+    assert not np.shares_memory(CountSample(frozen).counts, frozen)
+
+
+def test_every_sample_is_read_only(tmp_path):
+    path = tmp_path / "counts.txt"
+    path.write_text("3\n1\n2\n")
+    padded = tmp_path / "padded.txt"
+    padded.write_text(" 3\n1\n\n2\n")
+    samples = [
+        CountSample([3, 1, 2]),
+        CountSample(np.array([3.0, 1.0])),
+        sample_mixture(0.8, 50, RngStream(1)),
+        sample_urn(1.5, 50, RngStream(1)),
+        read_count_file(path),
+        read_count_file(padded),
+        to_count_sample(tokenize_count("b b a")),
+    ]
+    for sample in samples:
+        assert sample.counts.dtype == np.int64
+        assert not sample.counts.flags.writeable
+        with pytest.raises(ValueError):
+            sample.counts[0] = 5
 
 
 def test_count_file_roundtrip(tmp_path):

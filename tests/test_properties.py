@@ -1,14 +1,14 @@
-"""Properties of the count-file reader, of the count-histogram core and
-of the paper's EM invariants over the whole parameter range: lambda in
-[0.02, 50], samples of up to 10^5 counts (3000 for the fits), counts up
-to the int64 limit."""
+"""Properties of the corpus layer, of the count-file reader, of the
+count-histogram core and of the paper's EM invariants over the whole
+parameter range: lambda in [0.02, 50], samples of up to 10^5 counts
+(3000 for the fits), counts up to the int64 limit."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from yulesimon import (
@@ -17,6 +17,7 @@ from yulesimon import (
     FitConfig,
     GibbsConfig,
     RngStream,
+    TokenizerOptions,
     em_fit,
     em_map_jacobian,
     louis_information,
@@ -24,6 +25,8 @@ from yulesimon import (
     rate_theoretical,
     read_count_file,
     sample_mixture,
+    strip_gutenberg,
+    tokenize_count,
 )
 from yulesimon.distribution import _parse_digit_lines, _parse_lines
 from yulesimon.em import em_fit_stacked
@@ -36,6 +39,8 @@ from _oracles import (
     finite_pooled_sum_sq,
     oakes_standard_error,
     posterior_mode,
+    strip_gutenberg_lines,
+    tokenize_count_findall,
 )
 
 # a fixed example sequence, so the suite is reproducible run to run
@@ -94,6 +99,63 @@ def test_total_is_exact(values):
     sample = CountSample(np.array(values, dtype=np.int64))
     assert sample.total() == sum(values)
     assert repr(sample) == f"CountSample(n={len(values)}, total={sum(values)})"
+
+
+# every separator of str.splitlines, CRLF included
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+# ASCII word pieces and the characters the byte table cannot settle:
+# letters outside ASCII, a superscript and an Arabic-Indic digit, a
+# curly apostrophe and an em dash, letters whose lowercase is longer or
+# ASCII (U+0130, the Kelvin sign, the long s), a capital sigma whose
+# lowercase depends on its neighbours, a lone surrogate, and separators
+# that str.split knows and bytes.split does not
+TEXT_PIECES = st.one_of(
+    st.text("abcXYZ", min_size=1, max_size=5),
+    st.sampled_from(list("09_' .,*") + list("\u00e9\u00b2\u2019\u2014\u0130\u212a\u017f\u0663")
+                    + ["\u03a3", "\ud800", "\x1f", "\t"] + LINE_BREAKS),
+)
+texts = st.lists(TEXT_PIECES, max_size=40).map("".join)
+TOKENIZER_OPTIONS = [TokenizerOptions(lowercase, apostrophes, digits)
+                     for lowercase in (False, True) for apostrophes in (False, True)
+                     for digits in (False, True)]
+
+
+@reproducible
+@given(text=texts)
+# a capital sigma lowers to the final form unless a letter follows it,
+# past any case-ignorable "." or "'": the whole text is lowered at once
+@example(text="\u0391\u03a3'\u0391 \u0391\u03a3.\u0391 \u0391\u03a3 \u0391")
+def test_tokenizer_matches_findall_over_the_whole_text(text):
+    for options in TOKENIZER_OPTIONS:
+        got = tokenize_count(text, options)
+        vocabulary, n_unique, n_tokens, preprocessing = tokenize_count_findall(text, options)
+        assert list(got.vocabulary.items()) == list(vocabulary.items())
+        assert (got.n_unique, got.n_tokens, got.preprocessing) == (n_unique, n_tokens, preprocessing)
+
+
+MARKER_LINES = st.sampled_from([
+    "*** START OF THE EBOOK ***", "*** END OF THE EBOOK ***", "** start of x",
+    "*end of", "***", "START OF", "END OF", "a * b", "body text", "",
+])
+
+
+@reproducible
+@given(lines=st.lists(MARKER_LINES, max_size=12),
+       breaks=st.lists(st.sampled_from(LINE_BREAKS), min_size=12, max_size=12),
+       final=st.booleans())
+def test_strip_gutenberg_matches_the_line_loop(lines, breaks, final):
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    if not final and lines:
+        text = text[: -len(breaks[len(lines) - 1])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = strip_gutenberg(text)
+    with warnings.catch_warnings(record=True) as caught_loop:
+        warnings.simplefilter("always")
+        want = strip_gutenberg_lines(text)
+    assert got == want
+    assert _warning_texts(caught) == _warning_texts(caught_loop)
 
 
 @st.composite

@@ -190,6 +190,13 @@ def test_pooled_sum_matches_direct_loop():
     assert pooled_harmonic_sum_sq(lam, counts) == pytest.approx(direct2, rel=1e-14)
 
 
+@pytest.mark.parametrize("fn", [pooled_harmonic_sum, pooled_harmonic_sum_sq])
+@pytest.mark.parametrize("lam", [-0.5, -3.0, 0.0, math.nan, math.inf])
+def test_pooled_sums_refuse_lambda_outside_the_model(fn, lam):
+    with pytest.raises(ValueError, match="lambda"):
+        fn(lam, CountSample([1, 2, 3]))
+
+
 @pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma])
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_domain_errors(fn, bad):
