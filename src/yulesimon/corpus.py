@@ -149,7 +149,7 @@ def to_count_sample(counts: CorpusCounts) -> CountSample:
     """Frequency multiset in the deterministic order of sorted_items."""
     if not counts.vocabulary:
         raise ValueError("empty corpus: no tokens to count")
-    return CountSample._adopt(np.array([c for _, c in sorted_items(counts)], dtype=np.int64))
+    return CountSample(np.array([c for _, c in sorted_items(counts)], dtype=np.int64))
 
 
 def write_tsv(counts: CorpusCounts, path) -> None:

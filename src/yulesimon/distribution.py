@@ -77,8 +77,8 @@ class CountSample:
     """Ordered collection of observed counts, every entry an integer >= 1.
 
     histogram() computes the count histogram once and caches it; the
-    counts array is read-only and held by no caller (a caller's array is
-    copied), so the cache cannot go stale."""
+    counts array is a read-only copy of the caller's, so the cache
+    cannot go stale."""
 
     __slots__ = ("counts", "_histogram")
 
@@ -93,17 +93,6 @@ class CountSample:
             arr = as_int
         else:
             arr = arr.astype(np.int64, copy=True)
-        self._take(arr)
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray) -> CountSample:
-        """The sample of arr, a nonempty 1-d int64 array just built by
-        the caller and held by no one else, taken without a copy."""
-        sample = cls.__new__(cls)
-        sample._take(arr)
-        return sample
-
-    def _take(self, arr: np.ndarray) -> None:
         if arr.min() < 1:
             raise ValueError("every count must be >= 1")
         arr.flags.writeable = False
@@ -187,7 +176,7 @@ def sample_mixture(lam: float, n: int, rng) -> CountSample:
     if clipped:
         warnings.warn(f"sample_mixture clipped {clipped} of {n} draws at 2**62",
                       RuntimeWarning, stacklevel=2)
-    return CountSample._adopt(np.minimum(np.maximum(raw, 1.0), float(_MAX_COUNT)).astype(np.int64))
+    return CountSample(np.minimum(np.maximum(raw, 1.0), float(_MAX_COUNT)).astype(np.int64))
 
 
 def sample_urn(lam: float, total_items: int, rng) -> CountSample:
@@ -235,7 +224,7 @@ def sample_urn(lam: float, total_items: int, rng) -> CountSample:
             break
         parent, hop = hop, parent
     del hop
-    return CountSample._adopt(np.bincount(parent, minlength=total_items)[innovate])
+    return CountSample(np.bincount(parent, minlength=total_items)[innovate])
 
 
 class CountFileError(ValueError):
@@ -261,13 +250,13 @@ def read_count_file(path) -> CountSample:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     counts = _parse_digit_lines(raw)
     if counts is not None:
-        return CountSample._adopt(counts)
+        return CountSample(counts)
     # undecodable bytes become U+FFFD, which fails the ASCII check of
     # _parse_lines, so they are reported with their line number
     counts = _parse_lines(raw.decode("utf-8", errors="replace").split("\n"))
     if not counts:
         raise CountFileError("count file holds no counts")
-    return CountSample._adopt(np.array(counts, dtype=np.int64))
+    return CountSample(np.array(counts, dtype=np.int64))
 
 
 def _parse_digit_lines(raw: bytes) -> np.ndarray | None:
