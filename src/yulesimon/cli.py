@@ -165,16 +165,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_text(args) -> int:
     with open(args.input, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
-    stripped = not args.no_strip
-    if stripped:
+    if not args.no_strip:
         text = strip_gutenberg(text)
     counts = tokenize_count(
         text,
         TokenizerOptions(keep_apostrophes=args.keep_apostrophes, keep_digits=args.keep_digits),
     )
-    counts.preprocessing["gutenberg_stripped"] = stripped
-    sample = to_count_sample(counts)
-    write_count_file(args.counts, sample)
+    write_count_file(args.counts, to_count_sample(counts))
     if args.tsv:
         write_tsv(counts, args.tsv)
     print(f"n_unique={counts.n_unique} n_tokens={counts.n_tokens}")

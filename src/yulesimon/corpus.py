@@ -6,7 +6,8 @@ from __future__ import annotations
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -132,27 +133,27 @@ def tokenize_count(text: str, options: TokenizerOptions | None = None) -> Corpus
         vocabulary=vocabulary,
         n_unique=len(vocabulary),
         n_tokens=sum(vocabulary.values()),
-        preprocessing={
-            "lowercase": options.lowercase,
-            "keep_apostrophes": options.keep_apostrophes,
-            "keep_digits": options.keep_digits,
-        },
+        preprocessing=asdict(options),
     )
 
 
 def sorted_items(counts: CorpusCounts) -> list[tuple[str, int]]:
-    """(word, count) pairs ordered by descending count then word."""
-    return sorted(counts.vocabulary.items(), key=lambda item: (-item[1], item[0]))
+    """(word, count) pairs by descending count, ties by word in
+    code-point order: a sort by word, then a stable sort by count."""
+    items = sorted(counts.vocabulary.items(), key=itemgetter(0))
+    items.sort(key=itemgetter(1), reverse=True)
+    return items
 
 
 def to_count_sample(counts: CorpusCounts) -> CountSample:
-    """Frequency multiset in the deterministic order of sorted_items."""
+    """The counts in descending order, as the rows of write_tsv hold
+    them; ties share a count, so no word order is needed."""
     if not counts.vocabulary:
         raise ValueError("empty corpus: no tokens to count")
-    return CountSample(np.array([c for _, c in sorted_items(counts)], dtype=np.int64))
+    return CountSample(np.sort(np.fromiter(counts.vocabulary.values(), np.int64))[::-1])
 
 
 def write_tsv(counts: CorpusCounts, path) -> None:
-    """word<TAB>count rows in the same order as to_count_sample."""
+    """word<TAB>count rows in the order of sorted_items."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{word}\t{count}\n" for word, count in sorted_items(counts))

@@ -42,6 +42,11 @@ _WRITE_BLOCK = 4096
 _INT64_MAX = 2**63 - 1
 # the longest line the array reader takes: 19 digits stay below 2**64
 _MAX_DIGITS = 19
+# the largest size accepted for n of sample_mixture, total_items of
+# sample_urn and GibbsConfig.n_samples: each builds a few 8-byte arrays of
+# that length, so this bounds a run to a few GB, and a larger size is
+# refused before anything is allocated
+MAX_DRAWS = 10**8
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,12 @@ def _check_prior(prior_a: float, prior_b: float) -> None:
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def _check_size(value: int, name: str) -> None:
+    """ValueError unless 1 <= value <= MAX_DRAWS."""
+    if not 1 <= value <= MAX_DRAWS:
+        raise ValueError(f"{name} must be between 1 and {MAX_DRAWS}, got {value}")
+
+
 def log_pmf(k, lam: float):
     """log g(k | lam) = log(lam) + log B(lam+1, k) for integer k >= 1."""
     lam = _check_lambda(lam)
@@ -162,11 +173,10 @@ def sample_mixture(lam: float, n: int, rng) -> CountSample:
     avoids trial-by-trial Bernoulli loops on heavy-tailed draws. The
     latents are not returned: the first n uniforms of the stream fix p
     and the next n fix k. Draws beyond 2**62 are clipped to it with a
-    RuntimeWarning that says how many.
+    RuntimeWarning that says how many. n is at most MAX_DRAWS.
     """
     lam = _check_lambda(lam)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n, "n")
     g = _as_generator(rng)
     p = np.exp(np.log1p(-g.random(n)) / lam)
     log_u = np.log1p(-g.random(n))
@@ -196,13 +206,13 @@ def sample_urn(lam: float, total_items: int, rng) -> CountSample:
     reaches every root in O(log depth) array passes. The roots are the
     innovations, so the tree sizes taken in arrival order of the roots
     are the counts the arrival-by-arrival process gives for the same
-    draws, category by category in order of creation.
+    draws, category by category in order of creation. total_items is at
+    most MAX_DRAWS.
     """
     lam = _check_lambda(lam)
     if lam <= 1.0:
         raise ValueError("the urn generator requires lambda > 1")
-    if total_items < 1:
-        raise ValueError("total_items must be >= 1")
+    _check_size(total_items, "total_items")
     g = _as_generator(rng)
     alpha = 1.0 - 1.0 / lam
     innovate = g.random(total_items) < alpha

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import CountSample, RngStream, _as_generator, _check_lambda, _check_prior
+from .distribution import (CountSample, RngStream, _as_generator, _check_lambda, _check_prior,
+                           _check_size)
 
 __all__ = [
     "GibbsConfig",
@@ -51,10 +52,11 @@ _ACF_LAGS = 100
 
 @dataclass
 class GibbsConfig:
-    """Sampler controls; defaults are 8000 draws, 500 burn-in, no
-    thinning, Gamma(0.05, 0.25) prior. The retained chain, draws
-    burn_in, burn_in + thin, ... below n_samples, must hold at least
-    two draws for its standard deviation and autocorrelations."""
+    """Sampler controls; defaults are 8000 draws (at most MAX_DRAWS of
+    yulesimon.distribution), 500 burn-in, no thinning, Gamma(0.05, 0.25)
+    prior. The retained chain, draws burn_in, burn_in + thin, ... below
+    n_samples, must hold at least two draws for its standard deviation
+    and autocorrelations."""
 
     prior_a: float = 0.05
     prior_b: float = 0.25
@@ -66,6 +68,7 @@ class GibbsConfig:
 
     def __post_init__(self):
         _check_prior(self.prior_a, self.prior_b)
+        _check_size(self.n_samples, "n_samples")
         if self.burn_in < 0 or self.n_samples <= self.burn_in:
             raise ValueError("need n_samples > burn_in >= 0")
         if self.thin < 1:

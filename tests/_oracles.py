@@ -239,3 +239,8 @@ def strip_gutenberg_lines(text: str) -> str:
                       RuntimeWarning, stacklevel=2)
         return text
     return "".join(lines[start + 1 : end])
+
+
+def sorted_items_keyed(vocabulary: dict[str, int]) -> list[tuple[str, int]]:
+    """(word, count) pairs by one sort on the key (-count, word)."""
+    return sorted(vocabulary.items(), key=lambda item: (-item[1], item[0]))

@@ -79,6 +79,28 @@ def test_bad_prior_exits_1_naming_it(counts_file, capsys, command, flag, value):
     assert err.startswith("ys: error: " + flag[2:].replace("-", "_"))
 
 
+HUGE = "1000000000000"
+
+
+# each size would ask numpy for terabytes; it is refused before any array
+# is built, with one error line that names it and no output file
+@pytest.mark.parametrize("argv, name", [
+    (["gibbs", "COUNTS", "--samples", HUGE], "n_samples"),
+    (["simulate", "--lambda", "0.6", "--n", HUGE, "--out", "OUT"], "n"),
+    (["simulate", "--generator", "urn", "--lambda", "1.5", "--n", HUGE, "--out", "OUT"],
+     "total_items"),
+    (["experiment", "--lambda", "0.6", "--n", HUGE, "--reps", "1"], "n"),
+    (["experiment", "--lambda", "0.6", "--n", "50", "--estimators", "gibbs",
+      "--gibbs-samples", HUGE], "n_samples"),
+])
+def test_huge_size_exits_1_naming_it(counts_file, tmp_path, capsys, argv, name):
+    out_path = tmp_path / "out.txt"
+    argv = [counts_file if a == "COUNTS" else str(out_path) if a == "OUT" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and not out_path.exists()
+    assert err.splitlines() == [f"ys: error: {name} must be between 1 and 100000000, got {HUGE}"]
+
+
 def test_fit_missing_file_exits_1(capsys):
     code, _, err = run_cli(capsys, "fit", "/nonexistent/file.txt")
     assert code == 1

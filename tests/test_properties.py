@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from yulesimon import (
+    CorpusCounts,
     CountFileError,
     CountSample,
     FitConfig,
@@ -26,7 +27,9 @@ from yulesimon import (
     read_count_file,
     sample_mixture,
     strip_gutenberg,
+    to_count_sample,
     tokenize_count,
+    write_tsv,
 )
 from yulesimon.distribution import _parse_digit_lines, _parse_lines
 from yulesimon.em import em_fit_stacked
@@ -39,6 +42,7 @@ from _oracles import (
     finite_pooled_sum_sq,
     oakes_standard_error,
     posterior_mode,
+    sorted_items_keyed,
     strip_gutenberg_lines,
     tokenize_count_findall,
 )
@@ -132,6 +136,23 @@ def test_tokenizer_matches_findall_over_the_whole_text(text):
         vocabulary, n_unique, n_tokens, preprocessing = tokenize_count_findall(text, options)
         assert list(got.vocabulary.items()) == list(vocabulary.items())
         assert (got.n_unique, got.n_tokens, got.preprocessing) == (n_unique, n_tokens, preprocessing)
+
+
+# words with tied counts, a non-ASCII letter that sorts after "z" by code
+# point, and inner or curly apostrophes
+vocabularies = st.dictionaries(st.text("aez\u00e9'\u2019", min_size=1, max_size=4),
+                               st.integers(1, 4), min_size=1, max_size=40)
+
+
+@reproducible
+@given(vocabulary=vocabularies)
+def test_count_sample_and_tsv_match_the_keyed_sort(vocabulary, tmp_path_factory):
+    counts = CorpusCounts(vocabulary, len(vocabulary), sum(vocabulary.values()), {})
+    items = sorted_items_keyed(vocabulary)
+    assert to_count_sample(counts).counts.tolist() == [count for _, count in items]
+    path = tmp_path_factory.mktemp("tsv") / "w.tsv"
+    write_tsv(counts, path)
+    assert path.read_bytes() == "".join(f"{w}\t{c}\n" for w, c in items).encode("utf-8")
 
 
 MARKER_LINES = st.sampled_from([
