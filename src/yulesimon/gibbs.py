@@ -17,15 +17,21 @@ for any split level T the sweep draws the distributionally identical
     sum_i w_i = sum_{t<=T} Gamma(m_t) / (lam + t)      m_t = #{i : k_i >= t}
               + sum_{i: k_i > T} -log Beta(lam+T+1, k_i-T)
 
-with each beta remainder evaluated as log1p(G_b/G_a) of two gammas.
-T = 0 is one beta per observation, T = max(k) one gamma per level; T is
-chosen once per dataset among {0} and the distinct counts to minimise
-the T + 2 #{k_i > T} variates of a sweep. T and the level
-multiplicities m_t come from the sample's cached count histogram, the
-representation the EM fit and the information read as well. The
-variates all come from one standard_gamma call on a preallocated shape
-vector whose lam+T+1 slots alone change between sweeps. Chains are
-reproducible given the seed.
+with each beta remainder evaluated as log1p(G_b/G_a) of two gammas,
+G_b ~ Gamma(k_i - T) and G_a ~ Gamma(lam + T + 1). T = 0 is one beta per
+observation, T = max(k) one gamma per level; T is chosen once per
+dataset among {0} and the distinct counts to minimise the T + 2 #{k_i > T}
+variates of a sweep. T and the level multiplicities m_t come from the
+sample's cached count histogram, the representation the EM fit and the
+information read as well.
+
+Of those variates only the G_a depend on lam. The sweeps run in blocks
+of _BLOCK (fewer when the block's lam-free variates would pass
+_BLOCK_VARIATES), and each block first draws its lam-free variates, the
+level gammas, the G_b and the Gamma(a + N) variate G behind each lam
+draw, in one standard_gamma call apiece; a sweep then makes one call,
+for its G_a, and sets lam = G / (b + sum_i w_i), the Gamma(a + N,
+rate b + sum_i w_i) draw. Chains are reproducible given the seed.
 """
 
 from __future__ import annotations
@@ -48,6 +54,9 @@ __all__ = [
 ]
 
 _ACF_LAGS = 100
+# sweeps per block, and the most lam-free variates a block may hold
+_BLOCK = 256
+_BLOCK_VARIATES = 2**18
 
 
 @dataclass
@@ -101,13 +110,8 @@ def conditional_lambda_draw(sum_w, n: int, prior_a: float, prior_b: float, rng, 
         raise ValueError("sum_w must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    draw = _lambda_draw(_as_generator(rng), prior_a + n, prior_b, sum_w, size)
+    draw = _as_generator(rng).gamma(prior_a + n, 1.0 / (prior_b + sum_w), size=size)
     return float(draw) if size is None else draw
-
-
-def _lambda_draw(g: np.random.Generator, shape: float, rate_b: float, sum_w, size=None):
-    """Gamma(shape, rate rate_b + sum_w) draw, arguments unchecked."""
-    return g.gamma(shape, 1.0 / (rate_b + sum_w), size=size)
 
 
 def split_level(u: np.ndarray, c: np.ndarray) -> int:
@@ -126,36 +130,41 @@ def _tail_multiplicity(u: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.repeat(c[::-1].cumsum()[::-1], np.diff(u, prepend=0))
 
 
-def _sum_w_sampler(data: CountSample, split: int, g: np.random.Generator):
-    """Return lam -> one draw of sum_i w_i, split at level `split`."""
+def _sweeps(data: CountSample, split: int, g: np.random.Generator, lam: float,
+            n_sweeps: int, shape: float, next_lam) -> np.ndarray:
+    """lam after each of n_sweeps sweeps from lam, split at level `split`.
+    A sweep draws sum_i w_i given lam and sets lam = next_lam(sum_w, G),
+    with G ~ Gamma(shape) drawn in its block. A block is _BLOCK sweeps,
+    or as many as keep its split + #{k_i > split} lam-free variates per
+    sweep within _BLOCK_VARIATES, and at least one."""
     u, c = data.histogram()
     levels = np.arange(1.0, split + 1.0)
     tail = data.counts[data.counts > split] - split
-    g_a = slice(split, split + tail.size)
     m = _tail_multiplicity(np.minimum(u, split), c)
-    shape = np.concatenate([m, np.empty(tail.size), tail])
-
-    def draw(lam: float) -> float:
-        shape[g_a] = lam + split + 1.0
-        x = g.standard_gamma(shape)
-        return float(x[:split] @ (1.0 / (lam + levels)) + np.log1p(x[g_a.stop:] / x[g_a]).sum())
-
-    return draw
+    block = max(1, min(_BLOCK, _BLOCK_VARIATES // (split + tail.size)))
+    out = np.empty(n_sweeps)
+    for start in range(0, n_sweeps, block):
+        size = min(block, n_sweeps - start)
+        x = g.standard_gamma(m, size=(size, split))
+        g_b = g.standard_gamma(tail, size=(size, tail.size))
+        g_lam = g.standard_gamma(shape, size=size)
+        for i in range(size):
+            sum_w = x[i] @ (1.0 / (lam + levels))
+            if tail.size:
+                g_a = g.standard_gamma(lam + split + 1.0, size=tail.size)
+                sum_w += np.log1p(g_b[i] / g_a).sum()
+            lam = next_lam(sum_w, g_lam[i])
+            out[start + i] = lam
+    return out
 
 
 def gibbs_run(data: CountSample, config: GibbsConfig | None = None) -> GibbsResult:
     """Run the sampler and summarize the retained chain."""
     config = config or GibbsConfig()
-    g = config.seed.generator()
-    draw_sum_w = _sum_w_sampler(data, split_level(*data.histogram()), g)
-    # the arguments conditional_lambda_draw checks are valid here: n >= 1
-    # and every sum of w is a sum of positive variates
-    shape = config.prior_a + data.n
-    lam = config.lambda_init
-    raw = np.empty(config.n_samples)
-    for t in range(config.n_samples):
-        lam = _lambda_draw(g, shape, config.prior_b, draw_sum_w(lam))
-        raw[t] = lam
+    rate_b = config.prior_b
+    raw = _sweeps(data, split_level(*data.histogram()), config.seed.generator(),
+                  config.lambda_init, config.n_samples, config.prior_a + data.n,
+                  lambda sum_w, gamma: gamma / (rate_b + sum_w))
 
     chain = raw[config.burn_in :: config.thin]
     max_lag = min(_ACF_LAGS, chain.size - 1)

@@ -88,13 +88,14 @@ def _shift_up(z: np.ndarray, term, *args) -> tuple[np.ndarray, np.ndarray]:
     The arguments below _SHIFT are gathered once and stepped together;
     a step adds term only where its argument is still below _SHIFT, so
     each value gets the same additions in the same order as it would
-    alone."""
+    alone. The boolean mask gathers them from an array of any shape."""
     z = np.atleast_1d(z).copy()
     adj = np.zeros_like(z)
-    low = np.flatnonzero(z < _SHIFT)
-    zl, acc = z[low], np.zeros(low.size)
+    low = z < _SHIFT
+    zl = z[low]
+    acc = np.zeros(zl.size)
     rest = [x[low] for x in args]
-    mask = np.ones(low.size, dtype=bool)
+    mask = np.ones(zl.size, dtype=bool)
     while mask.any():
         np.add(acc, term(zl, *rest), out=acc, where=mask)
         np.add(zl, 1.0, out=zl, where=mask)

@@ -15,6 +15,7 @@ from yulesimon import (
     TokenizerOptions,
     em_step,
     init_lambda,
+    oakes_information,
     sample_mixture,
 )
 from yulesimon.corpus import _END_MARKER, _START_MARKER, _token_pattern
@@ -61,6 +62,59 @@ def posterior_mode(data: CountSample, prior_a: float, prior_b: float) -> float:
     t = golden_section_maximize(lambda t: log_post(math.exp(t)), math.log(1e-6), math.log(1e3),
                                 tol=1e-10)
     return math.exp(t)
+
+
+def posterior_moments(data: CountSample, prior_a: float, prior_b: float,
+                      nodes: int = 400) -> tuple[float, float]:
+    """Posterior mean and SD of lam under a Gamma(a, rate b) prior, by
+    the trapezoid rule in t = log lam on `nodes` equally spaced nodes.
+
+    The density of t is pi(e^t | k) e^t, smooth and fast-decaying, on
+    which the trapezoid rule converges geometrically (Trefethen &
+    Weideman 2014, SIAM Rev. 56:385). The nodes span the posterior mode
+    +- 12 SD, in log lam that is +- 12 SD / mode, with the SD taken from
+    the Oakes information at the mode plus the prior curvature
+    (a-1)/lam^2. At small N the density of t has an exponential left
+    tail, e^{(a+N) t}, that this normal scale underrates, so each end
+    moves out by another 12 SD until the density there is e^-40 of its
+    value at the mode. The integrand is one log_beta call over the
+    (nodes x distinct counts) grid."""
+    u, c = data.histogram()
+    uf = u.astype(np.float64)
+
+    def log_f(t):
+        lam = np.exp(t)
+        return ((prior_a + data.n) * t - prior_b * lam
+                + log_beta(np.atleast_1d(lam)[:, None] + 1.0, uf[None, :]) @ c)
+
+    mode = posterior_mode(data, prior_a, prior_b)
+    info = oakes_information(data, mode) + (prior_a - 1.0) / mode**2
+    if not info > 0.0:
+        raise ValueError("the log posterior is not concave at its mode")
+    t0 = math.log(mode)
+    step = 12.0 / (mode * math.sqrt(info))
+    floor = log_f(t0)[0] - 40.0
+    lo, hi = t0 - step, t0 + step
+    while log_f(lo)[0] > floor:
+        lo -= step
+    while log_f(hi)[0] > floor:
+        hi += step
+    t = np.linspace(lo, hi, nodes)
+    lam = np.exp(t)
+    log_w = log_f(t)
+    w = np.exp(log_w - log_w.max())
+    w[[0, -1]] *= 0.5
+    mean = float(w @ lam / w.sum())
+    sd = math.sqrt(float(w @ (lam - mean) ** 2 / w.sum()))
+    return mean, sd
+
+
+def batch_means_se(chain: np.ndarray, batches: int = 25) -> float:
+    """Standard error of the chain mean from the means of `batches`
+    equal consecutive batches (a remainder at the end is dropped)."""
+    size = chain.size // batches
+    means = chain[: size * batches].reshape(batches, size).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(batches))
 
 
 def random_dataset(lam: float, n: int, seed: int, stream: int = 0) -> CountSample:

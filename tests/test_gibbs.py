@@ -99,13 +99,28 @@ def test_gibbs_config_validation():
             GibbsConfig(prior_b=bad)
 
 
+def _sum_w_draws(data, split, lam, reps, g):
+    """reps draws of sum_w at a fixed lam from the production sweep loop,
+    its lam update replaced by one that records sum_w and keeps lam."""
+    from yulesimon.gibbs import _sweeps
+
+    draws = []
+
+    def keep_lam(sum_w, _gamma):
+        draws.append(sum_w)
+        return lam
+
+    _sweeps(data, split, g, lam, reps, 1.0, keep_lam)
+    return np.array(draws)
+
+
 def test_sum_w_routes_share_analytic_moments():
     # the production sweep draws sum_w from the same distribution at any
     # split level: per observation (T = 0), per count level (T = max k,
     # the level the rule picks here) and split in between; each must
     # match the analytic mean S1 and variance S2 of
     # sum_i -log Beta(lam+1, k_i)
-    from yulesimon.gibbs import _sum_w_sampler, split_level
+    from yulesimon.gibbs import split_level
     from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
 
     data = CountSample(np.tile([1, 2, 3, 7, 20], 40))
@@ -114,10 +129,61 @@ def test_sum_w_routes_share_analytic_moments():
     s1 = pooled_harmonic_sum(lam, data)
     s2 = pooled_harmonic_sum_sq(lam, data)
     for split, seed in ((0, 501), (20, 502), (3, 503)):
-        draw = _sum_w_sampler(data, split, RngStream(seed).generator())
-        sw = np.array([draw(lam) for _ in range(reps)])
+        sw = _sum_w_draws(data, split, lam, reps, RngStream(seed).generator())
+        assert sw.size == reps
         assert sw.mean() == pytest.approx(s1, abs=5.0 * np.sqrt(s2 / reps))
         assert sw.var(ddof=1) == pytest.approx(s2, rel=0.1)
+
+
+def test_chain_with_a_partial_last_block_has_its_length_and_reproduces():
+    from yulesimon.gibbs import _BLOCK
+
+    data = random_dataset(0.6, 300, 204)
+    n = 2 * _BLOCK + 88
+    cfg = GibbsConfig(n_samples=n, burn_in=100, seed=RngStream(7))
+    a = gibbs_run(data, cfg)
+    assert a.raw_chain.size == n and a.chain.size == n - 100
+    assert a.raw_chain.tobytes() == gibbs_run(data, cfg).raw_chain.tobytes()
+    # the whole blocks come before the partial one, so a longer chain
+    # from the same seed starts with the same two blocks
+    longer = gibbs_run(data, GibbsConfig(n_samples=n + _BLOCK, burn_in=100, seed=RngStream(7)))
+    assert longer.raw_chain[: 2 * _BLOCK].tobytes() == a.raw_chain[: 2 * _BLOCK].tobytes()
+    assert not np.array_equal(longer.raw_chain[2 * _BLOCK : n], a.raw_chain[2 * _BLOCK :])
+
+
+class _RecordingGenerator:
+    """A numpy Generator that records the size of every standard_gamma draw."""
+
+    def __init__(self, seed):
+        self._g = np.random.default_rng(seed)
+        self.sizes = []
+
+    def standard_gamma(self, shape, size=None):
+        out = self._g.standard_gamma(shape, size=size)
+        self.sizes.append(np.size(out))
+        return out
+
+
+def test_large_sample_blocks_hold_at_most_2_18_variates():
+    from yulesimon.gibbs import _BLOCK, _BLOCK_VARIATES, _sweeps, split_level
+
+    data = random_dataset(0.6, 100_000, 205)
+    split = split_level(*data.histogram())
+    n_tail = int((data.counts > split).sum())
+    g = _RecordingGenerator(206)
+    n = 300
+    chain = _sweeps(data, split, g, 0.6, n, data.n + 0.05, lambda s, gam: gam / s)
+    assert chain.size == n and np.all(chain > 0.0)
+    # each block draws its level gammas, remainder numerators and lam
+    # gammas, then one gamma per count above the split in each sweep
+    block = g.sizes[2]
+    assert _BLOCK_VARIATES == 2**18 and block < _BLOCK
+    assert block * (split + n_tail) <= _BLOCK_VARIATES < (block + 1) * (split + n_tail)
+    want = []
+    for start in range(0, n, block):
+        size = min(block, n - start)
+        want += [size * split, size * n_tail, size] + [n_tail] * size
+    assert g.sizes == want
 
 
 def test_split_level_minimises_variates_per_sweep():
@@ -193,11 +259,11 @@ def test_gibbs_prior_insensitivity_at_scale():
 # raw draw), one at each kind of split level the sweep can choose
 GIBBS_BITS = {
     "T = 0": (lambda: CountSample(np.arange(100, 140)), 0,
-              ["0x1.ad5a7a0ecd3d6p-3", "0x1.ee7c9fc1ed302p-6", "0x1.398d36b5fc4c3p-3"]),
+              ["0x1.b4269a4880a50p-3", "0x1.3d8cbc9e00c75p-5", "0x1.0821b53427b51p-2"]),
     "interior T": (lambda: sample_mixture(1.25, 300, RngStream(5)), 13,
-                   ["0x1.6f69344500e02p+0", "0x1.20b53de013c7ep-3", "0x1.74427f6fee100p+0"]),
+                   ["0x1.69720df2e6fc6p+0", "0x1.d54920aca55d2p-4", "0x1.8f923d07b5545p+0"]),
     "T = max k": (lambda: sample_mixture(5.0, 200, RngStream(1)), 5,
-                  ["0x1.c2249fb9ff53ap+2", "0x1.27bfef436c65ap+0", "0x1.07384405c2f03p+3"]),
+                  ["0x1.b4aac5e4d5a10p+2", "0x1.9690e44d10e7dp-1", "0x1.dcb749d0236f5p+2"]),
 }
 
 

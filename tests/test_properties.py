@@ -21,6 +21,7 @@ from yulesimon import (
     TokenizerOptions,
     em_fit,
     em_map_jacobian,
+    gibbs_run,
     louis_information,
     oakes_information,
     rate_theoretical,
@@ -37,11 +38,13 @@ from yulesimon.information import standard_errors
 from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
 
 from _oracles import (
+    batch_means_se,
     em_fit_loop,
     finite_pooled_sum,
     finite_pooled_sum_sq,
     oakes_standard_error,
     posterior_mode,
+    posterior_moments,
     sorted_items_keyed,
     strip_gutenberg_lines,
     tokenize_count_findall,
@@ -301,9 +304,12 @@ def test_em_map_jacobian_equals_rate_at_the_fixed_point(counts):
 MODE_REL_TOL = 1e-6
 
 
+# log-uniform over [0.3, 10], the rates the posterior checks cover
+posterior_rates = st.floats(0.0, 1.0).map(lambda t: 0.3 * (10.0 / 0.3) ** t)
+
+
 @reproducible
-@given(counts=mixture_samples(max_n=3000, rates=st.floats(0.0, 1.0).map(
-    lambda t: 0.3 * (10.0 / 0.3) ** t)))
+@given(counts=mixture_samples(max_n=3000, rates=posterior_rates))
 def test_map_fit_is_the_log_beta_posterior_mode(counts):
     data = CountSample(counts)
     prior = GibbsConfig()
@@ -311,6 +317,29 @@ def test_map_fit_is_the_log_beta_posterior_mode(counts):
     assert fit.converged
     mode = posterior_mode(data, prior.prior_a, prior.prior_b)
     assert fit.lambda_hat == pytest.approx(mode, rel=MODE_REL_TOL)
+
+
+# Fixed before the sampler was first run against the quadrature: the
+# chain mean lies within 5 batch-means standard errors (25 batches of
+# the retained chain) of the exact posterior mean. The standardised
+# error is about t with 24 degrees of freedom, beyond 5 with probability
+# 4e-5 per example, so a failure indicts the sampler, not the bound.
+GIBBS_MEAN_Z = 5.0
+# doubling the quadrature nodes moves the mean and SD by less than this
+QUADRATURE_REL_TOL = 1e-9
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(counts=mixture_samples(max_n=3000, rates=posterior_rates),
+       seed=st.integers(0, 2**32 - 1))
+def test_gibbs_mean_matches_the_quadrature_posterior_mean(counts, seed):
+    data = CountSample(counts)
+    prior = GibbsConfig()
+    mean, sd = posterior_moments(data, prior.prior_a, prior.prior_b)
+    finer = posterior_moments(data, prior.prior_a, prior.prior_b, nodes=800)
+    assert finer == pytest.approx((mean, sd), rel=QUADRATURE_REL_TOL, abs=0.0)
+    res = gibbs_run(data, GibbsConfig(n_samples=5000, burn_in=500, seed=RngStream(seed)))
+    assert abs(res.posterior_mean - mean) < GIBBS_MEAN_Z * batch_means_se(res.chain)
 
 
 @st.composite

@@ -218,3 +218,20 @@ def test_vectorized_matches_scalar():
     assert np.allclose(log_gamma(x), [log_gamma(v) for v in x], rtol=0, atol=0)
     assert np.allclose(digamma(x), [digamma(v) for v in x], rtol=0, atol=0)
     assert np.allclose(trigamma(x), [trigamma(v) for v in x], rtol=0, atol=0)
+
+
+def test_two_dimensional_arguments_match_the_flat_ones_bit_for_bit():
+    # arguments on both sides of the shift threshold, so the recurrence
+    # gathers some entries of each row and none of others
+    x = np.array([[0.5, 7.3, 2.0], [123.4, 1.0, 3.5]])
+    y = np.array([[3.0, 0.25, 900.0], [2.0, 2.0**62, 6.5]])
+    for fn in (log_gamma, digamma, trigamma):
+        assert fn(x).tobytes() == fn(x.ravel()).reshape(x.shape).tobytes()
+        column = x.reshape(-1, 1)
+        assert fn(column).tobytes() == fn(x.ravel()).reshape(column.shape).tobytes()
+    flat = log_beta(x.ravel(), y.ravel())
+    assert log_beta(x, y).tobytes() == flat.reshape(x.shape).tobytes()
+    # a row against a column broadcasts to the full grid
+    grid = log_beta(x[0][:, None], y[1][None, :])
+    want = log_beta(np.repeat(x[0], 3), np.tile(y[1], 3)).reshape(3, 3)
+    assert grid.tobytes() == want.tobytes()
