@@ -50,7 +50,6 @@ from .gibbs import (
     GibbsConfig,
     GibbsResult,
     autocorrelation,
-    conditional_lambda_draw,
     gibbs_run,
 )
 from .information import (
@@ -78,7 +77,6 @@ __all__ = [
     "RngStream",
     "TokenizerOptions",
     "autocorrelation",
-    "conditional_lambda_draw",
     "convexity_check",
     "diagnose",
     "em_fit",

@@ -23,6 +23,7 @@ from .corpus import TokenizerOptions, strip_gutenberg, to_count_sample, tokenize
 from .distribution import (
     CountFileError,
     RngStream,
+    _check_size,
     read_count_file,
     sample_mixture,
     sample_urn,
@@ -123,6 +124,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
+    _check_size(args.samples, "--samples")
     data = read_count_file(args.input)
     config = GibbsConfig(
         prior_a=args.prior_a,
@@ -149,6 +151,7 @@ def _cmd_gibbs(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_size(args.n, "--n")
     rng = RngStream(args.seed, args.stream)
     if args.generator == "urn":
         sample = sample_urn(args.lam, args.n, rng)
@@ -179,6 +182,8 @@ def _cmd_text(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    _check_size(args.n, "--n")
+    _check_size(args.gibbs_samples, "--gibbs-samples")
     spec = ExperimentSpec(
         true_lambda=args.lam,
         n=args.n,

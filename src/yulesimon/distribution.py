@@ -37,11 +37,14 @@ __all__ = [
 # ceil() of the geometric inversion is clipped here before the cast to
 # int64; beyond this the count is unrepresentable anyway
 _MAX_COUNT = 2**62
-# lines per write in write_count_file
-_WRITE_BLOCK = 4096
+# counts per write in write_count_file: a block's working arrays take at
+# most about 60 bytes a count, so under 4 MB at any sample size
+_WRITE_BLOCK = 2**16
 _INT64_MAX = 2**63 - 1
 # the longest line the array reader takes: 19 digits stay below 2**64
 _MAX_DIGITS = 19
+# 10**1 .. 10**18: a count has one digit more than the powers it reaches
+_POWERS_OF_TEN = 10 ** np.arange(1, _MAX_DIGITS, dtype=np.uint64)
 # the largest size accepted for n of sample_mixture, total_items of
 # sample_urn and GibbsConfig.n_samples: each builds a few 8-byte arrays of
 # that length, so this bounds a run to a few GB, and a larger size is
@@ -324,10 +327,42 @@ def _parse_lines(lines) -> list[int]:
 
 
 def write_count_file(path, sample: CountSample) -> None:
-    """Write the count format, one count per line, in blocks of
-    _WRITE_BLOCK lines: one join per block keeps the Python strings of
-    a block alive, never those of the whole sample."""
+    """Write the count format: each count in ASCII digits, no leading
+    zero, followed by LF. The counts go out in blocks of _WRITE_BLOCK
+    (2**16), each laid out as one byte array by _digit_lines and
+    written in one call; a block's working arrays stay under 4 MB,
+    whatever the size of the sample."""
     counts = sample.counts
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         for start in range(0, counts.size, _WRITE_BLOCK):
-            fh.write("\n".join(map(str, counts[start:start + _WRITE_BLOCK].tolist())) + "\n")
+            fh.write(_digit_lines(counts[start:start + _WRITE_BLOCK]))
+
+
+def _digit_lines(counts: np.ndarray) -> np.ndarray:
+    """The lines of counts (int64, each >= 1) as one uint8 array, the
+    inverse of _parse_digit_lines.
+
+    A count's digit count is found by binary search on the powers of
+    ten, the line ends are the cumulative sum of the line lengths, and
+    the digits are filled right to left, one division by 10 a pass; each
+    pass keeps only the counts that still have digits left."""
+    values = counts.astype(np.uint64)
+    # a line is searchsorted's count + 1 digits and an LF; pos runs from
+    # each line's end to the position of the next digit to fill
+    pos = np.cumsum(np.searchsorted(_POWERS_OF_TEN, values, side="right") + 2)
+    buf = np.empty(int(pos[-1]), dtype=np.uint8)
+    pos -= 1
+    buf[pos] = 10
+    pos -= 1
+    while True:
+        # floor division by a scalar takes numpy's multiply-and-shift
+        # path, which divmod does not
+        high = values // 10
+        values -= high * 10
+        values += 48
+        buf[pos] = values
+        left = np.flatnonzero(high)
+        if not left.size:
+            return buf
+        values = high[left]
+        pos = pos[left] - 1

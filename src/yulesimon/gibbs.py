@@ -41,15 +41,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import (CountSample, RngStream, _as_generator, _check_lambda, _check_prior,
-                           _check_size)
+from .distribution import CountSample, RngStream, _check_lambda, _check_prior, _check_size
 
 __all__ = [
     "GibbsConfig",
     "GibbsResult",
     "gibbs_run",
     "autocorrelation",
-    "conditional_lambda_draw",
     "split_level",
 ]
 
@@ -101,17 +99,6 @@ class GibbsResult:
     posterior_sd: float
     autocorrelations: np.ndarray
     raw_chain: np.ndarray
-
-
-def conditional_lambda_draw(sum_w, n: int, prior_a: float, prior_b: float, rng, size=None):
-    """Draw lam | w, k ~ Gamma(shape a+n, rate b+sum_w); one float when
-    size is None, else an array."""
-    if not (sum_w > 0.0):
-        raise ValueError("sum_w must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    draw = _as_generator(rng).gamma(prior_a + n, 1.0 / (prior_b + sum_w), size=size)
-    return float(draw) if size is None else draw
 
 
 def split_level(u: np.ndarray, c: np.ndarray) -> int:

@@ -134,6 +134,26 @@ def int64_limit_sample() -> CountSample:
         return sample_mixture(0.05, 3000, RngStream(2))
 
 
+def write_count_file_join(path, sample: CountSample) -> None:
+    """The count format written as text: str() of each count, the
+    lines of each block of 4096 counts joined with LF in one string."""
+    counts = sample.counts
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for start in range(0, counts.size, 4096):
+            fh.write("\n".join(map(str, counts[start:start + 4096].tolist())) + "\n")
+
+
+def conditional_lambda_draw(sum_w, n: int, prior_a: float, prior_b: float, rng, size=None):
+    """Draw lam | w, k ~ Gamma(shape a+n, rate b+sum_w); one float when
+    size is None, else an array."""
+    if not (sum_w > 0.0):
+        raise ValueError("sum_w must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    draw = rng.generator().gamma(prior_a + n, 1.0 / (prior_b + sum_w), size=size)
+    return float(draw) if size is None else draw
+
+
 def mixture_latents(lam: float, n: int, rng: RngStream):
     """(p, w, k) of the exponential/geometric mixture, rebuilt from the
     same two blocks of uniforms that sample_mixture draws from rng:

@@ -83,8 +83,10 @@ HUGE = "1000000000000"
 
 
 # each size would ask numpy for terabytes; it is refused before any array
-# is built, with one error line that names it and no output file
-@pytest.mark.parametrize("argv, name", [
+# is built, with no output file and one error line that names the flag
+# typed, the token before the size; the second column is the library
+# argument that the flag feeds
+@pytest.mark.parametrize("argv, argument", [
     (["gibbs", "COUNTS", "--samples", HUGE], "n_samples"),
     (["simulate", "--lambda", "0.6", "--n", HUGE, "--out", "OUT"], "n"),
     (["simulate", "--generator", "urn", "--lambda", "1.5", "--n", HUGE, "--out", "OUT"],
@@ -93,12 +95,14 @@ HUGE = "1000000000000"
     (["experiment", "--lambda", "0.6", "--n", "50", "--estimators", "gibbs",
       "--gibbs-samples", HUGE], "n_samples"),
 ])
-def test_huge_size_exits_1_naming_it(counts_file, tmp_path, capsys, argv, name):
+def test_huge_size_exits_1_naming_it(counts_file, tmp_path, capsys, argv, argument):
     out_path = tmp_path / "out.txt"
+    flag = argv[argv.index(HUGE) - 1]
     argv = [counts_file if a == "COUNTS" else str(out_path) if a == "OUT" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and not out_path.exists()
-    assert err.splitlines() == [f"ys: error: {name} must be between 1 and 100000000, got {HUGE}"]
+    assert err.splitlines() == [f"ys: error: {flag} must be between 1 and 100000000, got {HUGE}"]
+    assert not err.startswith(f"ys: error: {argument} ")
 
 
 def test_fit_missing_file_exits_1(capsys):

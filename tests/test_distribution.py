@@ -21,6 +21,7 @@ from yulesimon import (
     tokenize_count,
     write_count_file,
 )
+from yulesimon.distribution import _WRITE_BLOCK
 from _oracles import mixture_latents, urn_loop
 
 
@@ -248,10 +249,11 @@ def test_count_file_roundtrip(tmp_path):
     assert read_count_file(path) == sample
 
 
-@pytest.mark.parametrize("n", [2 * 4096, 2 * 4096 + 1])
+@pytest.mark.parametrize("n", [2 * 4096, 2 * 4096 + 1, _WRITE_BLOCK, _WRITE_BLOCK + 1])
 def test_count_file_blocks_write_one_line_per_count(tmp_path, n):
-    # n ends on, and one past, a boundary of write_count_file's 4096-line
-    # blocks; the counts run from 1 to the int64 limit
+    # n ends on, and one past, a boundary of write_count_file's blocks of
+    # _WRITE_BLOCK (2**16) counts, or of blocks of 4096 counts; the counts
+    # run from 1 to the int64 limit
     draws = np.random.default_rng(n).integers(1, 2**63 - 1, size=n, endpoint=True)
     counts = np.maximum(draws >> (np.arange(n) % 63), 1)
     counts[:2] = 1, 2**63 - 1

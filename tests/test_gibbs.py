@@ -10,14 +10,13 @@ from yulesimon import (
     GibbsConfig,
     RngStream,
     autocorrelation,
-    conditional_lambda_draw,
     em_fit,
     gibbs_run,
     sample_mixture,
     standard_error,
 )
 
-from _oracles import random_dataset
+from _oracles import conditional_lambda_draw, random_dataset
 
 
 def test_conditional_draw_mean_matches_gamma_oracle():

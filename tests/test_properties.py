@@ -1,4 +1,4 @@
-"""Properties of the corpus layer, of the count-file reader, of the
+"""Properties of the corpus layer, of the count-file reader and writer, of the
 count-histogram core and of the paper's EM invariants over the whole
 parameter range: lambda in [0.02, 50], samples of up to 10^5 counts
 (3000 for the fits), counts up to the int64 limit."""
@@ -30,9 +30,10 @@ from yulesimon import (
     strip_gutenberg,
     to_count_sample,
     tokenize_count,
+    write_count_file,
     write_tsv,
 )
-from yulesimon.distribution import _parse_digit_lines, _parse_lines
+from yulesimon.distribution import _WRITE_BLOCK, _parse_digit_lines, _parse_lines
 from yulesimon.em import em_fit_stacked
 from yulesimon.information import standard_errors
 from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
@@ -48,6 +49,7 @@ from _oracles import (
     sorted_items_keyed,
     strip_gutenberg_lines,
     tokenize_count_findall,
+    write_count_file_join,
 )
 
 # a fixed example sequence, so the suite is reproducible run to run
@@ -182,6 +184,14 @@ def test_strip_gutenberg_matches_the_line_loop(lines, breaks, final):
     assert _warning_texts(caught) == _warning_texts(caught_loop)
 
 
+def values_of_width(g: np.random.Generator, width: np.ndarray) -> np.ndarray:
+    """A value drawn uniformly among those of each digit count in width
+    (1 to 19), none above 2**63 - 1."""
+    # the largest value of each width; 10**19 is beyond int64
+    high = np.where(width < 19, 10 ** np.minimum(width, 18) - 1, 2**63 - 1)
+    return g.integers(10 ** (width - 1), high, endpoint=True)
+
+
 @st.composite
 def count_file_texts(draw):
     """Text in write_count_file's layout: 1 to about 5000 lines, each
@@ -190,9 +200,7 @@ def count_file_texts(draw):
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # a drawn longest line, so files of short lines only occur as well
     width = g.integers(1, draw(st.integers(1, 19)), size=n, endpoint=True)
-    # the largest value of each width; 10**19 is beyond int64
-    high = np.where(width < 19, 10 ** np.minimum(width, 18) - 1, 2**63 - 1)
-    values = g.integers(10 ** (width - 1), high, endpoint=True)
+    values = values_of_width(g, width)
     if draw(st.booleans()):
         top = g.integers(n)
         width[top], values[top] = 19, 2**63 - 1
@@ -253,6 +261,39 @@ def test_reader_matches_line_parser_off_the_array_format(text, kind, at, tmp_pat
     assert got == _line_parser_outcome(text)
     if kind in ("zero", "too_big"):
         assert got.startswith(f"line {i + 1}: ")
+
+
+# both ends of every width from 1 to 19 digits, with 1 and 2**63 - 1
+WIDTH_EDGES = np.array(sorted({1, 2**63 - 1, *(10**k - 1 for k in range(1, 19)),
+                               *(10**k for k in range(1, 19))}), dtype=np.int64)
+
+
+@st.composite
+def written_counts(draw):
+    """1 count to more than two of write_count_file's blocks, the last
+    partial, each count of a width drawn from 1 to 19 digits, with the
+    width edges at drawn places."""
+    n = draw(st.one_of(st.integers(1, 200),
+                       st.integers(2 * _WRITE_BLOCK + 1, 3 * _WRITE_BLOCK - 1)))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = values_of_width(g, g.integers(1, 19, size=n, endpoint=True))
+    at = g.choice(n, size=min(n, WIDTH_EDGES.size), replace=False)
+    counts[at] = g.permutation(WIDTH_EDGES)[:at.size]
+    return counts
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(counts=written_counts())
+@example(counts=np.resize(WIDTH_EDGES, 2 * _WRITE_BLOCK + 1))
+def test_count_file_writer_matches_the_join_oracle(counts, tmp_path_factory):
+    sample = CountSample(counts)
+    folder = tmp_path_factory.mktemp("written")
+    write_count_file(folder / "array.txt", sample)
+    write_count_file_join(folder / "join.txt", sample)
+    written = (folder / "array.txt").read_bytes()
+    assert written == (folder / "join.txt").read_bytes()
+    assert _parse_digit_lines(written) is not None
+    assert read_count_file(folder / "array.txt") == sample
 
 
 # EM fits: up to 3000 counts, since at lambda near 50 a fit takes about
