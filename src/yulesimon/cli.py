@@ -183,6 +183,7 @@ def _cmd_text(args) -> int:
 
 def _cmd_experiment(args) -> int:
     _check_size(args.n, "--n")
+    _check_size(args.reps, "--reps")
     _check_size(args.gibbs_samples, "--gibbs-samples")
     spec = ExperimentSpec(
         true_lambda=args.lam,

@@ -19,9 +19,12 @@ does, which keeps its digits for counts up to the int64 limit.
 
 There is one update, _updates, and one iteration loop, em_fit_stacked:
 it fits many samples at once on their stacked histograms
-(special.HistogramStack), one digamma and one log_beta call per
-iteration for all of them. em_step and em_fit are their one-sample
-calls.
+(special.HistogramStack), one digamma call per iteration for all of
+them. em_step and em_fit are their one-sample calls. No update, stopping
+rule or status needs the likelihood, so the loop does not compute it:
+FitResult.loglik_trace is worked out from the fit's sample the first
+time it is read, one _logliks call for up to 2**16 iterate x distinct
+count pairs of the trace.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +70,11 @@ DIVERGING = "diverging"
 
 INIT_MODE_ONE = "mode_one"
 INIT_MOMENTS = "moments"
+
+# loglik_trace evaluates the likelihood on a grid of iterates x distinct
+# counts; iterates are taken in chunks so the grid holds at most this
+# many elements (one iterate per chunk when the histogram is larger).
+_TRACE_GRID = 1 << 16
 
 
 @dataclass
@@ -108,17 +117,31 @@ class FitConfig:
 @dataclass
 class FitResult:
     """Estimate bundle: trace has one entry per iterate including the
-    start, so len(trace) == iterations + 1."""
+    start, so len(trace) == iterations + 1.
+
+    loglik_trace holds observed_loglik(sample, lam) for every lam of the
+    trace (-inf at a start of 0). The fit does not need it, so it is
+    computed the first time it is read and then kept. Equality compares
+    the estimate, the iteration count, the trace and the status; neither
+    the sample nor loglik_trace takes part."""
 
     lambda_hat: float
     iterations: int
     trace: list[float]
-    loglik_trace: list[float]
     status: str
+    sample: CountSample = field(repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
         return self.status == CONVERGED
+
+    @cached_property
+    def loglik_trace(self) -> list[float]:
+        lams, data = self.trace, self.sample
+        step = max(1, _TRACE_GRID // data.histogram()[0].size)
+        chunks = [lams[i : i + step] for i in range(0, len(lams), step)]
+        stacks = (HistogramStack([data] * len(chunk)) for chunk in chunks)
+        return [ll for stack, chunk in zip(stacks, chunks) for ll in _logliks(stack, chunk)]
 
 
 def observed_loglik(data: CountSample, lam: float) -> float:
@@ -218,9 +241,10 @@ def em_fit(data: CountSample, config: FitConfig | None = None) -> FitResult:
 def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     """Fit every sample with the same config, iterating all of them
     together on their stacked histograms: each iteration makes one
-    digamma and one log_beta call for all samples still running, and a
-    sample leaves the stack when it stops. Each fit equals em_fit of its
-    sample alone.
+    digamma call for all samples still running, and a sample leaves the
+    stack when it stops. The loop computes no likelihood; each fit's
+    loglik_trace is computed when it is first read. Each fit equals
+    em_fit of its sample alone.
 
     Never raises mid-run on degenerate data: samples with every count
     equal to one (and a flat-or-increasing prior) have no interior
@@ -232,10 +256,7 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     samples = list(samples)
     starts = [init_lambda(data, config.init) for data in samples]
     stack = HistogramStack(samples)
-    fits = [
-        FitResult(lam, 0, [lam], [ll], MAX_ITER_REACHED)
-        for lam, ll in zip(starts, _logliks(stack, starts))
-    ]
+    fits = [FitResult(lam, 0, [lam], MAX_ITER_REACHED, data) for lam, data in zip(starts, samples)]
     if any(n + config.prior_a - 1.0 <= 0.0 for n in stack.n):
         raise ValueError("degenerate update: N + a - 1 must be positive")
     running = list(range(len(samples)))
@@ -243,13 +264,12 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
         prev = [fits[r].lambda_hat for r in running]
         lams = _updates(stack, prev, config.prior_a, config.prior_b)
         still = []
-        for r, lam, ll in zip(running, lams, _logliks(stack, lams)):
+        for r, lam in zip(running, lams):
             fit = fits[r]
             delta = abs(lam - fit.lambda_hat)
             fit.lambda_hat = lam
             fit.iterations += 1
             fit.trace.append(lam)
-            fit.loglik_trace.append(ll)
             if lam > config.divergence_ceiling:
                 fit.status = DIVERGING
             elif delta < config.tol:

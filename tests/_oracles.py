@@ -3,6 +3,7 @@
 import math
 import warnings
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from yulesimon import (
     CountSample,
     FitConfig,
-    FitResult,
     RngStream,
     TokenizerOptions,
     em_step,
@@ -204,7 +204,18 @@ def _loglik(data: CountSample, lam: float) -> float:
     return float(data.n * math.log(lam) + c @ log_beta(lam + 1.0, u.astype(np.float64)))
 
 
-def em_fit_loop(data: CountSample, config: FitConfig | None = None) -> FitResult:
+class LoopFit(NamedTuple):
+    """em_fit_loop's result: the fields of a FitResult, with the
+    likelihood trace evaluated at each iterate as the loop runs."""
+
+    lambda_hat: float
+    iterations: int
+    trace: list
+    loglik_trace: list
+    status: str
+
+
+def em_fit_loop(data: CountSample, config: FitConfig | None = None) -> LoopFit:
     """EM on one sample, iteration by iteration through em_step, with
     the same stopping rules as em_fit: the ceiling, tol, max_iter, and
     "diverging" for an all-ones sample that ran out of iterations."""
@@ -228,7 +239,7 @@ def em_fit_loop(data: CountSample, config: FitConfig | None = None) -> FitResult
     degenerate = config.prior_b == 0.0 and config.prior_a >= 1.0 and data.counts.max() == 1
     if status == "max_iter_reached" and degenerate:
         status = "diverging"
-    return FitResult(lam, iterations, trace, loglik_trace, status)
+    return LoopFit(lam, iterations, trace, loglik_trace, status)
 
 
 def harmonic_sum(lam: float, k: int) -> float:

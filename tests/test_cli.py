@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yulesimon import RngStream, read_count_file, sample_mixture, write_count_file
 from yulesimon.cli import main
@@ -82,10 +87,11 @@ def test_bad_prior_exits_1_naming_it(counts_file, capsys, command, flag, value):
 HUGE = "1000000000000"
 
 
-# each size would ask numpy for terabytes; it is refused before any array
-# is built, with no output file and one error line that names the flag
-# typed, the token before the size; the second column is the library
-# argument that the flag feeds
+# each size would ask numpy for terabytes (or, at 0 or below, for no
+# replication at all); it is refused before any array is built, with no
+# output file and one error line that names the flag typed, the token
+# before the size; the second column is the library argument that the
+# flag feeds
 @pytest.mark.parametrize("argv, argument", [
     (["gibbs", "COUNTS", "--samples", HUGE], "n_samples"),
     (["simulate", "--lambda", "0.6", "--n", HUGE, "--out", "OUT"], "n"),
@@ -94,14 +100,18 @@ HUGE = "1000000000000"
     (["experiment", "--lambda", "0.6", "--n", HUGE, "--reps", "1"], "n"),
     (["experiment", "--lambda", "0.6", "--n", "50", "--estimators", "gibbs",
       "--gibbs-samples", HUGE], "n_samples"),
+    (["experiment", "--lambda", "0.6", "--n", "50", "--reps", "0"], "n"),
+    (["experiment", "--lambda", "0.6", "--n", "50", "--reps", "-3"], "n"),
+    (["experiment", "--lambda", "0.6", "--n", "50", "--reps", HUGE], "n"),
 ])
 def test_huge_size_exits_1_naming_it(counts_file, tmp_path, capsys, argv, argument):
     out_path = tmp_path / "out.txt"
-    flag = argv[argv.index(HUGE) - 1]
+    size = next(a for a in argv if a in (HUGE, "0", "-3"))
+    flag = argv[argv.index(size) - 1]
     argv = [counts_file if a == "COUNTS" else str(out_path) if a == "OUT" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and not out_path.exists()
-    assert err.splitlines() == [f"ys: error: {flag} must be between 1 and 100000000, got {HUGE}"]
+    assert err.splitlines() == [f"ys: error: {flag} must be between 1 and 100000000, got {size}"]
     assert not err.startswith(f"ys: error: {argument} ")
 
 
@@ -270,3 +280,102 @@ def test_experiment_summary_and_csv(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "rep,estimator,lambda_hat,se,iters,status"
     assert len(lines) == 7
+
+
+# what a user may type for a flag, as (valid, invalid) values: small
+# valid values, and 0, negative, non-finite, above MAX_DRAWS (refused
+# before any array is built) and malformed ones; no valid size allocates
+# more than a few MB
+SIZES = (["2", "7", "60"], ["0", "-3", "nan", "inf", "100000001", HUGE, "1.5", "x"])
+REPS = (["1", "3"], SIZES[1])
+ITERATIONS = (["1", "3", "60"], ["0", "-3", "x"])
+BURN_IN = (["0", "1", "30"], ["-1", "x"])
+THIN = (["1", "3"], ["0", "-2"])
+REALS = (["0.6", "1.25", "5", "0.05", "1e-300"], ["0", "-1", "nan", "inf", "x"])
+INITS = (["mode_one", "moments", "0", "2.5"], ["-1", "nan", "x"])
+STREAMS = (["0", "7"], ["-1"])
+# count files, valid ones first: a mixture sample, all ones (no interior
+# maximum) and a count near the int64 limit; then malformed ones, and a
+# name that does not exist
+COUNT_FILES = {
+    "valid": "3\n1\n1\n7\n2\n1\n12\n1\n",
+    "ones": "1\n" * 20,
+    "near_limit": f"1\n2\n{2**62}\n",
+    "zero": "2\n0\n",
+    "too_big": f"{2**63}\n",
+    "signed": "+3\n-2\n",
+    "underscore": "1_0\n",
+    "words": "three\n",
+    "empty": "",
+    "binary": "\udcff\udcfe\n",
+}
+COUNT_NAMES = (list(COUNT_FILES)[:3], [*list(COUNT_FILES)[3:], "missing"])
+
+
+@st.composite
+def cli_argvs(draw, files: Path):
+    """argv for one subcommand. Each value is valid three times in four,
+    so that whole runs succeed too; optional flags are left out or drawn."""
+    def pick(choices):
+        valid, invalid = choices
+        return draw(st.sampled_from(invalid if draw(st.integers(0, 3)) == 0 else valid))
+
+    def flags(**choices):
+        return [arg for name, values in choices.items() if draw(st.booleans())
+                for arg in (f"--{name.replace('_', '-')}", pick(values))]
+
+    counts = str(files / pick(COUNT_NAMES))
+    out = str(files / "out" / pick((["a.txt"], ["missing/a.txt"])))
+    command = draw(st.sampled_from(["fit", "diagnose", "gibbs", "simulate", "text", "experiment"]))
+    if command in ("fit", "diagnose"):
+        return [command, counts, *flags(tol=REALS, max_iter=ITERATIONS, prior_a=REALS,
+                                        prior_b=REALS, init=INITS)]
+    if command == "gibbs":
+        return ["gibbs", counts, "--samples", pick(SIZES), "--burn-in", pick(BURN_IN),
+                *flags(thin=THIN, prior_a=REALS, prior_b=REALS, seed=STREAMS, stream=STREAMS,
+                       lambda_init=REALS, chain_file=([out], [str(files)]))]
+    if command == "simulate":
+        return ["simulate", "--lambda", pick(REALS), "--n", pick(SIZES), "--out", out,
+                *flags(generator=(["mixture", "urn"], ["bogus"]), seed=STREAMS, stream=STREAMS)]
+    if command == "text":
+        return ["text", pick(([str(FIXTURE)], [counts])), "--counts", out,
+                *draw(st.lists(st.sampled_from(["--no-strip", "--keep-apostrophes",
+                                                "--keep-digits"]), unique=True)),
+                *flags(tsv=([out + ".tsv"], [str(files)]))]
+    return ["experiment", "--lambda", pick(REALS), "--n", pick(SIZES), "--reps", pick(REPS),
+            "--gibbs-samples", pick(SIZES), "--gibbs-burn-in", pick(BURN_IN),
+            *flags(generator=(["mixture", "urn"], ["bogus"]),
+                   estimators=(["em", "gibbs", "em,gibbs"], ["", "bogus"]),
+                   seed=STREAMS, stream=STREAMS, tol=REALS, max_iter=ITERATIONS,
+                   csv=([out], [str(files)]))]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("cli_files")
+    for name, text in COUNT_FILES.items():
+        (files / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+    (files / "out").mkdir()
+    return files
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_no_argv_ends_in_a_traceback(cli_files, data):
+    """Every drawn run exits 0, 1 or 2 (an exception main lets through
+    fails the test, as it would print a traceback), and an exit 1 prints
+    one error line. Warnings about the drawn data are expected."""
+    argv = data.draw(cli_argvs(cli_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert sum(line.startswith("ys: error: ") for line in err.splitlines()) == 1

@@ -20,8 +20,9 @@ from yulesimon import (
     sample_mixture,
     standard_error,
 )
-from yulesimon.em import CONVERGED, DIVERGING, MAX_ITER_REACHED
-from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
+from yulesimon import em
+from yulesimon.em import CONVERGED, DIVERGING, MAX_ITER_REACHED, em_fit_stacked
+from yulesimon.special import log_beta, pooled_harmonic_sum, pooled_harmonic_sum_sq
 
 from _oracles import (
     finite_em_step,
@@ -156,6 +157,50 @@ def test_em_loglik_trace_ascends_at_tight_tol_near_lambda_50():
     fit = em_fit(data, FitConfig(tol=1e-10, max_iter=4000))
     assert fit.converged
     assert np.all(np.diff(fit.loglik_trace[1:]) >= -1e-10)
+
+
+@pytest.fixture()
+def log_beta_calls(monkeypatch):
+    """The calls em makes to log_beta, one entry per call."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(np.size(a))
+        return log_beta(a, b)
+
+    monkeypatch.setattr(em, "log_beta", counted)
+    return calls
+
+
+def _loglik_hex(data, lams):
+    return [(observed_loglik(data, lam) if lam > 0.0 else -math.inf).hex() for lam in lams]
+
+
+def test_em_iterates_without_the_likelihood(log_beta_calls):
+    samples = [random_dataset(lam, 400, seed) for lam, seed in [(0.6, 1), (1.25, 2), (5.0, 3)]]
+    fits = em_fit_stacked(samples) + [em_fit(samples[0], FitConfig(init=0.0))]
+    assert log_beta_calls == []
+    # one log_beta call per fit on first read, none on the second
+    got = [fit.loglik_trace for fit in fits]
+    assert len(log_beta_calls) == len(fits)
+    assert [fit.loglik_trace for fit in fits] == got
+    assert len(log_beta_calls) == len(fits)
+    assert got[-1][0] == -math.inf  # the lambda = 0 start
+    for fit, data in zip(fits, samples + samples[:1]):
+        assert [x.hex() for x in fit.loglik_trace] == _loglik_hex(data, fit.trace)
+
+
+def test_loglik_trace_of_a_long_fit_is_read_in_chunks(log_beta_calls):
+    # 139 distinct counts put 2**16 // 139 = 471 iterates in a chunk, so the
+    # 501 iterates of a fit that runs out of iterations take two calls
+    data = CountSample(np.concatenate([np.ones(300_000, dtype=np.int64), np.arange(2, 140)]))
+    fit = em_fit(data, FitConfig(tol=1e-12, max_iter=500))
+    assert fit.status == MAX_ITER_REACHED and len(fit.trace) == 501
+    assert log_beta_calls == []
+    trace = fit.loglik_trace
+    assert log_beta_calls == [471 * 139, 30 * 139]
+    assert all(size <= em._TRACE_GRID for size in log_beta_calls)
+    assert [x.hex() for x in trace] == _loglik_hex(data, fit.trace)
 
 
 def test_em_fit_fixed_point_residual():

@@ -438,3 +438,7 @@ def test_stacked_fits_match_the_one_sample_loop(block):
         warnings.simplefilter("ignore")
         parts = em_fit_stacked(samples[:split], config) + em_fit_stacked(samples[split:], config)
     assert parts == fits
+    # FitResult equality leaves out the likelihood trace, computed on first read
+    assert [[x.hex() for x in f.loglik_trace] for f in parts] == [
+        [x.hex() for x in f.loglik_trace] for f in fits
+    ]
