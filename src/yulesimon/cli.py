@@ -31,7 +31,7 @@ from .distribution import (
 )
 from .em import CONVERGED, FitConfig, em_fit
 from .experiment import ExperimentSpec, run_experiment, write_replication_csv
-from .gibbs import GibbsConfig, gibbs_run
+from .gibbs import GibbsConfig, _check_burn_in, gibbs_run
 from .information import standard_error
 
 __all__ = ["main"]
@@ -125,6 +125,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_gibbs(args) -> int:
     _check_size(args.samples, "--samples")
+    _check_burn_in(args.samples, args.burn_in, ("--samples", "--burn-in"))
     data = read_count_file(args.input)
     config = GibbsConfig(
         prior_a=args.prior_a,
@@ -184,16 +185,23 @@ def _cmd_text(args) -> int:
 def _cmd_experiment(args) -> int:
     _check_size(args.n, "--n")
     _check_size(args.reps, "--reps")
-    _check_size(args.gibbs_samples, "--gibbs-samples")
+    estimators = tuple(args.estimators.split(","))
+    # the Gibbs flags are checked and used only when a chain runs
+    gibbs_config = GibbsConfig()
+    if "gibbs" in estimators:
+        _check_size(args.gibbs_samples, "--gibbs-samples")
+        _check_burn_in(args.gibbs_samples, args.gibbs_burn_in,
+                       ("--gibbs-samples", "--gibbs-burn-in"))
+        gibbs_config = GibbsConfig(n_samples=args.gibbs_samples, burn_in=args.gibbs_burn_in)
     spec = ExperimentSpec(
         true_lambda=args.lam,
         n=args.n,
         n_rep=args.reps,
         generator=args.generator,
-        estimators=tuple(args.estimators.split(",")),
+        estimators=estimators,
         seed=RngStream(args.seed, args.stream),
         fit_config=FitConfig(tol=args.tol, max_iter=args.max_iter),
-        gibbs_config=GibbsConfig(n_samples=args.gibbs_samples, burn_in=args.gibbs_burn_in),
+        gibbs_config=gibbs_config,
     )
     summary = run_experiment(spec)
     if args.csv:

@@ -40,6 +40,11 @@ _MAX_COUNT = 2**62
 # counts per write in write_count_file: a block's working arrays take at
 # most about 60 bytes a count, so under 4 MB at any sample size
 _WRITE_BLOCK = 2**16
+# bytes per block of the array reader: a block's working arrays take a
+# few hundred KB, which the allocator serves from its heap again and
+# again; arrays the size of a large file would be mapped, and their
+# pages faulted in, afresh on every read
+_READ_BLOCK = 2**16
 _INT64_MAX = 2**63 - 1
 # the longest line the array reader takes: 19 digits stay below 2**64
 _MAX_DIGITS = 19
@@ -252,9 +257,9 @@ def read_count_file(path) -> CountSample:
 
     A file of 1- to 19-digit lines of ASCII digits, each ended by a line
     end, every count from 1 to 2**63 - 1 (write_count_file's layout, or
-    the same with CR or CRLF ends) is parsed as one byte array. Every
-    other file is parsed line by line, which accepts the rest of the
-    format and names the first bad line."""
+    the same with CR or CRLF ends) is parsed as byte arrays, one block
+    of lines at a time. Every other file is parsed line by line, which
+    accepts the rest of the format and names the first bad line."""
     with open(path, "rb") as fh:
         raw = fh.read()
     # universal newlines, as a text-mode read translates them; the
@@ -276,35 +281,61 @@ def _parse_digit_lines(raw: bytes) -> np.ndarray | None:
     """The counts of a file of 1- to 19-digit ASCII lines, each ended
     by LF, all from 1 to 2**63 - 1; None for any other file.
 
-    Lines are grouped by digit count L, and each group's values are
-    built by L Horner steps over uint8 gathers. They accumulate in
-    uint64, where 19 digits cannot wrap; viewed as int64, a value above
-    2**63 - 1 turns negative, so one check rejects it and 0 alike."""
+    The bytes are parsed in blocks of at most _READ_BLOCK, each cut just
+    after an LF, into slices of one output array sized by the LF count.
+    The values accumulate in uint64, where 19 digits cannot wrap; viewed
+    as int64, a value above 2**63 - 1 turns negative, so one check
+    rejects it and 0 alike."""
     if not raw.endswith(b"\n"):
         return None
-    digits = np.frombuffer(raw, np.uint8) - 48
+    out = np.empty(raw.count(b"\n"), dtype=np.uint64)
+    start = done = 0
+    while start < len(raw):
+        # a window of _READ_BLOCK bytes without an LF holds part of a line
+        # of more than 19 digits
+        stop = raw.rfind(b"\n", start, start + _READ_BLOCK) + 1
+        if stop <= start:
+            return None
+        done = _parse_block(np.frombuffer(raw, np.uint8, stop - start, start) - 48, out, done)
+        if done is None:
+            return None
+        start = stop
+    counts = out.view(np.int64)
+    return counts if counts.min() >= 1 else None
+
+
+def _parse_block(digits: np.ndarray, out: np.ndarray, done: int) -> int | None:
+    """Parse one block of _parse_digit_lines, its bytes less 48 as uint8
+    and its last byte an LF, into out from index done on; the index after
+    its last line, or None when a line is outside the array format.
+
+    Each line's last digit is taken in one gather. Each pass then steps
+    one byte to the left and adds digit * 10**j to the lines that still
+    have a digit there; in Yule-Simon data most lines have one or two
+    digits, so the passes shrink fast. The byte left of a block's first line is read at index
+    -1, the block's final LF, so every line is bounded by a non-digit."""
     ends = np.flatnonzero(digits > 9)
     # uint8 arithmetic takes LF (10) to 10 - 48 + 256
     if np.any(digits[ends] != 218):
         return None
-    lengths = np.diff(ends, prepend=-1) - 1
-    longest = int(lengths.max())
-    if lengths.min() < 1 or longest > _MAX_DIGITS:
+    pos = ends - 1
+    digit = digits[pos]
+    # an LF before an LF: an empty line
+    if digit.max() > 9:
         return None
-    out = np.empty(ends.size, dtype=np.uint64)
-    for width in range(1, longest + 1):
-        rows = np.flatnonzero(lengths == width)
-        if not rows.size:
-            continue
-        pos = ends[rows] - width
-        value = digits[pos].astype(np.uint64)
-        for _ in range(width - 1):
-            pos += 1
-            value *= 10
-            value += digits[pos]
-        out[rows] = value
-    counts = out.view(np.int64)
-    return counts if counts.min() >= 1 else None
+    value = out[done:done + ends.size]
+    value[:] = digit
+    rows = np.arange(ends.size)
+    for power in _POWERS_OF_TEN:
+        pos -= 1
+        digit = digits[pos]
+        more = np.flatnonzero(digit <= 9)
+        if not more.size:
+            return done + ends.size
+        rows, pos = rows[more], pos[more]
+        value[rows] += digit[more] * power
+    # a line with a digit left of its 19th
+    return None if np.any(digits[pos - 1] <= 9) else done + ends.size
 
 
 def _parse_lines(lines) -> list[int]:

@@ -57,6 +57,13 @@ _BLOCK = 256
 _BLOCK_VARIATES = 2**18
 
 
+def _check_burn_in(n_samples: int, burn_in: int, names=("n_samples", "burn_in")) -> None:
+    """ValueError, naming the two sizes by names, unless
+    n_samples > burn_in >= 0."""
+    if burn_in < 0 or n_samples <= burn_in:
+        raise ValueError(f"need {names[0]} > {names[1]} >= 0, got {n_samples} and {burn_in}")
+
+
 @dataclass
 class GibbsConfig:
     """Sampler controls; defaults are 8000 draws (at most MAX_DRAWS of
@@ -76,8 +83,7 @@ class GibbsConfig:
     def __post_init__(self):
         _check_prior(self.prior_a, self.prior_b)
         _check_size(self.n_samples, "n_samples")
-        if self.burn_in < 0 or self.n_samples <= self.burn_in:
-            raise ValueError("need n_samples > burn_in >= 0")
+        _check_burn_in(self.n_samples, self.burn_in)
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
         retained = len(range(self.burn_in, self.n_samples, self.thin))

@@ -143,6 +143,42 @@ def write_count_file_join(path, sample: CountSample) -> None:
             fh.write("\n".join(map(str, counts[start:start + 4096].tolist())) + "\n")
 
 
+def parse_digit_lines_by_width(raw: bytes) -> np.ndarray | None:
+    """The counts of a file of 1- to 19-digit ASCII lines, each ended
+    by LF, all from 1 to 2**63 - 1; None for any other file. The whole
+    file is one byte array.
+
+    Lines are grouped by digit count L, and each group's values are
+    built by L Horner steps over uint8 gathers. They accumulate in
+    uint64, where 19 digits cannot wrap; viewed as int64, a value above
+    2**63 - 1 turns negative, so one check rejects it and 0 alike."""
+    if not raw.endswith(b"\n"):
+        return None
+    digits = np.frombuffer(raw, np.uint8) - 48
+    ends = np.flatnonzero(digits > 9)
+    # uint8 arithmetic takes LF (10) to 10 - 48 + 256
+    if np.any(digits[ends] != 218):
+        return None
+    lengths = np.diff(ends, prepend=-1) - 1
+    longest = int(lengths.max())
+    if lengths.min() < 1 or longest > 19:
+        return None
+    out = np.empty(ends.size, dtype=np.uint64)
+    for width in range(1, longest + 1):
+        rows = np.flatnonzero(lengths == width)
+        if not rows.size:
+            continue
+        pos = ends[rows] - width
+        value = digits[pos].astype(np.uint64)
+        for _ in range(width - 1):
+            pos += 1
+            value *= 10
+            value += digits[pos]
+        out[rows] = value
+    counts = out.view(np.int64)
+    return counts if counts.min() >= 1 else None
+
+
 def conditional_lambda_draw(sum_w, n: int, prior_a: float, prior_b: float, rng, size=None):
     """Draw lam | w, k ~ Gamma(shape a+n, rate b+sum_w); one float when
     size is None, else an array."""

@@ -115,6 +115,30 @@ def test_huge_size_exits_1_naming_it(counts_file, tmp_path, capsys, argv, argume
     assert not err.startswith(f"ys: error: {argument} ")
 
 
+# a burn-in as long as the chain is refused, naming the flags typed
+@pytest.mark.parametrize("argv, flags", [
+    (["gibbs", "COUNTS", "--samples", "60"], ("--samples", "--burn-in")),
+    (["experiment", "--lambda", "0.6", "--n", "50", "--reps", "2", "--estimators", "em,gibbs",
+      "--gibbs-samples", "60"], ("--gibbs-samples", "--gibbs-burn-in")),
+])
+def test_burn_in_error_names_the_flags(counts_file, capsys, argv, flags):
+    argv = [counts_file if a == "COUNTS" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"ys: error: need {flags[0]} > {flags[1]} >= 0, got 60 and 500"]
+
+
+def test_experiment_without_gibbs_ignores_the_gibbs_flags(capsys):
+    # the default burn-in of 500 exceeds 60 draws, but no chain runs
+    code, out, err = run_cli(capsys, "experiment", "--lambda", "0.6", "--n", "50", "--reps", "2",
+                             "--gibbs-samples", "60", "--seed", "1")
+    assert code == 0 and err == ""
+    _, default, _ = run_cli(capsys, "experiment", "--lambda", "0.6", "--n", "50", "--reps", "2",
+                            "--seed", "1")
+    assert out == default
+    assert set(json.loads(out)["estimators"]) == {"em"}
+
+
 def test_fit_missing_file_exits_1(capsys):
     code, _, err = run_cli(capsys, "fit", "/nonexistent/file.txt")
     assert code == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -262,6 +263,23 @@ def test_count_file_blocks_write_one_line_per_count(tmp_path, n):
     write_count_file(path, sample)
     assert path.read_text(encoding="utf-8") == "".join(f"{k}\n" for k in counts)
     assert read_count_file(path) == sample
+
+
+def test_reading_a_count_file_takes_little_more_than_the_counts(tmp_path):
+    # the traced peak of a read may hold the file's bytes, the parsed
+    # counts and CountSample's copy of them (8 bytes a count each), and
+    # 2 MB of working arrays, whatever the file's size
+    n = 2**18
+    path = tmp_path / "counts.txt"
+    write_count_file(path, sample_mixture(0.6, n, RngStream(5)))
+    tracemalloc.start()
+    try:
+        sample = read_count_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.n == n
+    assert peak <= path.stat().st_size + 16 * n + 2 * 2**20
 
 
 def test_count_file_errors_name_the_line(tmp_path):

@@ -33,7 +33,7 @@ from yulesimon import (
     write_count_file,
     write_tsv,
 )
-from yulesimon.distribution import _WRITE_BLOCK, _parse_digit_lines, _parse_lines
+from yulesimon.distribution import _READ_BLOCK, _WRITE_BLOCK, _parse_digit_lines, _parse_lines
 from yulesimon.em import em_fit_stacked
 from yulesimon.information import standard_errors
 from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
@@ -44,6 +44,7 @@ from _oracles import (
     finite_pooled_sum,
     finite_pooled_sum_sq,
     oakes_standard_error,
+    parse_digit_lines_by_width,
     posterior_mode,
     posterior_moments,
     sorted_items_keyed,
@@ -210,6 +211,43 @@ def count_file_texts(draw):
     return "".join(f"{'0' * z}{v}\n" for z, v in zip(zeros.tolist(), values.tolist()))
 
 
+def filler_lines(g: np.random.Generator, size: int) -> list[str]:
+    """Lines of 1 to 19 digits, a tenth of them with leading zeros, of
+    size >= 2 bytes in all."""
+    width = g.integers(1, 19, size=size // 2, endpoint=True)
+    # the lines that end at least 2 bytes before size; the rest, 2 to 21
+    # bytes, is one line or two
+    n = int(np.searchsorted(np.cumsum(width + 1), size - 2, side="right"))
+    rest = size - int((width[:n] + 1).sum())
+    tail = [rest] if rest <= 20 else [rest // 2, rest - rest // 2]
+    width = np.concatenate([width[:n], np.array(tail) - 1])
+    digits = np.where(g.random(width.size) < 0.1, g.integers(1, width, endpoint=True), width)
+    values = values_of_width(g, digits)
+    return [f"{v:0{w}d}\n" for w, v in zip(width.tolist(), values.tolist())]
+
+
+@st.composite
+def read_block_texts(draw):
+    """Text of 2 to 4 blocks of the array reader, each block but the
+    last cut next to a line of 2**63 - 1 and a line of another 19-digit
+    value, drawn in either order. The first of the two lines ends a
+    drawn 0 to 19 bytes before the last byte of the reader's window of
+    _READ_BLOCK bytes, and the block is cut after it, or 1 to 19 bytes
+    past that byte, and the block is cut before it."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines, size, start = [], 0, 0
+    for _ in range(draw(st.integers(1, 3))):
+        shift = draw(st.integers(-19, 19))
+        first_end = start + _READ_BLOCK - 1 - shift
+        pair = [f"{2**63 - 1}\n", f"{int(values_of_width(g, 19))}\n"]
+        lines += filler_lines(g, first_end - 19 - size) + pair[::draw(st.sampled_from([1, -1]))]
+        size = first_end + 21
+        start = first_end + 1 if shift >= 0 else first_end - 19
+    # at most one block from the last cut on
+    lines += filler_lines(g, draw(st.integers(2, _READ_BLOCK - 40)))
+    return "".join(lines)
+
+
 def _read_outcome(path):
     try:
         return read_count_file(path).counts.tolist()
@@ -236,11 +274,37 @@ def test_array_reader_matches_int_on_valid_files(text, tmp_path_factory):
     assert read_count_file(path).counts.tolist() == want
 
 
-PERTURBATIONS = ("crlf", "cr", "spaces", "blank", "no_final_newline", "zero", "too_big")
-
-
 @reproducible
-@given(text=count_file_texts(), kind=st.sampled_from(PERTURBATIONS), at=st.floats(0.0, 1.0))
+@given(text=read_block_texts())
+def test_array_reader_matches_int_across_read_blocks(text, tmp_path_factory):
+    raw = text.encode("ascii")
+    assert _READ_BLOCK < len(raw) <= 4 * _READ_BLOCK
+    want = [int(x) for x in text.split()]
+    assert _parse_digit_lines(raw).tolist() == want
+    assert parse_digit_lines_by_width(raw).tolist() == want
+    path = tmp_path_factory.mktemp("counts") / "blocks.txt"
+    path.write_bytes(raw)
+    assert read_count_file(path).counts.tolist() == want
+
+
+# twenty_digits puts a 1 before the line padded to 19 digits: its last
+# 19 digits are a valid count, but the line is 10**19 or more
+PERTURBATIONS = ("crlf", "cr", "spaces", "blank", "no_final_newline", "zero", "too_big",
+                 "twenty_digits")
+
+
+# two read blocks, the second holding a single line, on which the
+# perturbation falls
+TWO_BLOCKS = "7\n" * (_READ_BLOCK // 2) + "12\n"
+
+
+# at = 1 perturbs the last line, which is in the last read block
+@reproducible
+@given(text=st.one_of(count_file_texts(), read_block_texts()),
+       kind=st.sampled_from(PERTURBATIONS), at=st.floats(0.0, 1.0) | st.just(1.0))
+@example(text=TWO_BLOCKS, kind="zero", at=1.0)
+@example(text=TWO_BLOCKS, kind="too_big", at=1.0)
+@example(text=TWO_BLOCKS, kind="twenty_digits", at=1.0)
 def test_reader_matches_line_parser_off_the_array_format(text, kind, at, tmp_path_factory):
     lines = text.split("\n")[:-1]
     i = min(int(at * len(lines)), len(lines) - 1)
@@ -252,14 +316,14 @@ def test_reader_matches_line_parser_off_the_array_format(text, kind, at, tmp_pat
         text = text[:-1]
     else:
         lines[i] = {"spaces": f"  {lines[i]} ", "blank": f"\n{lines[i]}", "zero": "0",
-                    "too_big": "9" * 19}[kind]
+                    "too_big": "9" * 19, "twenty_digits": f"1{lines[i]:0>19}"}[kind]
         text = "\n".join(lines) + "\n"
     assert _parse_digit_lines(text.encode("ascii")) is None
     path = tmp_path_factory.mktemp("counts") / f"{kind}.txt"
     path.write_bytes(text.encode("ascii"))
     got = _read_outcome(path)
     assert got == _line_parser_outcome(text)
-    if kind in ("zero", "too_big"):
+    if kind in ("zero", "too_big", "twenty_digits"):
         assert got.startswith(f"line {i + 1}: ")
 
 
