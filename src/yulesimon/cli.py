@@ -4,7 +4,8 @@ All commands read and write the one-integer-per-line count format and
 emit machine-readable reports (JSON on stdout, CSV where per-row data
 is produced). YS_SEED provides the default seed. Exit codes: 0 success
 (fit/diagnose additionally require a converged estimate), 2 when the
-fit did not converge, 1 on I/O or format errors.
+fit did not converge, 1 on I/O or format errors and on a refused value,
+with one error line that names the flag typed for it.
 """
 
 from __future__ import annotations
@@ -20,19 +21,12 @@ import numpy as np
 
 from .convergence import diagnose
 from .corpus import TokenizerOptions, strip_gutenberg, to_count_sample, tokenize_count, write_tsv
-from .distribution import (
-    CountFileError,
-    RngStream,
-    _check_size,
-    read_count_file,
-    sample_mixture,
-    sample_urn,
-    write_count_file,
-)
+from .distribution import RngStream, read_count_file, sample_mixture, sample_urn, write_count_file
 from .em import CONVERGED, FitConfig, em_fit
 from .experiment import ExperimentSpec, run_experiment, write_replication_csv
-from .gibbs import GibbsConfig, _check_burn_in, gibbs_run
+from .gibbs import GibbsConfig, gibbs_run
 from .information import standard_error
+from .special import FieldError
 
 __all__ = ["main"]
 
@@ -74,10 +68,11 @@ def _emit(payload: dict) -> None:
 
 def _fit_and_diagnose(args):
     """Read the count file, fit it and diagnose the fit: the shared part
-    of ys fit and ys diagnose."""
+    of ys fit and ys diagnose. The flags are checked before the read."""
+    config = FitConfig(prior_a=args.prior_a, prior_b=args.prior_b, tol=args.tol,
+                       max_iter=args.max_iter, init=args.init)
     data = read_count_file(args.input)
-    fit = em_fit(data, FitConfig(prior_a=args.prior_a, prior_b=args.prior_b, tol=args.tol,
-                                 max_iter=args.max_iter, init=args.init))
+    fit = em_fit(data, config)
     return data, fit, diagnose(data, fit, args.prior_a, args.prior_b)
 
 
@@ -124,19 +119,10 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
-    _check_size(args.samples, "--samples")
-    _check_burn_in(args.samples, args.burn_in, ("--samples", "--burn-in"))
-    data = read_count_file(args.input)
-    config = GibbsConfig(
-        prior_a=args.prior_a,
-        prior_b=args.prior_b,
-        n_samples=args.samples,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        seed=RngStream(args.seed, args.stream),
-        lambda_init=args.lambda_init,
-    )
-    result = gibbs_run(data, config)
+    config = GibbsConfig(prior_a=args.prior_a, prior_b=args.prior_b, n_samples=args.n_samples,
+                         burn_in=args.burn_in, thin=args.thin, lambda_init=args.lambda_init,
+                         seed=RngStream(args.seed, args.stream_id))
+    result = gibbs_run(read_count_file(args.input), config)
     payload = {
         "posterior_mean": result.posterior_mean,
         "posterior_sd": result.posterior_sd,
@@ -152,12 +138,8 @@ def _cmd_gibbs(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _check_size(args.n, "--n")
-    rng = RngStream(args.seed, args.stream)
-    if args.generator == "urn":
-        sample = sample_urn(args.lam, args.n, rng)
-    else:
-        sample = sample_mixture(args.lam, args.n, rng)
+    generate = sample_urn if args.generator == "urn" else sample_mixture
+    sample = generate(args.lam, args.n, RngStream(args.seed, args.stream_id))
     write_count_file(args.out, sample)
     print(
         f"n={sample.n} mean={sample.sample_mean():.6g} max={int(sample.counts.max())}",
@@ -183,25 +165,14 @@ def _cmd_text(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    _check_size(args.n, "--n")
-    _check_size(args.reps, "--reps")
     estimators = tuple(args.estimators.split(","))
-    # the Gibbs flags are checked and used only when a chain runs
-    gibbs_config = GibbsConfig()
-    if "gibbs" in estimators:
-        _check_size(args.gibbs_samples, "--gibbs-samples")
-        _check_burn_in(args.gibbs_samples, args.gibbs_burn_in,
-                       ("--gibbs-samples", "--gibbs-burn-in"))
-        gibbs_config = GibbsConfig(n_samples=args.gibbs_samples, burn_in=args.gibbs_burn_in)
     spec = ExperimentSpec(
-        true_lambda=args.lam,
-        n=args.n,
-        n_rep=args.reps,
-        generator=args.generator,
-        estimators=estimators,
-        seed=RngStream(args.seed, args.stream),
+        true_lambda=args.true_lambda, n=args.n, n_rep=args.n_rep, generator=args.generator,
+        estimators=estimators, seed=RngStream(args.seed, args.stream_id),
         fit_config=FitConfig(tol=args.tol, max_iter=args.max_iter),
-        gibbs_config=gibbs_config,
+        # the Gibbs flags are checked and used only when a chain runs
+        gibbs_config=(GibbsConfig(n_samples=args.n_samples, burn_in=args.burn_in)
+                      if "gibbs" in estimators else GibbsConfig()),
     )
     summary = run_experiment(spec)
     if args.csv:
@@ -225,7 +196,8 @@ def _cmd_experiment(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first call and shared by every
     later call in the process; each subcommand names its handler as
-    the default of args.handler."""
+    the default of args.handler, and as args.flags the flag of each
+    option by its dest, the library field it sets."""
     parser = argparse.ArgumentParser(
         prog="ys",
         description="Yule-Simon rate estimation: EM and Gibbs, with diagnostics.",
@@ -244,13 +216,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gibbs = sub.add_parser("gibbs", help="posterior sampling of a count file")
     p_gibbs.add_argument("input")
-    p_gibbs.add_argument("--samples", type=int, default=GibbsConfig.n_samples)
+    p_gibbs.add_argument("--samples", dest="n_samples", type=int, default=GibbsConfig.n_samples)
     p_gibbs.add_argument("--burn-in", type=int, default=GibbsConfig.burn_in)
     p_gibbs.add_argument("--thin", type=int, default=GibbsConfig.thin)
     p_gibbs.add_argument("--prior-a", type=float, default=GibbsConfig.prior_a)
     p_gibbs.add_argument("--prior-b", type=float, default=GibbsConfig.prior_b)
     p_gibbs.add_argument("--seed", type=int, default=None)
-    p_gibbs.add_argument("--stream", type=int, default=0)
+    p_gibbs.add_argument("--stream", dest="stream_id", type=int, default=0)
     p_gibbs.add_argument("--lambda-init", type=float, default=GibbsConfig.lambda_init)
     p_gibbs.add_argument("--chain-file", help="write retained draws as iter,lambda CSV")
     p_gibbs.set_defaults(handler=_cmd_gibbs)
@@ -260,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--generator", choices=("mixture", "urn"), default="mixture")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--stream", type=int, default=0)
+    p_sim.add_argument("--stream", dest="stream_id", type=int, default=0)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(handler=_cmd_simulate)
 
@@ -275,19 +247,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_text.set_defaults(handler=_cmd_text)
 
     p_exp = sub.add_parser("experiment", help="replicated synthetic study")
-    p_exp.add_argument("--lambda", dest="lam", type=float, required=True)
+    p_exp.add_argument("--lambda", dest="true_lambda", type=float, required=True)
     p_exp.add_argument("--n", type=int, required=True)
-    p_exp.add_argument("--reps", type=int, default=200)
+    p_exp.add_argument("--reps", dest="n_rep", type=int, default=200)
     p_exp.add_argument("--generator", choices=("mixture", "urn"), default="mixture")
     p_exp.add_argument("--estimators", default="em", help="comma list from {em,gibbs}")
     p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--stream", type=int, default=0)
+    p_exp.add_argument("--stream", dest="stream_id", type=int, default=0)
     p_exp.add_argument("--tol", type=float, default=FitConfig.tol)
     p_exp.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
-    p_exp.add_argument("--gibbs-samples", type=int, default=GibbsConfig.n_samples)
-    p_exp.add_argument("--gibbs-burn-in", type=int, default=GibbsConfig.burn_in)
+    p_exp.add_argument("--gibbs-samples", dest="n_samples", type=int,
+                       default=GibbsConfig.n_samples)
+    p_exp.add_argument("--gibbs-burn-in", dest="burn_in", type=int, default=GibbsConfig.burn_in)
     p_exp.add_argument("--csv", help="write per-replication records here")
     p_exp.set_defaults(handler=_cmd_experiment)
+
+    for command in sub.choices.values():
+        command.set_defaults(flags={action.dest: action.option_strings[-1]
+                                    for action in command._actions if action.option_strings})
 
     return parser
 
@@ -298,8 +275,9 @@ def main(argv=None) -> int:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         return args.handler(args)
-    except (CountFileError, OSError, ValueError) as exc:
-        print(f"ys: error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        message = exc.rename(args.flags) if isinstance(exc, FieldError) else exc
+        print(f"ys: error: {message}", file=sys.stderr)
         return 1
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import _check_lambda, log_beta
+from .special import FieldError, _check_lambda, log_beta
 
 __all__ = [
     "RngStream",
@@ -50,10 +50,10 @@ _INT64_MAX = 2**63 - 1
 _MAX_DIGITS = 19
 # 10**1 .. 10**18: a count has one digit more than the powers it reaches
 _POWERS_OF_TEN = 10 ** np.arange(1, _MAX_DIGITS, dtype=np.uint64)
-# the largest size accepted for n of sample_mixture, total_items of
-# sample_urn and GibbsConfig.n_samples: each builds a few 8-byte arrays of
-# that length, so this bounds a run to a few GB, and a larger size is
-# refused before anything is allocated
+# the largest size accepted for n of sample_mixture and sample_urn,
+# GibbsConfig.n_samples and ExperimentSpec.n and n_rep: each builds a
+# few 8-byte arrays of that length, so this bounds a run to a few GB,
+# and a larger size is refused before anything is allocated
 MAX_DRAWS = 10**8
 
 
@@ -69,6 +69,11 @@ class RngStream:
     seed: int
     stream_id: int = 0
     subkeys: tuple[int, ...] = field(default=())
+
+    def __post_init__(self):
+        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if not (isinstance(value, (int, np.integer)) and value >= 0):
+                raise FieldError("{%s} must be a non-negative integer, got {!r}" % name, value)
 
     def generator(self) -> np.random.Generator:
         key = (self.stream_id, *self.subkeys)
@@ -139,16 +144,16 @@ class CountSample:
 
 
 def _check_prior(prior_a: float, prior_b: float) -> None:
-    """ValueError unless the Gamma prior shape and rate are finite and >= 0."""
+    """FieldError unless the Gamma prior shape and rate are finite and >= 0."""
     for name, value in (("prior_a", prior_a), ("prior_b", prior_b)):
         if not (value >= 0.0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            raise FieldError("{%s} must be finite and >= 0, got {!r}" % name, value)
 
 
-def _check_size(value: int, name: str) -> None:
-    """ValueError unless 1 <= value <= MAX_DRAWS."""
+def _check_size(value: int, field: str) -> None:
+    """FieldError on field unless 1 <= value <= MAX_DRAWS."""
     if not 1 <= value <= MAX_DRAWS:
-        raise ValueError(f"{name} must be between 1 and {MAX_DRAWS}, got {value}")
+        raise FieldError("{%s} must be between 1 and {}, got {}" % field, MAX_DRAWS, value)
 
 
 def log_pmf(k, lam: float):
@@ -197,7 +202,7 @@ def sample_mixture(lam: float, n: int, rng) -> CountSample:
     return CountSample(np.minimum(np.maximum(raw, 1.0), float(_MAX_COUNT)).astype(np.int64))
 
 
-def sample_urn(lam: float, total_items: int, rng) -> CountSample:
+def sample_urn(lam: float, n: int, rng) -> CountSample:
     """Simon preferential-attachment process returning category counts.
 
     Each arrival starts a new category with the innovation probability
@@ -214,24 +219,24 @@ def sample_urn(lam: float, total_items: int, rng) -> CountSample:
     reaches every root in O(log depth) array passes. The roots are the
     innovations, so the tree sizes taken in arrival order of the roots
     are the counts the arrival-by-arrival process gives for the same
-    draws, category by category in order of creation. total_items is at
-    most MAX_DRAWS.
+    draws, category by category in order of creation. n, the number of
+    arrivals, is at most MAX_DRAWS.
     """
     lam = _check_lambda(lam)
     if lam <= 1.0:
-        raise ValueError("the urn generator requires lambda > 1")
-    _check_size(total_items, "total_items")
+        raise FieldError("the urn generator requires {lam} > 1", lam="lambda")
+    _check_size(n, "n")
     g = _as_generator(rng)
     alpha = 1.0 - 1.0 / lam
-    innovate = g.random(total_items) < alpha
-    pick = g.random(total_items)
+    innovate = g.random(n) < alpha
+    pick = g.random(n)
     innovate[0] = True
-    parent = np.arange(total_items, dtype=np.int64)
+    parent = np.arange(n, dtype=np.int64)
     pick *= parent
     # truncation of the float product pick * t, as int() takes it
     np.copyto(parent, pick, casting="unsafe", where=~innovate)
     # each spent buffer is freed, so no more than two 8-byte arrays of
-    # total_items are alive at a time
+    # n are alive at a time
     del pick
     hop = np.empty_like(parent)
     while True:
@@ -242,7 +247,7 @@ def sample_urn(lam: float, total_items: int, rng) -> CountSample:
             break
         parent, hop = hop, parent
     del hop
-    return CountSample(np.bincount(parent, minlength=total_items)[innovate])
+    return CountSample(np.bincount(parent, minlength=n)[innovate])
 
 
 class CountFileError(ValueError):

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distribution import CountSample, _check_lambda, _check_prior
+from .distribution import CountSample, FieldError, _check_lambda, _check_prior
 from .special import (
     HistogramStack,
     digamma,
@@ -105,12 +105,12 @@ class FitConfig:
 
     def __post_init__(self):
         if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
+            raise FieldError("{tol} must be positive")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise FieldError("{max_iter} must be >= 1")
         _check_prior(self.prior_a, self.prior_b)
         if not (self.divergence_ceiling > 0.0):
-            raise ValueError("divergence_ceiling must be positive")
+            raise FieldError("{divergence_ceiling} must be positive")
         _check_init(self.init)
 
 
@@ -197,7 +197,7 @@ def em_step(
     if not (lam_prev >= 0.0 and math.isfinite(lam_prev)):
         raise ValueError("lam_prev must be finite and >= 0")
     if data.n + prior_a - 1.0 <= 0.0:
-        raise ValueError("degenerate update: N + a - 1 must be positive")
+        raise FieldError("degenerate update: N + {prior_a} - 1 must be positive", prior_a="a")
     return _updates(HistogramStack([data]), [lam_prev], prior_a, prior_b)[0]
 
 
@@ -207,10 +207,10 @@ def _check_init(policy) -> float | str:
     if isinstance(policy, str) and policy in (INIT_MODE_ONE, INIT_MOMENTS):
         return policy
     if isinstance(policy, bool) or not isinstance(policy, numbers.Real):
-        raise ValueError(f"unknown init policy {policy!r}")
+        raise FieldError("unknown {init} policy {!r}", policy)
     value = float(policy)
     if not (value >= 0.0 and math.isfinite(value)):
-        raise ValueError("fixed init must be a finite value >= 0")
+        raise FieldError("fixed {init} must be a finite value >= 0")
     return value
 
 
@@ -258,7 +258,7 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     stack = HistogramStack(samples)
     fits = [FitResult(lam, 0, [lam], MAX_ITER_REACHED, data) for lam, data in zip(starts, samples)]
     if any(n + config.prior_a - 1.0 <= 0.0 for n in stack.n):
-        raise ValueError("degenerate update: N + a - 1 must be positive")
+        raise FieldError("degenerate update: N + {prior_a} - 1 must be positive", prior_a="a")
     running = list(range(len(samples)))
     for _ in range(config.max_iter):
         prev = [fits[r].lambda_hat for r in running]

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distribution import CountSample, RngStream, _check_lambda, sample_mixture, sample_urn
+from .distribution import (CountSample, FieldError, RngStream, _check_lambda, _check_size,
+                           sample_mixture, sample_urn)
 from .em import CONVERGED, FitConfig, em_fit_stacked
 from .gibbs import GibbsConfig, gibbs_run
 from .information import standard_errors
@@ -57,14 +58,14 @@ class ExperimentSpec:
     def __post_init__(self):
         _check_lambda(self.true_lambda, "true_lambda")
         if self.generator not in _GENERATORS:
-            raise ValueError(f"generator must be one of {_GENERATORS}")
+            raise FieldError("{generator} must be one of {}", _GENERATORS)
         if self.generator == "urn" and self.true_lambda <= 1.0:
-            raise ValueError("the urn generator requires true_lambda > 1")
-        if self.n < 1 or self.n_rep < 1:
-            raise ValueError("n and n_rep must be >= 1")
+            raise FieldError("the urn generator requires {true_lambda} > 1")
+        _check_size(self.n, "n")
+        _check_size(self.n_rep, "n_rep")
         bad = [e for e in self.estimators if e not in _ESTIMATORS]
         if bad or not self.estimators:
-            raise ValueError(f"estimators must be a nonempty subset of {_ESTIMATORS}")
+            raise FieldError("{estimators} must be a nonempty subset of {}", _ESTIMATORS)
 
 
 @dataclass

@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import CountSample, RngStream, _check_lambda, _check_prior, _check_size
+from .distribution import (CountSample, FieldError, RngStream, _check_lambda, _check_prior,
+                           _check_size)
 
 __all__ = [
     "GibbsConfig",
@@ -55,13 +56,6 @@ _ACF_LAGS = 100
 # sweeps per block, and the most lam-free variates a block may hold
 _BLOCK = 256
 _BLOCK_VARIATES = 2**18
-
-
-def _check_burn_in(n_samples: int, burn_in: int, names=("n_samples", "burn_in")) -> None:
-    """ValueError, naming the two sizes by names, unless
-    n_samples > burn_in >= 0."""
-    if burn_in < 0 or n_samples <= burn_in:
-        raise ValueError(f"need {names[0]} > {names[1]} >= 0, got {n_samples} and {burn_in}")
 
 
 @dataclass
@@ -83,14 +77,17 @@ class GibbsConfig:
     def __post_init__(self):
         _check_prior(self.prior_a, self.prior_b)
         _check_size(self.n_samples, "n_samples")
-        _check_burn_in(self.n_samples, self.burn_in)
+        if self.burn_in < 0 or self.n_samples <= self.burn_in:
+            raise FieldError("need {n_samples} > {burn_in} >= 0, got {} and {}",
+                             self.n_samples, self.burn_in)
         if self.thin < 1:
-            raise ValueError("thin must be >= 1")
+            raise FieldError("{thin} must be >= 1")
         retained = len(range(self.burn_in, self.n_samples, self.thin))
         if retained < 2:
-            raise ValueError(
-                f"the retained chain needs at least 2 draws, got {retained} "
-                f"(n_samples={self.n_samples}, burn_in={self.burn_in}, thin={self.thin})"
+            raise FieldError(
+                "the retained chain needs at least 2 draws, got {} "
+                "({n_samples}={}, {burn_in}={}, {thin}={})",
+                retained, self.n_samples, self.burn_in, self.thin,
             )
         _check_lambda(self.lambda_init, "lambda_init")
 
@@ -112,7 +109,9 @@ def split_level(u: np.ndarray, c: np.ndarray) -> int:
     multiplicities c) minimising the variates drawn per sweep,
     T + 2 #{k_i > T}; ties go to the smaller T."""
     n = int(c.sum())
-    cost = u + 2 * (n - np.cumsum(c))
+    # a cost of 2n or more never wins, and capping u there keeps the sum
+    # from wrapping for counts near 2**63 - 1
+    cost = np.minimum(u, 2 * n) + 2 * (n - np.cumsum(c))
     best = int(np.argmin(cost))
     return int(u[best]) if cost[best] < 2 * n else 0
 

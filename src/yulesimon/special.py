@@ -25,6 +25,7 @@ pooled_harmonic_sum and pooled_harmonic_sum_sq are its one-sample calls.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -190,11 +191,27 @@ def beta_log_moments(alpha, beta):
     return digamma(aa) - digamma(total), trigamma(aa) - trigamma(total)
 
 
-def _check_lambda(lam: float, name: str = "lambda") -> float:
-    """lam as a float; ValueError unless it is positive and finite."""
+class FieldError(ValueError):
+    """ValueError about the values of fields, kept as a str.format
+    template: a slot {field} names each field checked, unnumbered slots {}
+    take the values. str() names each field as the library does (the
+    field, or names[field]); rename(names) as the caller does, where it can."""
+
+    def __init__(self, template: str, *values, **names: str):
+        self.template, self.values = template, values
+        self.fields = {field: names.get(field, field) for field in re.findall(r"{(\w+)}", template)}
+        super().__init__(self.rename({}))
+
+    def rename(self, names) -> str:
+        return self.template.format(*self.values, **{**self.fields, **names})
+
+
+def _check_lambda(lam: float, field: str = "lam") -> float:
+    """lam as a float; FieldError on field (lam reads as lambda) unless
+    it is positive and finite."""
     lam = float(lam)
     if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"{name} must be positive and finite")
+        raise FieldError("{%s} must be positive and finite" % field, lam="lambda")
     return lam
 
 

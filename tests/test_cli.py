@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -81,7 +82,7 @@ def test_fit_bad_line_exits_1(tmp_path, capsys):
 def test_bad_prior_exits_1_naming_it(counts_file, capsys, command, flag, value):
     code, out, err = run_cli(capsys, command, counts_file, flag, value)
     assert code == 1 and out == ""
-    assert err.startswith("ys: error: " + flag[2:].replace("-", "_"))
+    assert err.startswith(f"ys: error: {flag} ")
 
 
 HUGE = "1000000000000"
@@ -319,12 +320,13 @@ REALS = (["0.6", "1.25", "5", "0.05", "1e-300"], ["0", "-1", "nan", "inf", "x"])
 INITS = (["mode_one", "moments", "0", "2.5"], ["-1", "nan", "x"])
 STREAMS = (["0", "7"], ["-1"])
 # count files, valid ones first: a mixture sample, all ones (no interior
-# maximum) and a count near the int64 limit; then malformed ones, and a
-# name that does not exist
+# maximum), a count near the int64 limit and three counts at it; then
+# malformed ones, and a name that does not exist
 COUNT_FILES = {
     "valid": "3\n1\n1\n7\n2\n1\n12\n1\n",
     "ones": "1\n" * 20,
     "near_limit": f"1\n2\n{2**62}\n",
+    "at_limit": f"{2**63 - 3}\n{2**63 - 2}\n{2**63 - 1}\n",
     "zero": "2\n0\n",
     "too_big": f"{2**63}\n",
     "signed": "+3\n-2\n",
@@ -333,45 +335,62 @@ COUNT_FILES = {
     "empty": "",
     "binary": "\udcff\udcfe\n",
 }
-COUNT_NAMES = (list(COUNT_FILES)[:3], [*list(COUNT_FILES)[3:], "missing"])
+COUNT_NAMES = (list(COUNT_FILES)[:4], [*list(COUNT_FILES)[4:], "missing"])
+# flags whose value is a path: a bad one is an I/O error, which names the path
+PATH_FLAGS = {"chain_file", "csv", "tsv"}
 
 
 @st.composite
 def cli_argvs(draw, files: Path):
-    """argv for one subcommand. Each value is valid three times in four,
-    so that whole runs succeed too; optional flags are left out or drawn."""
-    def pick(choices):
+    """(argv, fixes) for one subcommand. Each value is valid three times
+    in four, so that whole runs succeed too; optional flags are left out
+    or drawn. fixes maps each flag but a path flag that was given an
+    invalid value to a valid value for it."""
+    fixes = {}
+
+    def pick(choices, flag=None):
         valid, invalid = choices
-        return draw(st.sampled_from(invalid if draw(st.integers(0, 3)) == 0 else valid))
+        if draw(st.integers(0, 3)):
+            return draw(st.sampled_from(valid))
+        if flag:
+            fixes[flag] = valid[0]
+        return draw(st.sampled_from(invalid))
+
+    def option(flag, choices):
+        return [flag, pick(choices, flag)]
 
     def flags(**choices):
         return [arg for name, values in choices.items() if draw(st.booleans())
-                for arg in (f"--{name.replace('_', '-')}", pick(values))]
+                for flag in [f"--{name.replace('_', '-')}"]
+                for arg in (flag, pick(values, None if name in PATH_FLAGS else flag))]
 
     counts = str(files / pick(COUNT_NAMES))
     out = str(files / "out" / pick((["a.txt"], ["missing/a.txt"])))
     command = draw(st.sampled_from(["fit", "diagnose", "gibbs", "simulate", "text", "experiment"]))
     if command in ("fit", "diagnose"):
-        return [command, counts, *flags(tol=REALS, max_iter=ITERATIONS, prior_a=REALS,
+        argv = [command, counts, *flags(tol=REALS, max_iter=ITERATIONS, prior_a=REALS,
                                         prior_b=REALS, init=INITS)]
-    if command == "gibbs":
-        return ["gibbs", counts, "--samples", pick(SIZES), "--burn-in", pick(BURN_IN),
+    elif command == "gibbs":
+        argv = ["gibbs", counts, *option("--samples", SIZES), *option("--burn-in", BURN_IN),
                 *flags(thin=THIN, prior_a=REALS, prior_b=REALS, seed=STREAMS, stream=STREAMS,
                        lambda_init=REALS, chain_file=([out], [str(files)]))]
-    if command == "simulate":
-        return ["simulate", "--lambda", pick(REALS), "--n", pick(SIZES), "--out", out,
+    elif command == "simulate":
+        argv = ["simulate", *option("--lambda", REALS), *option("--n", SIZES), "--out", out,
                 *flags(generator=(["mixture", "urn"], ["bogus"]), seed=STREAMS, stream=STREAMS)]
-    if command == "text":
-        return ["text", pick(([str(FIXTURE)], [counts])), "--counts", out,
+    elif command == "text":
+        argv = ["text", pick(([str(FIXTURE)], [counts])), "--counts", out,
                 *draw(st.lists(st.sampled_from(["--no-strip", "--keep-apostrophes",
                                                 "--keep-digits"]), unique=True)),
                 *flags(tsv=([out + ".tsv"], [str(files)]))]
-    return ["experiment", "--lambda", pick(REALS), "--n", pick(SIZES), "--reps", pick(REPS),
-            "--gibbs-samples", pick(SIZES), "--gibbs-burn-in", pick(BURN_IN),
-            *flags(generator=(["mixture", "urn"], ["bogus"]),
-                   estimators=(["em", "gibbs", "em,gibbs"], ["", "bogus"]),
-                   seed=STREAMS, stream=STREAMS, tol=REALS, max_iter=ITERATIONS,
-                   csv=([out], [str(files)]))]
+    else:
+        argv = ["experiment", *option("--lambda", REALS), *option("--n", SIZES),
+                *option("--reps", REPS), *option("--gibbs-samples", SIZES),
+                *option("--gibbs-burn-in", BURN_IN),
+                *flags(generator=(["mixture", "urn"], ["bogus"]),
+                       estimators=(["em", "gibbs", "em,gibbs"], ["", "bogus"]),
+                       seed=STREAMS, stream=STREAMS, tol=REALS, max_iter=ITERATIONS,
+                       csv=([out], [str(files)]))]
+    return argv, fixes
 
 
 @pytest.fixture(scope="module")
@@ -383,13 +402,9 @@ def cli_files(tmp_path_factory):
     return files
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(data=st.data())
-def test_no_argv_ends_in_a_traceback(cli_files, data):
-    """Every drawn run exits 0, 1 or 2 (an exception main lets through
-    fails the test, as it would print a traceback), and an exit 1 prints
-    one error line. Warnings about the drawn data are expected."""
-    argv = data.draw(cli_argvs(cli_files), label="argv")
+def run_quietly(argv) -> tuple[int, str]:
+    """main's exit code and stderr; an exception main lets through
+    propagates, as it would print a traceback. Warnings are dropped."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -398,8 +413,23 @@ def test_no_argv_ends_in_a_traceback(cli_files, data):
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    err = err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_no_argv_ends_in_a_traceback(cli_files, data):
+    """Every drawn run exits 0, 1 or 2 (an exception main lets through
+    fails the test), and an exit 1 prints one error line. When the run
+    with each invalid flag value set valid ends otherwise, the exit 1
+    came from a drawn invalid value, and the error line names its flag.
+    Warnings about the drawn data are expected."""
+    argv, fixes = data.draw(cli_argvs(cli_files), label="argv")
+    code, err = run_quietly(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 1:
         assert sum(line.startswith("ys: error: ") for line in err.splitlines()) == 1
+        fixed = [fixes.get(argv[i - 1], arg) if i else arg for i, arg in enumerate(argv)]
+        if fixes and run_quietly(fixed) != (code, err):
+            assert any(re.search(rf"(?<![\w-]){flag}(?![\w-])", err) for flag in fixes), err

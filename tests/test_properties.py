@@ -19,6 +19,7 @@ from yulesimon import (
     GibbsConfig,
     RngStream,
     TokenizerOptions,
+    diagnose,
     em_fit,
     em_map_jacobian,
     gibbs_run,
@@ -27,6 +28,7 @@ from yulesimon import (
     rate_theoretical,
     read_count_file,
     sample_mixture,
+    standard_error,
     strip_gutenberg,
     to_count_sample,
     tokenize_count,
@@ -445,6 +447,36 @@ def test_gibbs_mean_matches_the_quadrature_posterior_mean(counts, seed):
     assert finer == pytest.approx((mean, sd), rel=QUADRATURE_REL_TOL, abs=0.0)
     res = gibbs_run(data, GibbsConfig(n_samples=5000, burn_in=500, seed=RngStream(seed)))
     assert abs(res.posterior_mean - mean) < GIBBS_MEAN_Z * batch_means_se(res.chain)
+
+
+INT64_MAX = 2**63 - 1
+# 1-6 counts within 8 of the int64 limit, in any order with 0-6 small ones
+near_limit_samples = st.tuples(
+    st.lists(st.integers(INT64_MAX - 8, INT64_MAX), min_size=1, max_size=6),
+    st.lists(st.integers(1, 20), max_size=6),
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+
+
+@reproducible
+@given(counts=near_limit_samples)
+@example(counts=[INT64_MAX - 2, INT64_MAX - 1, INT64_MAX])
+@example(counts=[1, 2, 1, INT64_MAX])
+def test_counts_near_the_int64_limit_get_an_estimate(counts):
+    """The fit, its standard error and diagnostics and a short chain
+    each give an estimate, or a status their docstrings name, on counts
+    within a few units of 2**63 - 1."""
+    data = CountSample(counts)
+    fit = em_fit(data)
+    assert fit.status in ("converged", "max_iter_reached", "diverging")
+    assert math.isfinite(fit.lambda_hat) and fit.lambda_hat > 0
+    se = standard_error(data, fit.lambda_hat)
+    # NaN only off an interior maximum
+    assert se > 0 if fit.converged else (math.isnan(se) or se > 0)
+    report = diagnose(data, fit)
+    assert report.regime in ("linear", "sublinear") and math.isfinite(report.jacobian_at_hat)
+    result = gibbs_run(data, GibbsConfig(n_samples=60, burn_in=10, seed=RngStream(len(counts))))
+    assert np.all(np.isfinite(result.raw_chain)) and np.all(result.raw_chain > 0)
+    assert math.isfinite(result.posterior_sd)
 
 
 @st.composite
