@@ -2,7 +2,10 @@
 
 All commands read and write the one-integer-per-line count format and
 emit machine-readable reports (JSON on stdout, CSV where per-row data
-is produced). YS_SEED provides the default seed. Exit codes: 0 success
+is produced). A flag fills the library field its dest names, and only
+when typed, so every default lives in the library's dataclasses; --help
+shows each option's flag name as its metavar. YS_SEED provides the
+default seed. Exit codes: 0 success
 (fit/diagnose additionally require a converged estimate), 2 when the
 fit did not converge, 1 on I/O or format errors and on a refused value,
 with one error line that names the flag typed for it.
@@ -11,6 +14,7 @@ with one error line that names the flag typed for it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -21,9 +25,9 @@ import numpy as np
 
 from .convergence import diagnose
 from .corpus import TokenizerOptions, strip_gutenberg, to_count_sample, tokenize_count, write_tsv
-from .distribution import RngStream, read_count_file, sample_mixture, sample_urn, write_count_file
+from .distribution import RngStream, read_count_file, write_count_file
 from .em import CONVERGED, FitConfig, em_fit
-from .experiment import ExperimentSpec, run_experiment, write_replication_csv
+from .experiment import GENERATORS, ExperimentSpec, generate, run_experiment, write_replication_csv
 from .gibbs import GibbsConfig, gibbs_run
 from .information import standard_error
 from .special import FieldError
@@ -51,15 +55,20 @@ def _parse_init(value: str):
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=FitConfig.tol,
-                        help="stop when |change in lambda| < TOL")
-    parser.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
-    parser.add_argument("--prior-a", type=float, default=FitConfig.prior_a,
+    parser.add_argument("--tol", type=float, help="stop when |change in lambda| < TOL")
+    parser.add_argument("--max-iter", type=int)
+    parser.add_argument("--prior-a", type=float,
                         help="gamma prior shape (1 with rate 0 = plain likelihood)")
-    parser.add_argument("--prior-b", type=float, default=FitConfig.prior_b,
-                        help="gamma prior rate")
-    parser.add_argument("--init", type=_parse_init, default=FitConfig.init,
+    parser.add_argument("--prior-b", type=float, help="gamma prior rate")
+    parser.add_argument("--init", type=_parse_init,
                         help="mode_one, moments, or a fixed starting value")
+
+
+def _fields(cls, args, **given):
+    """A cls whose fields take given, else the flag typed for them, else their default."""
+    typed = {field.name: getattr(args, field.name) for field in dataclasses.fields(cls)
+             if getattr(args, field.name, None) is not None}
+    return cls(**{**typed, **given})
 
 
 def _emit(payload: dict) -> None:
@@ -69,59 +78,41 @@ def _emit(payload: dict) -> None:
 def _fit_and_diagnose(args):
     """Read the count file, fit it and diagnose the fit: the shared part
     of ys fit and ys diagnose. The flags are checked before the read."""
-    config = FitConfig(prior_a=args.prior_a, prior_b=args.prior_b, tol=args.tol,
-                       max_iter=args.max_iter, init=args.init)
+    config = _fields(FitConfig, args)
     data = read_count_file(args.input)
     fit = em_fit(data, config)
-    return data, fit, diagnose(data, fit, args.prior_a, args.prior_b)
+    return data, fit, diagnose(data, fit, config.prior_a, config.prior_b)
 
 
 def _cmd_fit(args) -> int:
     data, fit, report = _fit_and_diagnose(args)
     std_err = standard_error(data, fit.lambda_hat) if fit.status == CONVERGED else math.nan
-    _emit(
-        {
-            "lambda_hat": fit.lambda_hat,
-            "std_err": std_err,
-            "iterations": fit.iterations,
-            "status": fit.status,
-            "trace": fit.trace,
-            "convergence": {
-                "r_theoretical": report.r_theoretical,
-                "jacobian_at_hat": report.jacobian_at_hat,
-                "regime": report.regime,
-                "empirical_rates": report.empirical_rates,
-                "truncated": report.truncated,
-            },
-        }
-    )
+    _emit({
+        "lambda_hat": fit.lambda_hat,
+        "std_err": std_err,
+        "iterations": fit.iterations,
+        "status": fit.status,
+        "trace": fit.trace,
+        "convergence": dataclasses.asdict(report),
+    })
     return 0 if fit.status == CONVERGED else 2
 
 
 def _cmd_diagnose(args) -> int:
     _, fit, report = _fit_and_diagnose(args)
-    _emit(
-        {
-            "lambda_hat": fit.lambda_hat,
-            "status": fit.status,
-            "iterations": fit.iterations,
-            "r_theoretical": report.r_theoretical,
-            "jacobian_at_hat": report.jacobian_at_hat,
-            "regime": report.regime,
-            "empirical_rates": [
-                {"iteration": i + 2, "rate": r}
-                for i, r in enumerate(report.empirical_rates)
-            ],
-            "truncated": report.truncated,
-        }
-    )
+    _emit({
+        "lambda_hat": fit.lambda_hat,
+        "status": fit.status,
+        "iterations": fit.iterations,
+        **dataclasses.asdict(report),
+        "empirical_rates": [{"iteration": i + 2, "rate": r}
+                            for i, r in enumerate(report.empirical_rates)],
+    })
     return 0 if fit.status == CONVERGED else 2
 
 
 def _cmd_gibbs(args) -> int:
-    config = GibbsConfig(prior_a=args.prior_a, prior_b=args.prior_b, n_samples=args.n_samples,
-                         burn_in=args.burn_in, thin=args.thin, lambda_init=args.lambda_init,
-                         seed=RngStream(args.seed, args.stream_id))
+    config = _fields(GibbsConfig, args)
     result = gibbs_run(read_count_file(args.input), config)
     payload = {
         "posterior_mean": result.posterior_mean,
@@ -138,8 +129,7 @@ def _cmd_gibbs(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    generate = sample_urn if args.generator == "urn" else sample_mixture
-    sample = generate(args.lam, args.n, RngStream(args.seed, args.stream_id))
+    sample = generate(args.generator, args.lam, args.n, args.seed)
     write_count_file(args.out, sample)
     print(
         f"n={sample.n} mean={sample.sample_mean():.6g} max={int(sample.counts.max())}",
@@ -165,28 +155,20 @@ def _cmd_text(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    estimators = tuple(args.estimators.split(","))
-    spec = ExperimentSpec(
-        true_lambda=args.true_lambda, n=args.n, n_rep=args.n_rep, generator=args.generator,
-        estimators=estimators, seed=RngStream(args.seed, args.stream_id),
-        fit_config=FitConfig(tol=args.tol, max_iter=args.max_iter),
-        # the Gibbs flags are checked and used only when a chain runs
-        gibbs_config=(GibbsConfig(n_samples=args.n_samples, burn_in=args.burn_in)
-                      if "gibbs" in estimators else GibbsConfig()),
-    )
+    # the Gibbs flags are checked and used only when a chain runs
+    gibbs = "gibbs" in (args.estimators or ExperimentSpec.estimators)
+    spec = _fields(ExperimentSpec, args, fit_config=_fields(FitConfig, args),
+                   gibbs_config=_fields(GibbsConfig, args) if gibbs else GibbsConfig())
     summary = run_experiment(spec)
-    if args.csv:
-        write_replication_csv(summary.records, args.csv)
     payload = {
         "true_lambda": spec.true_lambda,
         "n": spec.n,
         "n_rep": spec.n_rep,
         "generator": spec.generator,
-        "estimators": {
-            name: vars(stats) for name, stats in summary.estimators.items()
-        },
+        "estimators": {name: vars(stats) for name, stats in summary.estimators.items()},
     }
     if args.csv:
+        write_replication_csv(summary.records, args.csv)
         payload["csv"] = args.csv
     _emit(payload)
     return 0
@@ -216,23 +198,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gibbs = sub.add_parser("gibbs", help="posterior sampling of a count file")
     p_gibbs.add_argument("input")
-    p_gibbs.add_argument("--samples", dest="n_samples", type=int, default=GibbsConfig.n_samples)
-    p_gibbs.add_argument("--burn-in", type=int, default=GibbsConfig.burn_in)
-    p_gibbs.add_argument("--thin", type=int, default=GibbsConfig.thin)
-    p_gibbs.add_argument("--prior-a", type=float, default=GibbsConfig.prior_a)
-    p_gibbs.add_argument("--prior-b", type=float, default=GibbsConfig.prior_b)
-    p_gibbs.add_argument("--seed", type=int, default=None)
-    p_gibbs.add_argument("--stream", dest="stream_id", type=int, default=0)
-    p_gibbs.add_argument("--lambda-init", type=float, default=GibbsConfig.lambda_init)
+    p_gibbs.add_argument("--samples", dest="n_samples", type=int)
+    p_gibbs.add_argument("--burn-in", type=int)
+    p_gibbs.add_argument("--thin", type=int)
+    p_gibbs.add_argument("--prior-a", type=float)
+    p_gibbs.add_argument("--prior-b", type=float)
+    p_gibbs.add_argument("--seed", type=int)
+    p_gibbs.add_argument("--stream", dest="stream_id", type=int)
+    p_gibbs.add_argument("--lambda-init", type=float)
     p_gibbs.add_argument("--chain-file", help="write retained draws as iter,lambda CSV")
     p_gibbs.set_defaults(handler=_cmd_gibbs)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic count file")
     p_sim.add_argument("--lambda", dest="lam", type=float, required=True)
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--generator", choices=("mixture", "urn"), default="mixture")
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--stream", dest="stream_id", type=int, default=0)
+    p_sim.add_argument("--generator", choices=GENERATORS, default="mixture")
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--stream", dest="stream_id", type=int)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(handler=_cmd_simulate)
 
@@ -249,22 +231,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="replicated synthetic study")
     p_exp.add_argument("--lambda", dest="true_lambda", type=float, required=True)
     p_exp.add_argument("--n", type=int, required=True)
-    p_exp.add_argument("--reps", dest="n_rep", type=int, default=200)
-    p_exp.add_argument("--generator", choices=("mixture", "urn"), default="mixture")
-    p_exp.add_argument("--estimators", default="em", help="comma list from {em,gibbs}")
-    p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--stream", dest="stream_id", type=int, default=0)
-    p_exp.add_argument("--tol", type=float, default=FitConfig.tol)
-    p_exp.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
-    p_exp.add_argument("--gibbs-samples", dest="n_samples", type=int,
-                       default=GibbsConfig.n_samples)
-    p_exp.add_argument("--gibbs-burn-in", dest="burn_in", type=int, default=GibbsConfig.burn_in)
+    p_exp.add_argument("--reps", dest="n_rep", type=int)
+    p_exp.add_argument("--generator", choices=GENERATORS)
+    p_exp.add_argument("--estimators", type=lambda value: tuple(value.split(",")),
+                       help="comma list from {em,gibbs}")
+    p_exp.add_argument("--seed", type=int)
+    p_exp.add_argument("--stream", dest="stream_id", type=int)
+    p_exp.add_argument("--tol", type=float)
+    p_exp.add_argument("--max-iter", type=int)
+    p_exp.add_argument("--gibbs-samples", dest="n_samples", type=int)
+    p_exp.add_argument("--gibbs-burn-in", dest="burn_in", type=int)
     p_exp.add_argument("--csv", help="write per-replication records here")
     p_exp.set_defaults(handler=_cmd_experiment)
 
     for command in sub.choices.values():
-        command.set_defaults(flags={action.dest: action.option_strings[-1]
-                                    for action in command._actions if action.option_strings})
+        options = [action for action in command._actions if action.option_strings]
+        for action in options:  # an option that takes a free value shows its flag's name
+            if action.choices is None and action.nargs != 0:
+                action.metavar = action.option_strings[-1][2:].upper().replace("-", "_")
+        command.set_defaults(flags={action.dest: action.option_strings[-1] for action in options})
 
     return parser
 
@@ -272,8 +257,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _default_seed()
+        if hasattr(args, "seed"):  # the stream that fills each seed field
+            if args.seed is None:
+                args.seed = _default_seed()
+            args.seed = _fields(RngStream, args)
         return args.handler(args)
     except (OSError, ValueError) as exc:
         message = exc.rename(args.flags) if isinstance(exc, FieldError) else exc

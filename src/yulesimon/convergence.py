@@ -95,8 +95,8 @@ class ConvergenceReport:
 
     r_theoretical: float
     jacobian_at_hat: float
-    empirical_rates: list[float] = field(default_factory=list)
     regime: str = "linear"
+    empirical_rates: list[float] = field(default_factory=list)
     truncated: bool = False
 
 
@@ -114,7 +114,7 @@ def diagnose(
     return ConvergenceReport(
         r_theoretical=rate,
         jacobian_at_hat=jac,
-        empirical_rates=rates,
         regime="sublinear" if rate > SUBLINEAR_THRESHOLD else "linear",
+        empirical_rates=rates,
         truncated=truncated,
     )

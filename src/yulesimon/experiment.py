@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distribution import (CountSample, FieldError, RngStream, _check_lambda, _check_size,
-                           sample_mixture, sample_urn)
+from . import distribution
+from .distribution import CountSample, FieldError, RngStream, _check_lambda, _check_size
 from .em import CONVERGED, FitConfig, em_fit_stacked
 from .gibbs import GibbsConfig, gibbs_run
 from .information import standard_errors
@@ -33,7 +33,7 @@ CSV_HEADER = ["rep", "estimator", "lambda_hat", "se", "iters", "status"]
 # least one rep), so memory grows with the block, not with n_rep.
 _BLOCK_COUNTS = 1 << 16
 
-_GENERATORS = ("mixture", "urn")
+GENERATORS = {"mixture": "sample_mixture", "urn": "sample_urn"}  # sampler names in distribution
 _ESTIMATORS = ("em", "gibbs")
 
 
@@ -57,8 +57,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _check_lambda(self.true_lambda, "true_lambda")
-        if self.generator not in _GENERATORS:
-            raise FieldError("{generator} must be one of {}", _GENERATORS)
+        if self.generator not in GENERATORS:
+            raise FieldError("{generator} must be one of {}", tuple(GENERATORS))
         if self.generator == "urn" and self.true_lambda <= 1.0:
             raise FieldError("the urn generator requires {true_lambda} > 1")
         _check_size(self.n, "n")
@@ -66,6 +66,12 @@ class ExperimentSpec:
         bad = [e for e in self.estimators if e not in _ESTIMATORS]
         if bad or not self.estimators:
             raise FieldError("{estimators} must be a nonempty subset of {}", _ESTIMATORS)
+
+
+def generate(generator: str, lam: float, n: int, rng) -> CountSample:
+    """n draws of the named generator at rate lam. The sampler is looked up in
+    distribution at each call, so a wrapper installed there (perfbench/tracing.py) sees it."""
+    return getattr(distribution, GENERATORS[generator])(lam, n, rng)
 
 
 @dataclass
@@ -103,13 +109,6 @@ class ExperimentSummary:
     estimators: dict[str, EstimatorSummary]
 
 
-def _generate(spec: ExperimentSpec, rep: int) -> CountSample:
-    rng = spec.seed.child(rep, 0).generator()
-    if spec.generator == "mixture":
-        return sample_mixture(spec.true_lambda, spec.n, rng)
-    return sample_urn(spec.true_lambda, spec.n, rng)
-
-
 def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
     """Run every replication of the cell and summarize.
 
@@ -122,7 +121,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
     block = max(1, _BLOCK_COUNTS // spec.n)
     for first in range(0, spec.n_rep, block):
         reps = range(first, min(first + block, spec.n_rep))
-        samples = [_generate(spec, rep) for rep in reps]
+        samples = [generate(spec.generator, spec.true_lambda, spec.n,
+                            spec.seed.child(rep, 0).generator()) for rep in reps]
         rows = []
         if "em" in spec.estimators:
             rows.append(_em_records(reps, samples, spec.fit_config))

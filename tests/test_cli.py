@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yulesimon import RngStream, read_count_file, sample_mixture, write_count_file
-from yulesimon.cli import main
+from yulesimon import (ExperimentSpec, FitConfig, GibbsConfig, RngStream, read_count_file,
+                       sample_mixture, write_count_file)
+from yulesimon.cli import _build_parser, main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "gutenberg_excerpt.txt"
 
@@ -290,6 +293,87 @@ def test_text_outputs_reproduce_pinned_digests(text, flags, tmp_path, capsys):
     digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("c.txt", "w.tsv")]
     assert (out.strip(), *digests) == TEXT_PINS[text, flags]
+
+
+# sha256 digests of stdout and of each file written, by argv, for runs in a
+# directory that holds the counts_file sample as counts.txt: the JSON
+# reports, the count files, the chain and the replication CSV keep every
+# byte, and so does the order of every report's keys
+CLI_PINS = {
+    ("simulate", "--lambda", "0.6", "--n", "500", "--seed", "7", "--out", "out.txt"): {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out.txt": "51532f374caf597e5e80a3e33f8f8949217639dcf4dd179871a8dcc6b2be6ec1"},
+    ("simulate", "--generator", "urn", "--lambda", "1.25", "--n", "500", "--seed", "7",
+     "--out", "out.txt"): {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out.txt": "ac9c26cfe76f7d28232c4e81299b413674e382e71468eebfed38563485466455"},
+    ("fit", "counts.txt"): {
+        "stdout": "8791f3d266c0843b21bf4c84af9d0f3cd8194ac8f1625f638ba1c611ea41c484"},
+    ("fit", "counts.txt", "--init", "moments", "--tol", "1e-9"): {
+        "stdout": "1c5b088d11ce1056ddaa5e2d292a14c988c4d179fc796759152ccbd05c844fd5"},
+    ("diagnose", "counts.txt"): {
+        "stdout": "d04237d63e831a3c1a24fcb2312d9c443d38c1888f776b876412f03748b77027"},
+    ("diagnose", "counts.txt", "--init", "moments", "--tol", "1e-9"): {
+        "stdout": "ba5f1682f4f03a3884152dacbfc760d5546f7fa85c164024245241eb5e087456"},
+    ("gibbs", "counts.txt", "--seed", "7", "--samples", "600", "--burn-in", "50",
+     "--chain-file", "chain.csv"): {
+        "stdout": "ec95ebb82174df61dedc4f399de531c56e2d902b812081c5e77359461b44e41c",
+        "chain.csv": "954b9012d002374a41289f9809476a0353f6199572a7c627291a7272c09d7c9b"},
+    ("experiment", "--lambda", "0.8", "--n", "150", "--reps", "6", "--seed", "5",
+     "--csv", "reps.csv"): {
+        "stdout": "c8564ed7bd04e57ae57e4b8fcc2556786de936067f50d3809e30f24cd3508df2",
+        "reps.csv": "f45630a4bba215ddc3c3cefaaabbae94e674b96fa19b113ef74504af25c82242"},
+    ("experiment", "--lambda", "0.6", "--n", "300", "--reps", "3", "--estimators", "em,gibbs",
+     "--gibbs-samples", "600", "--seed", "7"): {
+        "stdout": "12c34a8cc4925e0ca9f0c792417f5211695585f3fada3cdef27fe7aac864c5c1"},
+}
+
+
+@pytest.mark.parametrize("argv", CLI_PINS, ids=" ".join)
+def test_cli_outputs_reproduce_pinned_digests(argv, counts_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir() if path.name != "counts.txt"}
+    assert {"stdout": hashlib.sha256(out.encode()).hexdigest(), **digests} == CLI_PINS[argv]
+
+
+# every field a flag can fill; its default lives in the library alone
+LIBRARY_FIELDS = {field.name for cls in (FitConfig, GibbsConfig, ExperimentSpec, RngStream)
+                  for field in dataclasses.fields(cls)}
+
+
+def test_no_option_copies_a_library_default(tmp_path, capsys):
+    """Each option that fills a library field has parser default None, so
+    an untyped flag leaves the library's default; ys simulate builds no
+    ExperimentSpec, so its --generator keeps a default of its own."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, command in sub.choices.items():
+        for action in command._actions:
+            if action.dest in LIBRARY_FIELDS and (name, action.dest) != ("simulate", "generator"):
+                assert command.get_default(action.dest) is None, (name, action.option_strings)
+    csv_path = tmp_path / "d.csv"
+    code, _, _ = run_cli(capsys, "experiment", "--lambda", "0.6", "--n", "20", "--seed", "3",
+                         "--csv", str(csv_path))
+    assert code == 0
+    assert len(csv_path.read_text().splitlines()) == ExperimentSpec.n_rep + 1
+
+
+# an option that takes a free value shows its flag's name as its metavar;
+# one with choices shows them
+@pytest.mark.parametrize("command, shown", [
+    ("gibbs", ["--samples SAMPLES", "--stream STREAM", "--lambda-init LAMBDA_INIT"]),
+    ("simulate", ["--lambda LAMBDA", "--generator {mixture,urn}"]),
+    ("experiment", ["--lambda LAMBDA", "--reps REPS", "--gibbs-samples GIBBS_SAMPLES",
+                    "--generator {mixture,urn}"]),
+])
+def test_help_shows_each_flag_name_as_its_metavar(capsys, command, shown):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert [text for text in shown if text not in out] == []
 
 
 def test_experiment_summary_and_csv(tmp_path, capsys):
