@@ -26,7 +26,7 @@ import numpy as np
 from .convergence import diagnose
 from .corpus import TokenizerOptions, strip_gutenberg, to_count_sample, tokenize_count, write_tsv
 from .distribution import RngStream, read_count_file, write_count_file
-from .em import CONVERGED, FitConfig, em_fit
+from .em import FitConfig, em_fit
 from .experiment import GENERATORS, ExperimentSpec, generate, run_experiment, write_replication_csv
 from .gibbs import GibbsConfig, gibbs_run
 from .information import standard_error
@@ -79,14 +79,13 @@ def _fit_and_diagnose(args):
     """Read the count file, fit it and diagnose the fit: the shared part
     of ys fit and ys diagnose. The flags are checked before the read."""
     config = _fields(FitConfig, args)
-    data = read_count_file(args.input)
-    fit = em_fit(data, config)
-    return data, fit, diagnose(data, fit, config.prior_a, config.prior_b)
+    fit = em_fit(read_count_file(args.input), config)
+    return fit, diagnose(fit)
 
 
 def _cmd_fit(args) -> int:
-    data, fit, report = _fit_and_diagnose(args)
-    std_err = standard_error(data, fit.lambda_hat) if fit.status == CONVERGED else math.nan
+    fit, report = _fit_and_diagnose(args)
+    std_err = standard_error(fit.sample, fit.lambda_hat) if fit.converged else math.nan
     _emit({
         "lambda_hat": fit.lambda_hat,
         "std_err": std_err,
@@ -95,11 +94,11 @@ def _cmd_fit(args) -> int:
         "trace": fit.trace,
         "convergence": dataclasses.asdict(report),
     })
-    return 0 if fit.status == CONVERGED else 2
+    return 0 if fit.converged else 2
 
 
 def _cmd_diagnose(args) -> int:
-    _, fit, report = _fit_and_diagnose(args)
+    fit, report = _fit_and_diagnose(args)
     _emit({
         "lambda_hat": fit.lambda_hat,
         "status": fit.status,
@@ -108,7 +107,7 @@ def _cmd_diagnose(args) -> int:
         "empirical_rates": [{"iteration": i + 2, "rate": r}
                             for i, r in enumerate(report.empirical_rates)],
     })
-    return 0 if fit.status == CONVERGED else 2
+    return 0 if fit.converged else 2
 
 
 def _cmd_gibbs(args) -> int:

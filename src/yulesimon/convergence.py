@@ -8,14 +8,15 @@ The linear rate equals the missing-to-complete information ratio
 derivative of the update map M(lam) = (N+a-1)/(b + sum sum 1/(lam+j))
 evaluated at the fixed point, so the analytic Jacobian below doubles as
 a cross-check of the rate formula, and ratios of successive iterate
-differences give empirical rate paths from any recorded trace.
+differences give empirical rate paths from any recorded trace. diagnose
+reads the sample, the trace and the prior of its config from the fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .distribution import CountSample, _check_lambda
+from .distribution import CountSample, _check_lambda, _check_prior
 from .em import FitResult
 from .special import pooled_harmonic_sum, pooled_harmonic_sum_sq
 
@@ -56,6 +57,7 @@ def em_map_jacobian(
     which reduces to rate_theoretical at the fixed point when a=1, b=0.
     """
     lam = _check_lambda(lam)
+    _check_prior(prior_a, prior_b)
     s1 = pooled_harmonic_sum(lam, data)
     s2 = pooled_harmonic_sum_sq(lam, data)
     return (data.n + prior_a - 1.0) * s2 / (prior_b + s1) ** 2
@@ -95,25 +97,20 @@ class ConvergenceReport:
 
     r_theoretical: float
     jacobian_at_hat: float
-    regime: str = "linear"
-    empirical_rates: list[float] = field(default_factory=list)
-    truncated: bool = False
+    regime: str
+    empirical_rates: list[float]
+    truncated: bool
 
 
-def diagnose(
-    data: CountSample,
-    fit: FitResult,
-    prior_a: float = 1.0,
-    prior_b: float = 0.0,
-) -> ConvergenceReport:
-    """Assemble the convergence report for a finished fit."""
-    lam = fit.lambda_hat
+def diagnose(fit: FitResult) -> ConvergenceReport:
+    """The convergence report of a finished fit, on the fit's own sample
+    and under the prior of its own config."""
+    data, lam, config = fit.sample, fit.lambda_hat, fit.config
     rate = rate_theoretical(data, lam)
-    jac = em_map_jacobian(data, lam, prior_a, prior_b)
     rates, truncated = empirical_rates(fit.trace) if len(fit.trace) >= 3 else ([], False)
     return ConvergenceReport(
         r_theoretical=rate,
-        jacobian_at_hat=jac,
+        jacobian_at_hat=em_map_jacobian(data, lam, config.prior_a, config.prior_b),
         regime="sublinear" if rate > SUBLINEAR_THRESHOLD else "linear",
         empirical_rates=rates,
         truncated=truncated,

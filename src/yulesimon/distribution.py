@@ -104,6 +104,10 @@ class CountSample:
         arr = np.asarray(counts)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("counts must be a nonempty 1-d sequence")
+        # an unsigned, float or object array can hold a finite count the
+        # int64 cast would wrap; 2**63 compares exactly in each of them
+        if arr.dtype.kind in "ufO" and np.any((arr >= 2**63) & (arr < math.inf)):
+            raise ValueError("count exceeds 2**63 - 1")
         if not np.issubdtype(arr.dtype, np.integer):
             as_int = np.asarray(arr, dtype=np.int64)
             if not np.array_equal(as_int, arr):

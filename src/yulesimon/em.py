@@ -117,19 +117,20 @@ class FitConfig:
 @dataclass
 class FitResult:
     """Estimate bundle: trace has one entry per iterate including the
-    start, so len(trace) == iterations + 1.
+    start, so len(trace) == iterations + 1. sample and config are the data
+    and FitConfig it ran on, so convergence.diagnose reads the fit alone.
 
     loglik_trace holds observed_loglik(sample, lam) for every lam of the
     trace (-inf at a start of 0). The fit does not need it, so it is
     computed the first time it is read and then kept. Equality compares
-    the estimate, the iteration count, the trace and the status; neither
-    the sample nor loglik_trace takes part."""
+    the estimate, the iteration count, the trace and the status alone."""
 
     lambda_hat: float
     iterations: int
     trace: list[float]
     status: str
     sample: CountSample = field(repr=False, compare=False)
+    config: FitConfig = field(repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -193,6 +194,7 @@ def em_step(
 ) -> float:
     """One EM/MAP update, the one-sample call of _updates; lam_prev = 0
     is a legal start."""
+    _check_prior(prior_a, prior_b)
     lam_prev = float(lam_prev)
     if not (lam_prev >= 0.0 and math.isfinite(lam_prev)):
         raise ValueError("lam_prev must be finite and >= 0")
@@ -256,7 +258,8 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     samples = list(samples)
     starts = [init_lambda(data, config.init) for data in samples]
     stack = HistogramStack(samples)
-    fits = [FitResult(lam, 0, [lam], MAX_ITER_REACHED, data) for lam, data in zip(starts, samples)]
+    fits = [FitResult(lam, 0, [lam], MAX_ITER_REACHED, data, config)
+            for lam, data in zip(starts, samples)]
     if any(n + config.prior_a - 1.0 <= 0.0 for n in stack.n):
         raise FieldError("degenerate update: N + {prior_a} - 1 must be positive", prior_a="a")
     running = list(range(len(samples)))

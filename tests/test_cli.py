@@ -159,6 +159,16 @@ def test_diagnose_plot_ready_rates(counts_file, capsys):
     assert abs(rates[-1]["rate"] - payload["r_theoretical"]) < 0.1
 
 
+def test_fit_and_diagnose_report_the_prior_they_ran_under(counts_file, capsys):
+    prior = ("--prior-a", "30", "--prior-b", "5")
+    reports = [json.loads(run_cli(capsys, "fit", counts_file, *prior)[1])["convergence"],
+               json.loads(run_cli(capsys, "diagnose", counts_file, *prior)[1])]
+    no_prior = json.loads(run_cli(capsys, "diagnose", counts_file)[1])
+    for key in ("jacobian_at_hat", "r_theoretical"):
+        assert reports[0][key] == reports[1][key]
+    assert reports[0]["jacobian_at_hat"] != no_prior["jacobian_at_hat"]
+
+
 def test_gibbs_report_and_chain_file(counts_file, tmp_path, capsys):
     chain_path = str(tmp_path / "chain.csv")
     code, out, _ = run_cli(

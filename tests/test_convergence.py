@@ -4,12 +4,14 @@ import pytest
 from yulesimon import (
     CountSample,
     FitConfig,
+    RngStream,
     diagnose,
     em_fit,
     em_map_jacobian,
     em_step,
     empirical_rates,
     rate_theoretical,
+    sample_mixture,
 )
 from yulesimon.special import trigamma
 
@@ -115,7 +117,7 @@ def test_both_rate_forms_share_a_limit():
 def test_terminal_empirical_rates_approach_theoretical():
     data = random_dataset(1.1, 500, 1234)
     fit = em_fit(data, FitConfig(tol=1e-9))
-    report = diagnose(data, fit)
+    report = diagnose(fit)
     for r in report.empirical_rates[-3:]:
         assert abs(r - report.r_theoretical) < 0.1
 
@@ -123,11 +125,34 @@ def test_terminal_empirical_rates_approach_theoretical():
 def test_diagnose_report_fields():
     data = random_dataset(0.6, 500, 5)
     fit = em_fit(data, FitConfig(tol=1e-9))
-    report = diagnose(data, fit)
+    report = diagnose(fit)
     assert report.regime == "linear"
     assert report.jacobian_at_hat == pytest.approx(report.r_theoretical, abs=1e-6)
     big = random_dataset(10.0, 500, 6)
     fit_big = em_fit(big, FitConfig(tol=1e-9, max_iter=2000))
-    report_big = diagnose(big, fit_big)
+    report_big = diagnose(fit_big)
     assert report_big.regime == "sublinear"
     assert report_big.r_theoretical > 0.9
+
+
+def test_diagnose_takes_the_prior_the_fit_ran_under():
+    """Under a Gamma(30, 5) prior the Jacobian at the MAP estimate is the
+    rate the iteration shows, and not the likelihood map's."""
+    fit = em_fit(sample_mixture(0.6, 300, RngStream(5)),
+                 FitConfig(prior_a=30.0, prior_b=5.0, tol=1e-12))
+    assert fit.converged
+    report = diagnose(fit)
+    assert report.jacobian_at_hat == em_map_jacobian(fit.sample, fit.lambda_hat, 30.0, 5.0)
+    assert abs(report.jacobian_at_hat - np.median(report.empirical_rates[-3:])) < 1e-3
+    assert abs(report.jacobian_at_hat - em_map_jacobian(fit.sample, fit.lambda_hat)) > 1e-3
+
+
+@pytest.mark.parametrize("field", ["prior_a", "prior_b"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("call", [
+    lambda data, **prior: em_step(1.0, data, **prior),
+    lambda data, **prior: em_map_jacobian(data, 1.0, **prior),
+], ids=["em_step", "em_map_jacobian"])
+def test_loose_prior_floats_are_checked(call, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+        call(CountSample([1, 2, 5]), **{field: value})

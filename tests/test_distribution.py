@@ -209,6 +209,17 @@ def test_count_sample_validation():
     assert sample.n == 2
 
 
+@pytest.mark.parametrize("counts", [
+    np.array([2**63], dtype=np.uint64), [5, 2**63], [5.0, 1e20], [3, 2.0**63], [5, 2**64],
+], ids=["uint64", "int", "float", "float_at_limit", "object"])
+def test_count_sample_refuses_counts_above_the_int64_limit(counts):
+    """A count above 2**63 - 1 is refused with the count file's message,
+    whatever array it comes in, before a cast to int64 can wrap it."""
+    with pytest.raises(ValueError, match=r"^count exceeds 2\*\*63 - 1$"):
+        CountSample(counts)
+    assert CountSample(np.array([3, 2**63 - 1], dtype=np.uint64)).counts[-1] == 2**63 - 1
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.float64])
 def test_count_sample_never_shares_the_callers_array(dtype):
     for given in (np.array([3, 1, 2], dtype=dtype), np.array([3, 1, 2], dtype=dtype)[::2]):

@@ -472,7 +472,7 @@ def test_counts_near_the_int64_limit_get_an_estimate(counts):
     se = standard_error(data, fit.lambda_hat)
     # NaN only off an interior maximum
     assert se > 0 if fit.converged else (math.isnan(se) or se > 0)
-    report = diagnose(data, fit)
+    report = diagnose(fit)
     assert report.regime in ("linear", "sublinear") and math.isfinite(report.jacobian_at_hat)
     result = gibbs_run(data, GibbsConfig(n_samples=60, burn_in=10, seed=RngStream(len(counts))))
     assert np.all(np.isfinite(result.raw_chain)) and np.all(result.raw_chain > 0)
