@@ -104,9 +104,20 @@ class CountSample:
         arr = np.asarray(counts)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("counts must be a nonempty 1-d sequence")
-        # an unsigned, float or object array can hold a finite count the
-        # int64 cast would wrap; 2**63 compares exactly in each of them
-        if arr.dtype.kind in "ufO" and np.any((arr >= 2**63) & (arr < math.inf)):
+        if arr.dtype.kind in "fO":
+            # inf and nan would warn in the int64 cast (an object nan
+            # already in a comparison), and a non-number in an object
+            # array fails the comparison with a TypeError
+            try:
+                with np.errstate(invalid="ignore"):
+                    finite = np.all((arr > -math.inf) & (arr < math.inf))
+            except TypeError:
+                finite = False
+            if not finite:
+                raise ValueError("counts must be integers")
+        # an unsigned, float or object array can hold a count the int64
+        # cast would wrap; 2**63 compares exactly in each of them
+        if arr.dtype.kind in "ufO" and np.any(arr >= 2**63):
             raise ValueError("count exceeds 2**63 - 1")
         if not np.issubdtype(arr.dtype, np.integer):
             as_int = np.asarray(arr, dtype=np.int64)
@@ -290,61 +301,69 @@ def _parse_digit_lines(raw: bytes) -> np.ndarray | None:
     """The counts of a file of 1- to 19-digit ASCII lines, each ended
     by LF, all from 1 to 2**63 - 1; None for any other file.
 
-    The bytes are parsed in blocks of at most _READ_BLOCK, each cut just
-    after an LF, into slices of one output array sized by the LF count.
-    The values accumulate in uint64, where 19 digits cannot wrap; viewed
-    as int64, a value above 2**63 - 1 turns negative, so one check
-    rejects it and 0 alike."""
+    A pre-pass cuts the bytes into blocks of at most _READ_BLOCK, each
+    just after an LF, and counts each block's LFs with numpy. The counts
+    size one output array, and each block is parsed into its slice of
+    it. The values accumulate in uint64, where 19 digits cannot wrap;
+    viewed as int64, a value above 2**63 - 1 turns negative, so one
+    check rejects it and 0 alike."""
     if not raw.endswith(b"\n"):
         return None
-    out = np.empty(raw.count(b"\n"), dtype=np.uint64)
-    start = done = 0
+    view = np.frombuffer(raw, np.uint8)
+    blocks = []
+    start = 0
     while start < len(raw):
         # a window of _READ_BLOCK bytes without an LF holds part of a line
         # of more than 19 digits
         stop = raw.rfind(b"\n", start, start + _READ_BLOCK) + 1
         if stop <= start:
             return None
-        done = _parse_block(np.frombuffer(raw, np.uint8, stop - start, start) - 48, out, done)
-        if done is None:
-            return None
+        blocks.append((start, stop, int(np.count_nonzero(view[start:stop] == 10))))
         start = stop
+    out = np.empty(sum(lines for _, _, lines in blocks), dtype=np.uint64)
+    done = 0
+    for start, stop, lines in blocks:
+        if not _parse_block(view[start:stop] - 48, lines, out, done):
+            return None
+        done += lines
     counts = out.view(np.int64)
     return counts if counts.min() >= 1 else None
 
 
-def _parse_block(digits: np.ndarray, out: np.ndarray, done: int) -> int | None:
-    """Parse one block of _parse_digit_lines, its bytes less 48 as uint8
-    and its last byte an LF, into out from index done on; the index after
-    its last line, or None when a line is outside the array format.
+def _parse_block(digits: np.ndarray, lines: int, out: np.ndarray, done: int) -> bool:
+    """Parse one block of _parse_digit_lines, its bytes less 48 as uint8,
+    its last byte an LF and lines its LF count, into out from index done
+    on; False when a line is outside the array format.
 
+    A digit less 48 is 0-9 and every other byte is above 9, so the block
+    has as many bytes above 9 as LFs only when each of them is an LF.
     Each line's last digit is taken in one gather. Each pass then steps
     one byte to the left and adds digit * 10**j to the lines that still
     have a digit there; in Yule-Simon data most lines have one or two
-    digits, so the passes shrink fast. The byte left of a block's first line is read at index
-    -1, the block's final LF, so every line is bounded by a non-digit."""
+    digits, so the passes shrink fast. The byte left of a block's first
+    line is read at index -1, the block's final LF, so every line is
+    bounded by a non-digit."""
     ends = np.flatnonzero(digits > 9)
-    # uint8 arithmetic takes LF (10) to 10 - 48 + 256
-    if np.any(digits[ends] != 218):
-        return None
+    if ends.size != lines:
+        return False
     pos = ends - 1
     digit = digits[pos]
     # an LF before an LF: an empty line
     if digit.max() > 9:
-        return None
-    value = out[done:done + ends.size]
+        return False
+    value = out[done:done + lines]
     value[:] = digit
-    rows = np.arange(ends.size)
+    rows = np.arange(lines)
     for power in _POWERS_OF_TEN:
         pos -= 1
         digit = digits[pos]
         more = np.flatnonzero(digit <= 9)
         if not more.size:
-            return done + ends.size
+            return True
         rows, pos = rows[more], pos[more]
         value[rows] += digit[more] * power
     # a line with a digit left of its 19th
-    return None if np.any(digits[pos - 1] <= 9) else done + ends.size
+    return not np.any(digits[pos - 1] <= 9)
 
 
 def _parse_lines(lines) -> list[int]:

@@ -220,6 +220,21 @@ def test_count_sample_refuses_counts_above_the_int64_limit(counts):
     assert CountSample(np.array([3, 2**63 - 1], dtype=np.uint64)).counts[-1] == 2**63 - 1
 
 
+@pytest.mark.parametrize("counts", [
+    [5, None], np.array([5, "7"], dtype=object), [3, object()],
+    [math.inf], [math.nan], [-math.inf], np.array([1.0, math.nan], dtype=np.float32),
+    np.array([5, math.inf], dtype=object), np.array([5, math.nan], dtype=object),
+], ids=["none", "object_str", "object", "inf", "nan", "minus_inf", "float32_nan",
+        "object_inf", "object_nan"])
+def test_count_sample_refuses_a_non_number_or_non_finite_count(counts):
+    """A non-number or a non-finite float is refused as not an integer,
+    with a ValueError and no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^counts must be integers$"):
+            CountSample(counts)
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.float64])
 def test_count_sample_never_shares_the_callers_array(dtype):
     for given in (np.array([3, 1, 2], dtype=dtype), np.array([3, 1, 2], dtype=dtype)[::2]):

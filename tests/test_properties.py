@@ -329,6 +329,42 @@ def test_reader_matches_line_parser_off_the_array_format(text, kind, at, tmp_pat
         assert got.startswith(f"line {i + 1}: ")
 
 
+def _with_stray_byte(byte, place):
+    """TWO_BLOCKS with byte inside a first-block line, just before the LF
+    that ends the first block, or inside the last line; the bytes and the
+    number of the line that holds it."""
+    raw = TWO_BLOCKS.encode("ascii")
+    end = _READ_BLOCK - 1
+    assert raw.rfind(b"\n", 0, _READ_BLOCK) == end
+    if place == "first_block":
+        # lines 1 and 2 become the line 7?7
+        return raw[:1] + byte + raw[2:], 1
+    if place == "block_end":
+        # the last two lines of the first block become the line 77?
+        return raw[:end - 2] + b"7" + byte + raw[end:], end // 2
+    # the last line, 12, becomes 1?2
+    return raw[:-2] + byte + raw[-2:], _READ_BLOCK // 2 + 1
+
+
+@pytest.mark.parametrize("place", ["first_block", "block_end", "last_line"])
+def test_array_reader_refuses_every_byte_but_digits_and_lf(place, tmp_path):
+    for value in range(256):
+        byte = bytes([value])
+        if byte != b"\n" and not byte.isdigit():
+            assert _parse_digit_lines(_with_stray_byte(byte, place)[0]) is None, byte
+    for byte in (b":", b"a", b"\t", b"\x00", b"\xff"):
+        raw, lineno = _with_stray_byte(byte, place)
+        path = tmp_path / "stray.txt"
+        path.write_bytes(raw)
+        got = _read_outcome(path)
+        assert got == _line_parser_outcome(raw.decode("utf-8", errors="replace"))
+        if byte == b"\t" and place == "block_end":
+            # whitespace around a count is accepted
+            assert got == [7] * (lineno - 1) + [77, 12]
+        else:
+            assert got.startswith(f"line {lineno}: "), (byte, got)
+
+
 # both ends of every width from 1 to 19 digits, with 1 and 2**63 - 1
 WIDTH_EDGES = np.array(sorted({1, 2**63 - 1, *(10**k - 1 for k in range(1, 19)),
                                *(10**k for k in range(1, 19))}), dtype=np.int64)
