@@ -104,6 +104,10 @@ class CountSample:
         arr = np.asarray(counts)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("counts must be a nonempty 1-d sequence")
+        # a bool is not a count, and the int64 cast of a complex array
+        # warns before the comparison below could refuse it
+        if arr.dtype.kind in "bc":
+            raise ValueError("counts must be integers")
         if arr.dtype.kind in "fO":
             # inf and nan would warn in the int64 cast (an object nan
             # already in a comparison), and a non-number in an object

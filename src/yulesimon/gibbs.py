@@ -31,7 +31,10 @@ _BLOCK_VARIATES), and each block first draws its lam-free variates, the
 level gammas, the G_b and the Gamma(a + N) variate G behind each lam
 draw, in one standard_gamma call apiece; a sweep then makes one call,
 for its G_a, and sets lam = G / (b + sum_i w_i), the Gamma(a + N,
-rate b + sum_i w_i) draw. Chains are reproducible given the seed.
+rate b + sum_i w_i) draw. The sweep sums sum_i w_i as one dot product:
+its row of the block's weights, the level gammas Gamma(m_t) followed by
+a 1 per remainder, against 1/(lam + t) for t <= T followed by the
+remainders log1p(G_b/G_a). Chains are reproducible given the seed.
 """
 
 from __future__ import annotations
@@ -126,27 +129,33 @@ def _sweeps(data: CountSample, split: int, g: np.random.Generator, lam: float,
             n_sweeps: int, shape: float, next_lam) -> np.ndarray:
     """lam after each of n_sweeps sweeps from lam, split at level `split`.
     A sweep draws sum_i w_i given lam and sets lam = next_lam(sum_w, G),
-    with G ~ Gamma(shape) drawn in its block. A block is _BLOCK sweeps,
-    or as many as keep its split + #{k_i > split} lam-free variates per
-    sweep within _BLOCK_VARIATES, and at least one."""
+    with G ~ Gamma(shape) drawn in its block and sum_w a Python float.
+    A block is _BLOCK sweeps, or as many as keep its split + #{k_i > split}
+    lam-free variates per sweep within _BLOCK_VARIATES, and at least one.
+    sum_w is one dot product: the sweep's row of the block's weights
+    (its level gammas, then a 1 per remainder) against terms (1/(lam+t)
+    for t = 1..split, then the remainders log1p(G_b/G_a))."""
     u, c = data.histogram()
     levels = np.arange(1.0, split + 1.0)
     tail = data.counts[data.counts > split] - split
     m = _tail_multiplicity(np.minimum(u, split), c)
     block = max(1, min(_BLOCK, _BLOCK_VARIATES // (split + tail.size)))
+    weights = np.ones((block, split + tail.size))
+    terms = np.empty(split + tail.size)
+    inv, rem = terms[:split], terms[split:]
     out = np.empty(n_sweeps)
     for start in range(0, n_sweeps, block):
         size = min(block, n_sweeps - start)
-        x = g.standard_gamma(m, size=(size, split))
+        weights[:size, :split] = g.standard_gamma(m, size=(size, split))
         g_b = g.standard_gamma(tail, size=(size, tail.size))
         g_lam = g.standard_gamma(shape, size=size)
-        for i in range(size):
-            sum_w = x[i] @ (1.0 / (lam + levels))
+        for i, (w, b, gamma) in enumerate(zip(weights, g_b, g_lam.tolist()), start):
+            np.reciprocal(np.add(lam, levels, out=inv), out=inv)
             if tail.size:
                 g_a = g.standard_gamma(lam + split + 1.0, size=tail.size)
-                sum_w += np.log1p(g_b[i] / g_a).sum()
-            lam = next_lam(sum_w, g_lam[i])
-            out[start + i] = lam
+                np.log1p(np.divide(b, g_a, out=rem), out=rem)
+            lam = next_lam(float(w @ terms), gamma)
+            out[i] = lam
     return out
 
 

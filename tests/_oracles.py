@@ -190,6 +190,34 @@ def conditional_lambda_draw(sum_w, n: int, prior_a: float, prior_b: float, rng, 
     return float(draw) if size is None else draw
 
 
+def sweeps_two_reductions(data: CountSample, split: int, g: np.random.Generator, lam: float,
+                          n_sweeps: int, shape: float, next_lam) -> np.ndarray:
+    """The Gibbs sweep loop with sum_w built from two reductions, a dot
+    over the levels and a sum over the remainders: the same draws, in
+    the same order and sizes, as yulesimon.gibbs._sweeps."""
+    from yulesimon.gibbs import _BLOCK, _BLOCK_VARIATES, _tail_multiplicity
+
+    u, c = data.histogram()
+    levels = np.arange(1.0, split + 1.0)
+    tail = data.counts[data.counts > split] - split
+    m = _tail_multiplicity(np.minimum(u, split), c)
+    block = max(1, min(_BLOCK, _BLOCK_VARIATES // (split + tail.size)))
+    out = np.empty(n_sweeps)
+    for start in range(0, n_sweeps, block):
+        size = min(block, n_sweeps - start)
+        x = g.standard_gamma(m, size=(size, split))
+        g_b = g.standard_gamma(tail, size=(size, tail.size))
+        g_lam = g.standard_gamma(shape, size=size)
+        for i in range(size):
+            sum_w = x[i] @ (1.0 / (lam + levels))
+            if tail.size:
+                g_a = g.standard_gamma(lam + split + 1.0, size=tail.size)
+                sum_w += np.log1p(g_b[i] / g_a).sum()
+            lam = next_lam(sum_w, g_lam[i])
+            out[start + i] = lam
+    return out
+
+
 def mixture_latents(lam: float, n: int, rng: RngStream):
     """(p, w, k) of the exponential/geometric mixture, rebuilt from the
     same two blocks of uniforms that sample_mixture draws from rng:

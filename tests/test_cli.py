@@ -327,15 +327,15 @@ CLI_PINS = {
         "stdout": "ba5f1682f4f03a3884152dacbfc760d5546f7fa85c164024245241eb5e087456"},
     ("gibbs", "counts.txt", "--seed", "7", "--samples", "600", "--burn-in", "50",
      "--chain-file", "chain.csv"): {
-        "stdout": "ec95ebb82174df61dedc4f399de531c56e2d902b812081c5e77359461b44e41c",
-        "chain.csv": "954b9012d002374a41289f9809476a0353f6199572a7c627291a7272c09d7c9b"},
+        "stdout": "0b88185fc9543903064583b2e9eeec596c0ec1e8270086edfe1a8b935d1252b7",
+        "chain.csv": "a186ccd473b6b1f1cd69a2b10a5494717f16e47d2e8dcd00dd3810ed10faf4de"},
     ("experiment", "--lambda", "0.8", "--n", "150", "--reps", "6", "--seed", "5",
      "--csv", "reps.csv"): {
         "stdout": "c8564ed7bd04e57ae57e4b8fcc2556786de936067f50d3809e30f24cd3508df2",
         "reps.csv": "f45630a4bba215ddc3c3cefaaabbae94e674b96fa19b113ef74504af25c82242"},
     ("experiment", "--lambda", "0.6", "--n", "300", "--reps", "3", "--estimators", "em,gibbs",
      "--gibbs-samples", "600", "--seed", "7"): {
-        "stdout": "12c34a8cc4925e0ca9f0c792417f5211695585f3fada3cdef27fe7aac864c5c1"},
+        "stdout": "fe71800e9a8de12474825809aa3c70a4587e0a6ae632d64f78a5f434162bca1b"},
 }
 
 

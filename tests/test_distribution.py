@@ -224,11 +224,12 @@ def test_count_sample_refuses_counts_above_the_int64_limit(counts):
     [5, None], np.array([5, "7"], dtype=object), [3, object()],
     [math.inf], [math.nan], [-math.inf], np.array([1.0, math.nan], dtype=np.float32),
     np.array([5, math.inf], dtype=object), np.array([5, math.nan], dtype=object),
+    [1 + 1j, 2], np.array([3, 2], dtype=np.complex64), [True, True], np.array([True]),
 ], ids=["none", "object_str", "object", "inf", "nan", "minus_inf", "float32_nan",
-        "object_inf", "object_nan"])
+        "object_inf", "object_nan", "complex", "complex_integral", "bool", "bool_array"])
 def test_count_sample_refuses_a_non_number_or_non_finite_count(counts):
-    """A non-number or a non-finite float is refused as not an integer,
-    with a ValueError and no warning on the way."""
+    """A non-number, a non-finite float, a complex or a bool is refused
+    as not an integer, with a ValueError and no warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^counts must be integers$"):
