@@ -30,11 +30,16 @@ of _BLOCK (fewer when the block's lam-free variates would pass
 _BLOCK_VARIATES), and each block first draws its lam-free variates, the
 level gammas, the G_b and the Gamma(a + N) variate G behind each lam
 draw, in one standard_gamma call apiece; a sweep then makes one call,
-for its G_a, and sets lam = G / (b + sum_i w_i), the Gamma(a + N,
-rate b + sum_i w_i) draw. The sweep sums sum_i w_i as one dot product:
-its row of the block's weights, the level gammas Gamma(m_t) followed by
-a 1 per remainder, against 1/(lam + t) for t <= T followed by the
-remainders log1p(G_b/G_a). Chains are reproducible given the seed.
+which draws its G_a into a buffer it reuses, and sets lam = G / (b +
+sum_i w_i), the Gamma(a + N, rate b + sum_i w_i) draw. A sweep is one
+division,
+
+    (1 per level t <= T, G_b per remainder) / (lam + t per level, G_a per remainder)
+
+then log1p of the remainder slice, then one dot product of its row of
+the block's weights, the level gammas Gamma(m_t) followed by a 1 per
+remainder, against the quotients. Chains are reproducible given the
+seed.
 """
 
 from __future__ import annotations
@@ -132,29 +137,42 @@ def _sweeps(data: CountSample, split: int, g: np.random.Generator, lam: float,
     with G ~ Gamma(shape) drawn in its block and sum_w a Python float.
     A block is _BLOCK sweeps, or as many as keep its split + #{k_i > split}
     lam-free variates per sweep within _BLOCK_VARIATES, and at least one.
-    sum_w is one dot product: the sweep's row of the block's weights
-    (its level gammas, then a 1 per remainder) against terms (1/(lam+t)
-    for t = 1..split, then the remainders log1p(G_b/G_a))."""
+    A sweep writes lam + t for t = 1..split, then its G_a, into den;
+    divides its row of the block's numerators (a 1 per level, then the
+    remainders' G_b) by den in one call; takes log1p of the remainder
+    slice of the quotients; and sums sum_w as one dot product of its row
+    of the block's weights (the level gammas, then a 1 per remainder)
+    against them. 1.0/(lam + t) is what np.reciprocal computes, bit for
+    bit. With no level (split = 0) or no remainder (split = max k) the
+    sweep makes no call on the empty slice."""
     u, c = data.histogram()
     levels = np.arange(1.0, split + 1.0)
     tail = data.counts[data.counts > split] - split
+    n_tail = tail.size
     m = _tail_multiplicity(np.minimum(u, split), c)
-    block = max(1, min(_BLOCK, _BLOCK_VARIATES // (split + tail.size)))
-    weights = np.ones((block, split + tail.size))
-    terms = np.empty(split + tail.size)
-    inv, rem = terms[:split], terms[split:]
+    block = max(1, min(_BLOCK, _BLOCK_VARIATES // (split + n_tail)))
+    weights = np.ones((block, split + n_tail))
+    numer = np.ones((block, split + n_tail))
+    den = np.empty(split + n_tail)
+    terms = np.empty(split + n_tail)
+    lam_t, g_a, rem = den[:split], den[split:], terms[split:]
+    rows = list(zip(weights, numer))
+    add, divide, log1p, gamma_into = np.add, np.divide, np.log1p, g.standard_gamma
     out = np.empty(n_sweeps)
     for start in range(0, n_sweeps, block):
         size = min(block, n_sweeps - start)
         weights[:size, :split] = g.standard_gamma(m, size=(size, split))
-        g_b = g.standard_gamma(tail, size=(size, tail.size))
+        numer[:size, split:] = g.standard_gamma(tail, size=(size, n_tail))
         g_lam = g.standard_gamma(shape, size=size)
-        for i, (w, b, gamma) in enumerate(zip(weights, g_b, g_lam.tolist()), start):
-            np.reciprocal(np.add(lam, levels, out=inv), out=inv)
-            if tail.size:
-                g_a = g.standard_gamma(lam + split + 1.0, size=tail.size)
-                np.log1p(np.divide(b, g_a, out=rem), out=rem)
-            lam = next_lam(float(w @ terms), gamma)
+        for i, (w, num), gamma in zip(range(start, start + size), rows, g_lam.tolist()):
+            if split:
+                add(lam, levels, lam_t)
+            if n_tail:
+                gamma_into(lam + split + 1.0, out=g_a)
+            divide(num, den, terms)
+            if n_tail:
+                log1p(rem, rem)
+            lam = next_lam(float(w.dot(terms)), gamma)
             out[i] = lam
     return out
 

@@ -218,6 +218,38 @@ def sweeps_two_reductions(data: CountSample, split: int, g: np.random.Generator,
     return out
 
 
+def sweeps_reciprocal(data: CountSample, split: int, g: np.random.Generator, lam: float,
+                      n_sweeps: int, shape: float, next_lam) -> np.ndarray:
+    """The Gibbs sweep loop with the level terms from np.reciprocal and
+    the remainder ratios from their own np.divide, each G_a a fresh
+    array: the same draws, in the same order and sizes, and the same
+    sum_w bits as yulesimon.gibbs._sweeps."""
+    from yulesimon.gibbs import _BLOCK, _BLOCK_VARIATES, _tail_multiplicity
+
+    u, c = data.histogram()
+    levels = np.arange(1.0, split + 1.0)
+    tail = data.counts[data.counts > split] - split
+    m = _tail_multiplicity(np.minimum(u, split), c)
+    block = max(1, min(_BLOCK, _BLOCK_VARIATES // (split + tail.size)))
+    weights = np.ones((block, split + tail.size))
+    terms = np.empty(split + tail.size)
+    inv, rem = terms[:split], terms[split:]
+    out = np.empty(n_sweeps)
+    for start in range(0, n_sweeps, block):
+        size = min(block, n_sweeps - start)
+        weights[:size, :split] = g.standard_gamma(m, size=(size, split))
+        g_b = g.standard_gamma(tail, size=(size, tail.size))
+        g_lam = g.standard_gamma(shape, size=size)
+        for i, (w, b, gamma) in enumerate(zip(weights, g_b, g_lam.tolist()), start):
+            np.reciprocal(np.add(lam, levels, out=inv), out=inv)
+            if tail.size:
+                g_a = g.standard_gamma(lam + split + 1.0, size=tail.size)
+                np.log1p(np.divide(b, g_a, out=rem), out=rem)
+            lam = next_lam(float(w @ terms), gamma)
+            out[i] = lam
+    return out
+
+
 def mixture_latents(lam: float, n: int, rng: RngStream):
     """(p, w, k) of the exponential/geometric mixture, rebuilt from the
     same two blocks of uniforms that sample_mixture draws from rng:

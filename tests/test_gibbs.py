@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from yulesimon import (
@@ -16,7 +18,12 @@ from yulesimon import (
     standard_error,
 )
 
-from _oracles import conditional_lambda_draw, random_dataset, sweeps_two_reductions
+from _oracles import (
+    conditional_lambda_draw,
+    random_dataset,
+    sweeps_reciprocal,
+    sweeps_two_reductions,
+)
 
 
 def test_conditional_draw_mean_matches_gamma_oracle():
@@ -151,16 +158,17 @@ def test_chain_with_a_partial_last_block_has_its_length_and_reproduces():
 
 
 class _RecordingGenerator:
-    """A numpy Generator that records the size of every standard_gamma draw."""
+    """A numpy Generator that records the size of every standard_gamma
+    draw, whether it returns a new array or fills `out`."""
 
     def __init__(self, seed):
         self._g = np.random.default_rng(seed)
         self.sizes = []
 
-    def standard_gamma(self, shape, size=None):
-        out = self._g.standard_gamma(shape, size=size)
-        self.sizes.append(np.size(out))
-        return out
+    def standard_gamma(self, shape, size=None, out=None):
+        drawn = self._g.standard_gamma(shape, size=size, out=out)
+        self.sizes.append(np.size(drawn))
+        return drawn
 
 
 def test_large_sample_blocks_hold_at_most_2_18_variates():
@@ -263,6 +271,12 @@ GIBBS_BITS = {
                    ["0x1.69720df2e6fc6p+0", "0x1.d54920aca55d1p-4", "0x1.8f923d07b5546p+0"]),
     "T = max k": (lambda: sample_mixture(5.0, 200, RngStream(1)), 5,
                   ["0x1.b4aac5e4d5a10p+2", "0x1.9690e44d10e7dp-1", "0x1.dcb749d0236f5p+2"]),
+    # every draw lies in [1/4, 1/2), so lam + 1 and lam + 2 sit in different
+    # binades and the G_a shape lam + split + 1.0, rounded twice, differs
+    # from lam + (split + 1.0) on some sweeps
+    "T = 1 across a binade": (
+        lambda: CountSample(np.r_[np.ones(20, dtype=np.int64), np.arange(3, 123, 2)]), 1,
+        ["0x1.4881eca3b8c39p-2", "0x1.03cd3e63be73dp-5", "0x1.887b27dc3a642p-2"]),
 }
 
 
@@ -299,3 +313,51 @@ def test_sweep_matches_the_two_reduction_sweep(case):
         assert chains[0].tobytes() == chains[1].tobytes()
     else:
         np.testing.assert_allclose(chains[0], chains[1], rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def split_samples(draw, kind):
+    """(counts, split level) with the split level of `kind`: 0, interior
+    or the largest count."""
+    if kind == "T = 0":
+        # every count is at least 2N, so one beta per count, 2N variates,
+        # costs no more than any level
+        n = draw(st.integers(1, 30))
+        counts = draw(st.lists(st.integers(2 * n, 2 * n + 500), min_size=n, max_size=n))
+        return counts, 0
+    # every level up to top holds a count, so no lower level costs less
+    top = draw(st.integers(1, 40))
+    counts = list(range(1, top + 1)) + draw(st.lists(st.integers(1, top), max_size=30))
+    if kind == "T = max k":
+        return counts, top
+    # the j-th count above top exceeds it by more than 2j, so no higher
+    # level costs less either
+    gaps = draw(st.lists(st.integers(3, 50), min_size=1, max_size=30))
+    return counts + (top + np.cumsum(gaps)).tolist(), top
+
+
+@pytest.mark.parametrize("kind", ["T = 0", "interior T", "T = max k"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_sweep_draws_the_reciprocal_sweeps_bits(kind, data):
+    # one division over (1 | G_b) / (lam + t | G_a) gives the chain that
+    # np.reciprocal over the levels and a separate divide over the
+    # remainders gave, bit for bit, from the same draws; 1, 255, 256, 257
+    # and 600 sweeps are within, at and past the first block of 256
+    from yulesimon.gibbs import _sweeps, split_level
+
+    counts, split = data.draw(split_samples(kind))
+    sample = CountSample(counts)
+    assert split_level(*sample.histogram()) == split
+    lam = data.draw(st.floats(0.05, 20.0))
+    rate = data.draw(st.floats(0.05, 2.0))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    for n_sweeps in (1, 255, 256, 257, 600):
+        chains, states = [], []
+        for sweeps in (_sweeps, sweeps_reciprocal):
+            g = np.random.default_rng(seed)
+            chains.append(sweeps(sample, split, g, lam, n_sweeps, 2.0 + sample.n,
+                                 lambda sum_w, gamma: gamma / (rate + sum_w)))
+            states.append(g.bit_generator.state)
+        assert chains[0].tobytes() == chains[1].tobytes()
+        assert states[0] == states[1]
