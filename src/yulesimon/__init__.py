@@ -29,15 +29,12 @@ from .distribution import (
     write_count_file,
 )
 from .em import (
-    CONVEXITY_BOUND,
     FitConfig,
     FitResult,
-    convexity_check,
     em_fit,
     em_step,
     init_lambda,
     observed_loglik,
-    q_function,
 )
 from .experiment import (
     ExperimentSpec,
@@ -62,7 +59,6 @@ from .information import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONVEXITY_BOUND",
     "ConvergenceReport",
     "CorpusCounts",
     "CountFileError",
@@ -77,7 +73,6 @@ __all__ = [
     "RngStream",
     "TokenizerOptions",
     "autocorrelation",
-    "convexity_check",
     "diagnose",
     "em_fit",
     "em_map_jacobian",
@@ -91,7 +86,6 @@ __all__ = [
     "oakes_information",
     "observed_loglik",
     "pmf",
-    "q_function",
     "rate_theoretical",
     "read_count_file",
     "run_experiment",

@@ -234,12 +234,19 @@ def sample_urn(lam: float, n: int, rng) -> CountSample:
 
     The copies form a forest: arrival t points at itself when it
     innovates and at arrival floor(pick * t) otherwise, so its category
-    is the root of its tree. Pointer jumping (parent <- parent[parent])
-    reaches every root in O(log depth) array passes. The roots are the
-    innovations, so the tree sizes taken in arrival order of the roots
-    are the counts the arrival-by-arrival process gives for the same
-    draws, category by category in order of creation. n, the number of
-    arrivals, is at most MAX_DRAWS.
+    is the root of its tree. Every arrival's pick is cast into the
+    pointer array in one unmasked pass, and the roots, found by index,
+    are then written back over their own slots. Pointer jumping
+    (parent <- parent[parent]) reaches every root in O(log depth) array
+    passes, and stops when a pass leaves the sum of the pointers
+    unchanged. That test is exact: parent[t] <= t from the start and a
+    pass never raises a pointer, so the pointers are unchanged exactly
+    when their sum is, and the sum stays below n**2 / 2, within int64.
+    The tree sizes taken in arrival order of the roots are the counts
+    the arrival-by-arrival process gives for the same draws, category by
+    category in order of creation. n, the number of arrivals, is at most
+    MAX_DRAWS, and no more than two 8-byte arrays of n are alive at a
+    time, besides the roots.
     """
     lam = _check_lambda(lam)
     if lam <= 1.0:
@@ -250,23 +257,33 @@ def sample_urn(lam: float, n: int, rng) -> CountSample:
     innovate = g.random(n) < alpha
     pick = g.random(n)
     innovate[0] = True
+    # each array is freed once spent: the draws' flags before the pointers
+    # are made, the pointers before the sizes are gathered. No third
+    # 8-byte array of n is ever alive, and a process that draws urn after
+    # urn faults in fewer fresh pages than with the flags kept longer
+    roots = np.flatnonzero(innovate)
+    del innovate
     parent = np.arange(n, dtype=np.int64)
     pick *= parent
     # truncation of the float product pick * t, as int() takes it
-    np.copyto(parent, pick, casting="unsafe", where=~innovate)
-    # each spent buffer is freed, so no more than two 8-byte arrays of
-    # n are alive at a time
+    np.copyto(parent, pick, casting="unsafe")
     del pick
+    parent[roots] = roots
+    total = parent.sum()
     hop = np.empty_like(parent)
     while True:
         # every index is in [0, t], so "clip" never clips; it only skips
         # the bounds check
         np.take(parent, parent, out=hop, mode="clip")
-        if np.array_equal(hop, parent):
+        hop_total = hop.sum()
+        if hop_total == total:
             break
-        parent, hop = hop, parent
+        parent, hop, total = hop, parent, hop_total
     del hop
-    return CountSample(np.bincount(parent, minlength=n)[innovate])
+    sizes = np.bincount(parent, minlength=n)
+    del parent
+    sizes = sizes[roots]
+    return CountSample(sizes)
 
 
 class CountFileError(ValueError):

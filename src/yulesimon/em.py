@@ -42,27 +42,17 @@ from .special import (
     HistogramStack,
     digamma,
     log_beta,
-    pooled_harmonic_sum,
-    pooled_harmonic_sum_sq,
 )
 
 __all__ = [
-    "CONVEXITY_BOUND",
     "FitConfig",
     "FitResult",
     "observed_loglik",
-    "q_function",
     "em_step",
     "em_fit",
     "em_fit_stacked",
     "init_lambda",
-    "convexity_check",
 ]
-
-# Radius of the interval on which the per-observation log-likelihood is
-# certified concave: second derivative -1/lam^2 + sum 1/(lam+j)^2 stays
-# negative while 1/lam^2 exceeds the Basel sum pi^2/6.
-CONVEXITY_BOUND = math.sqrt(6.0) / math.pi
 
 CONVERGED = "converged"
 MAX_ITER_REACHED = "max_iter_reached"
@@ -172,20 +162,6 @@ def _updates(
     ]
 
 
-def q_function(lam: float, lam_prev: float, data: CountSample) -> float:
-    """Expected complete-data log-likelihood given the previous iterate.
-
-    Q(lam | lam') = N log lam - lam sum_i sum_{j=1..k_i} 1/(lam'+j)
-                    + sum_i (k_i-1)[psi(k_i) - psi(lam'+1+k_i)]
-    """
-    lam = _check_lambda(lam)
-    lam_prev = _check_lambda(lam_prev, "lam_prev")
-    u, c = data.histogram()
-    uf = u.astype(np.float64)
-    rest = np.sum(c * (uf - 1.0) * (digamma(uf) - digamma(lam_prev + 1.0 + uf)))
-    return float(data.n * math.log(lam) - lam * pooled_harmonic_sum(lam_prev, data) + rest)
-
-
 def em_step(
     lam_prev: float,
     data: CountSample,
@@ -292,11 +268,3 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
             if fit.status == MAX_ITER_REACHED and data.histogram()[0][-1] == 1:
                 fit.status = DIVERGING
     return fits
-
-
-def convexity_check(data: CountSample, lam: float) -> tuple[float, bool]:
-    """Second derivative of the log-likelihood at lam and whether lam
-    lies inside the certified concavity interval (0, sqrt(6)/pi)."""
-    lam = _check_lambda(lam)
-    second = -data.n / lam**2 + pooled_harmonic_sum_sq(lam, data)
-    return second, lam < CONVEXITY_BOUND

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import distribution
 from .distribution import CountSample, FieldError, RngStream, _check_lambda, _check_size
-from .em import CONVERGED, FitConfig, em_fit_stacked
+from .em import CONVERGED, DIVERGING, FitConfig, em_fit_stacked
 from .gibbs import GibbsConfig, gibbs_run
 from .information import standard_errors
 
@@ -146,7 +146,13 @@ def _em_records(reps, samples, config: FitConfig) -> list[ReplicationRecord]:
 
 
 def _gibbs_record(spec: ExperimentSpec, rep: int, data: CountSample) -> ReplicationRecord:
-    result = gibbs_run(data, replace(spec.gibbs_config, seed=spec.seed.child(rep, 1)))
+    """The rep's Gibbs row; a chain refused for its prior rate (an
+    improper posterior, or summaries that overflow) is a failed rep."""
+    config = replace(spec.gibbs_config, seed=spec.seed.child(rep, 1))
+    try:
+        result = gibbs_run(data, config)
+    except FieldError:
+        return ReplicationRecord(rep, "gibbs", math.nan, math.nan, 0, DIVERGING)
     return ReplicationRecord(
         rep, "gibbs", result.posterior_mean, result.posterior_sd, result.chain.size, CONVERGED
     )

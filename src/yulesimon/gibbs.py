@@ -44,6 +44,7 @@ seed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -178,20 +179,40 @@ def _sweeps(data: CountSample, split: int, g: np.random.Generator, lam: float,
 
 
 def gibbs_run(data: CountSample, config: GibbsConfig | None = None) -> GibbsResult:
-    """Run the sampler and summarize the retained chain."""
+    """Run the sampler and summarize the retained chain.
+
+    For large lam the posterior density falls as lam**(a - 1 + N - sum k_i)
+    times exp(-b lam), so with prior_b = 0 it is proper only when the
+    counts exceed 1 by more than prior_a in all; otherwise lam drifts
+    upward without bound. That case, and a chain whose mean, SD or
+    autocorrelations overflow, raise a FieldError on prior_b."""
     config = config or GibbsConfig()
     rate_b = config.prior_b
+    if rate_b == 0.0:
+        excess = data.total() - data.n
+        if excess <= config.prior_a:
+            raise FieldError("{prior_b} = 0 leaves the posterior improper: the counts exceed 1 "
+                             "by {} in all, not by more than {prior_a} = {}", excess,
+                             config.prior_a)
     raw = _sweeps(data, split_level(*data.histogram()), config.seed.generator(),
                   config.lambda_init, config.n_samples, config.prior_a + data.n,
                   lambda sum_w, gamma: gamma / (rate_b + sum_w))
 
     chain = raw[config.burn_in :: config.thin]
     max_lag = min(_ACF_LAGS, chain.size - 1)
+    # a posterior far wider than the data, under a prior rate near 0,
+    # gives draws whose squares overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = float(chain.mean()), float(chain.std(ddof=1))
+        autocorrelations = autocorrelation(chain, max_lag)
+    if not (math.isfinite(mean) and math.isfinite(sd) and np.isfinite(autocorrelations).all()):
+        raise FieldError("the mean, SD or autocorrelations of the chain under {prior_b} = {} "
+                         "overflow; a larger {prior_b} narrows the posterior", rate_b)
     return GibbsResult(
         chain=chain,
-        posterior_mean=float(chain.mean()),
-        posterior_sd=float(chain.std(ddof=1)),
-        autocorrelations=autocorrelation(chain, max_lag),
+        posterior_mean=mean,
+        posterior_sd=sd,
+        autocorrelations=autocorrelations,
         raw_chain=raw,
     )
 

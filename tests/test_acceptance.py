@@ -26,16 +26,20 @@ from yulesimon import (
     numeric_information,
     oakes_information,
     observed_loglik,
-    convexity_check,
     rate_theoretical,
     run_experiment,
     sample_mixture,
     standard_error,
 )
 from yulesimon.convergence import empirical_rates
-from yulesimon.em import CONVEXITY_BOUND
 
-from _oracles import finite_em_step, golden_section_maximize, random_dataset
+from _oracles import (
+    CONVEXITY_BOUND,
+    convexity_check,
+    finite_em_step,
+    golden_section_maximize,
+    random_dataset,
+)
 from _textdata import TEXT_TABLE, TEXTS_DIR, load_text_counts, missing_texts
 
 # acceptance bands for the two pinned estimates

@@ -88,6 +88,19 @@ def test_bad_prior_exits_1_naming_it(counts_file, capsys, command, flag, value):
     assert err.startswith(f"ys: error: {flag} ")
 
 
+def test_improper_posterior_exits_1_naming_prior_b(tmp_path, capsys):
+    # a single count 1 under a prior of rate 0: the chain would drift
+    # upward without bound, and no overflow warning comes first
+    path = tmp_path / "one.txt"
+    path.write_text("1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "gibbs", str(path), "--prior-b", "0")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ys: error: --prior-b = 0 ")
+
+
 HUGE = "1000000000000"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -182,6 +183,36 @@ def test_sample_urn_matches_the_arrival_loop(n, lam, seed):
     innovate = RngStream(seed).generator().random(n) < 1.0 - 1.0 / lam
     assert sample.total() == n
     assert sample.n == 1 + np.count_nonzero(innovate[1:])
+
+
+# sha256 of sample_urn(lam, 10**6, RngStream(7)).counts.tobytes(): a size
+# at which urn_loop is too slow to be the reference, with the deepest copy
+# forests near lam = 1
+URN_DIGESTS = {
+    1.0001: "399f8bcbb83e3194fa7bf92ad44a858bd6cee3d2e79b8311aa2540cdcb373993",
+    1.25: "9707bd8ed41d5598711ae3666ac37dfeb1666144a4bea595923db59827e3b3ce",
+}
+
+
+@pytest.mark.parametrize("lam", URN_DIGESTS)
+def test_sample_urn_reproduces_pinned_counts_at_a_million_items(lam):
+    counts = sample_urn(lam, 10**6, RngStream(7)).counts
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == URN_DIGESTS[lam]
+
+
+def test_sample_urn_keeps_two_arrays_of_the_items_alive():
+    # two 8-byte arrays of n, the roots (8 bytes for each of about n/5
+    # innovations) and the bool draws fit in 20 bytes an item; a third
+    # 8-byte array of n would not
+    n = 200_000
+    tracemalloc.start()
+    try:
+        sample = sample_urn(1.25, n, RngStream(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.total() == n
+    assert peak <= 20 * n
 
 
 def test_latent_posterior_mean_monte_carlo():

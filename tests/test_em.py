@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from yulesimon import (
-    CONVEXITY_BOUND,
     CountSample,
     FitConfig,
     RngStream,
-    convexity_check,
     em_fit,
     em_map_jacobian,
     em_step,
     init_lambda,
     observed_loglik,
-    q_function,
     rate_theoretical,
     sample_mixture,
     standard_error,
@@ -25,9 +22,12 @@ from yulesimon.em import CONVERGED, DIVERGING, MAX_ITER_REACHED, em_fit_stacked
 from yulesimon.special import log_beta, pooled_harmonic_sum, pooled_harmonic_sum_sq
 
 from _oracles import (
+    CONVEXITY_BOUND,
+    convexity_check,
     finite_em_step,
     golden_section_maximize,
     int64_limit_sample,
+    q_function,
     random_dataset,
 )
 

@@ -103,6 +103,21 @@ def test_divergent_replications_reported_not_hidden():
         assert math.isfinite(stats.lambda_mean)
 
 
+def test_improper_gibbs_replications_are_counted_as_failed():
+    # under a prior of rate 0 an all-ones sample has an improper posterior;
+    # its Gibbs row fails and the other reps still run
+    spec = small_spec(true_lambda=5.0, n=2, n_rep=8, estimators=("gibbs",),
+                      gibbs_config=GibbsConfig(prior_b=0.0, n_samples=200, burn_in=50))
+    summary = run_experiment(spec)
+    ones = [experiment.generate("mixture", 5.0, 2, spec.seed.child(rep, 0).generator())
+            .counts.max() == 1 for rep in range(8)]
+    stats = summary.estimators["gibbs"]
+    assert 0 < stats.n_failed == sum(ones) < 8
+    assert stats.n_used == 8 - sum(ones)
+    assert [r.status != "converged" for r in summary.records] == ones
+    assert all(math.isnan(r.lambda_hat) for r, one in zip(summary.records, ones) if one)
+
+
 def test_gibbs_estimator_rows():
     spec = small_spec(
         n_rep=3,

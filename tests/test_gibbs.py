@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from yulesimon import (
     sample_mixture,
     standard_error,
 )
+from yulesimon.special import FieldError
 
 from _oracles import (
     conditional_lambda_draw,
@@ -103,6 +105,31 @@ def test_gibbs_config_validation():
             GibbsConfig(prior_a=bad)
         with pytest.raises(ValueError, match="prior_b"):
             GibbsConfig(prior_b=bad)
+
+
+# (counts, prior_a, prior_b, n_samples, refused): with b = 0 the posterior
+# density falls as lam**(a - 1 + N - sum k) for large lam, so it is
+# improper when the counts exceed 1 by no more than a in all; at b = 1e-300
+# it is proper but so wide that 8000 draws' squares overflow
+IMPROPER_CASES = [
+    ([1], 0.05, 0.0, 2000, True),
+    ([1, 2], 1.0, 0.0, 2000, True),
+    ([1, 2], 0.99, 0.0, 2000, False),
+    ([1], 0.05, 1e-300, 8000, True),
+]
+
+
+@pytest.mark.parametrize("counts, prior_a, prior_b, n_samples, refused", IMPROPER_CASES)
+def test_an_improper_or_overflowing_posterior_is_refused_naming_prior_b(
+        counts, prior_a, prior_b, n_samples, refused):
+    config = GibbsConfig(prior_a=prior_a, prior_b=prior_b, n_samples=n_samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused:
+            with pytest.raises(FieldError, match="prior_b"):
+                gibbs_run(CountSample(counts), config)
+        else:
+            assert math.isfinite(gibbs_run(CountSample(counts), config).posterior_sd)
 
 
 def _sum_w_draws(data, split, lam, reps, g):

@@ -1,7 +1,8 @@
-"""Properties of the corpus layer, of the count-file reader and writer, of the
-count-histogram core and of the paper's EM invariants over the whole
-parameter range: lambda in [0.02, 50], samples of up to 10^5 counts
-(3000 for the fits), counts up to the int64 limit."""
+"""Properties of the corpus layer, of the count-file reader and writer, of
+the urn generator, of the count-histogram core and of the paper's EM
+invariants over the whole parameter range: lambda in [0.02, 50], samples
+of up to 10^5 counts (3000 for the fits and the urn), counts up to the
+int64 limit."""
 
 import math
 import warnings
@@ -28,6 +29,7 @@ from yulesimon import (
     rate_theoretical,
     read_count_file,
     sample_mixture,
+    sample_urn,
     standard_error,
     strip_gutenberg,
     to_count_sample,
@@ -52,6 +54,7 @@ from _oracles import (
     sorted_items_keyed,
     strip_gutenberg_lines,
     tokenize_count_findall,
+    urn_loop,
     write_count_file_join,
 )
 
@@ -396,6 +399,18 @@ def test_count_file_writer_matches_the_join_oracle(counts, tmp_path_factory):
     assert written == (folder / "join.txt").read_bytes()
     assert _parse_digit_lines(written) is not None
     assert read_count_file(folder / "array.txt") == sample
+
+
+# urn rates in (1, 50], about half of them within 10**-3 of 1, where nearly
+# every arrival copies and the copy forest is deepest
+urn_rates = st.one_of(st.floats(1.0, 1.001, exclude_min=True),
+                      st.floats(1.0, 50.0, exclude_min=True))
+
+
+@reproducible
+@given(lam=urn_rates, n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+def test_sample_urn_matches_the_arrival_loop_over_its_range(lam, n, seed):
+    assert sample_urn(lam, n, RngStream(seed)) == urn_loop(lam, n, RngStream(seed))
 
 
 # EM fits: up to 3000 counts, since at lambda near 50 a fit takes about
