@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from collections import Counter
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 
@@ -99,6 +98,81 @@ _SPACE_TABLES = {(digits, apostrophes): _space_table(digits, apostrophes)
                  for digits in (False, True) for apostrophes in (False, True)}
 
 
+# _LOW_BYTES[j] keeps the first j bytes of a little-endian uint64 word
+_LOW_BYTES = np.array([(1 << 8 * j) - 1 for j in range(9)], dtype=np.uint64)
+
+
+def _chunk_counts(data: bytes) -> tuple[list[bytes], list[int]]:
+    """The distinct chunks of data between spaces and their counts, in
+    order of first occurrence: the keys and values of
+    Counter(data.split()) for data that holds no byte 0x00 and no ASCII
+    whitespace but 0x20.
+
+    Each chunk's bounds are where the bytes change between space and
+    non-space. Its key is its bytes as little-endian uint64 words, each
+    read through one unaligned 8-byte window and the last masked to the
+    chunk's length. No chunk byte is 0x00 or 0x20, so two chunks of the
+    same width in words are equal exactly when their keys are. The
+    chunks of one word are grouped by an argsort of their keys, and the
+    wider ones, ordered by width with one stable argsort, by a lexsort
+    of each width's word columns. Each run of equal keys gives a count
+    and, by np.minimum.reduceat over the sort order, its first chunk;
+    an argsort of those first chunks gives the order of the items."""
+    padded = b" " + data + b" " * 8
+    is_chunk = np.frombuffer(padded, np.uint8) != 0x20
+    # padded starts and ends with a space, so the edges alternate
+    # between a chunk's first byte and the space after its last
+    edges = np.flatnonzero(is_chunk[1:] != is_chunk[:-1])
+    edges += 1
+    # each array is dropped once spent, so the byte mask, the chunk
+    # lengths and the gathered positions are gone before the sorts
+    del is_chunk
+    if not edges.size:
+        return [], []
+    starts, ends = edges[0::2], edges[1::2]
+    # windows[i] is padded[i:i + 8] as a little-endian uint64
+    windows = np.ndarray((len(padded) - 7,), "<u8", padded, 0, (1,))
+    lengths = ends - starts
+    short = lengths <= 8
+    wide = np.flatnonzero(~short)
+    widths = (lengths[wide] + 7) >> 3
+    del lengths
+    by_width = np.argsort(widths, kind="stable")
+    cuts = np.flatnonzero(np.diff(widths[by_width])) + 1
+    groups = [np.flatnonzero(short), *np.split(wide[by_width], cuts)]
+    del short, wide, widths, by_width
+    firsts, counts = [], []
+    for tokens in groups:
+        if not tokens.size:
+            continue
+        at = starts[tokens]
+        # the bytes of each chunk's last word
+        last = ends[tokens] - at
+        width = int(last[0] + 7) >> 3
+        last -= 8 * (width - 1)
+        if width > 1:
+            at = at[:, None] + np.arange(0, 8 * width, 8)
+        words = windows[at].reshape(tokens.size, width)
+        del at
+        words[:, -1] &= _LOW_BYTES[last]
+        del last
+        order = np.lexsort(words.T) if width > 1 else np.argsort(words[:, 0])
+        words = words.take(order, axis=0)
+        new = np.ones(order.size, bool)
+        np.any(words[1:] != words[:-1], axis=1, out=new[1:])
+        del words
+        runs = np.flatnonzero(new)
+        firsts.append(np.minimum.reduceat(tokens.take(order), runs))
+        counts.append(np.diff(runs, append=order.size))
+    firsts = np.concatenate(firsts)
+    order = np.argsort(firsts)
+    firsts = firsts.take(order)
+    # padded holds data one byte on
+    chunks = [data[begin:end] for begin, end in
+              zip((starts[firsts] - 1).tolist(), (ends[firsts] - 1).tolist())]
+    return chunks, np.concatenate(counts).take(order).tolist()
+
+
 def tokenize_count(text: str, options: TokenizerOptions | None = None) -> CorpusCounts:
     """Tokenize and count; empty input yields an empty table.
 
@@ -106,23 +180,27 @@ def tokenize_count(text: str, options: TokenizerOptions | None = None) -> Corpus
     first under options.lowercase, and vocabulary lists the tokens in
     order of first occurrence. One pass finds them: the UTF-8 bytes of
     the text go through a translate table that turns every ASCII byte
-    no token holds into a space, the result is split on spaces, and the
-    chunks are counted. A distinct chunk of ASCII letters (and digits
-    under keep_digits) is one token. Every other distinct chunk, one
-    that holds a byte >= 0x80 or an apostrophe, is decoded and refined
-    by the token pattern, and each token found in it takes the chunk's
-    count. No match of the pattern spans a space-mapped byte, and UTF-8
-    multibyte sequences hold no ASCII byte, so every chunk decodes and
-    the counts are those of the pattern over the whole text.
+    no token holds into a space, and _chunk_counts counts the chunks
+    between spaces with numpy, keyed exactly by their bytes packed into
+    uint64 words, with no Python object made per token. A distinct
+    chunk of ASCII letters (and digits under keep_digits) is one token.
+    Every other distinct chunk, one that holds a byte >= 0x80 or an
+    apostrophe, is decoded and refined by the token pattern, and each
+    token found in it takes the chunk's count. No match of the pattern
+    spans a space-mapped byte, and UTF-8 multibyte sequences hold no
+    ASCII byte, so every chunk decodes and the counts are those of the
+    pattern over the whole text.
     """
     options = options or TokenizerOptions()
     if options.lowercase:
         text = text.lower()
     table = _SPACE_TABLES[options.keep_digits, options.keep_apostrophes]
-    chunks = Counter(text.encode("utf-8", "surrogatepass").translate(table).split())
+    data = text.encode("utf-8", "surrogatepass").translate(table)
+    del text  # a lowered copy is not needed past this point
+    chunks, counts = _chunk_counts(data)
     findall = _token_pattern(options).findall
     vocabulary: dict[str, int] = {}
-    for chunk, count in chunks.items():
+    for chunk, count in zip(chunks, counts):
         if chunk.isalnum():
             word = chunk.decode("ascii")
             vocabulary[word] = vocabulary.get(word, 0) + count

@@ -96,7 +96,8 @@ class CountSample:
 
     histogram() computes the count histogram once and caches it; the
     counts array is a read-only copy of the caller's, so the cache
-    cannot go stale."""
+    cannot go stale. read_count_file hands over the array it parsed
+    through _adopt instead, with no copy."""
 
     __slots__ = ("counts", "_histogram")
 
@@ -135,6 +136,17 @@ class CountSample:
         arr.flags.writeable = False
         self.counts = arr
         self._histogram = None
+
+    @classmethod
+    def _adopt(cls, counts: np.ndarray) -> CountSample:
+        """A sample that holds counts itself, made read-only: a fresh 1-d
+        int64 array of counts >= 1 that nothing else holds, so neither
+        the checks nor the copy of __init__ are needed."""
+        sample = cls.__new__(cls)
+        counts.flags.writeable = False
+        sample.counts = counts
+        sample._histogram = None
+        return sample
 
     @property
     def n(self) -> int:
@@ -309,7 +321,7 @@ def read_count_file(path) -> CountSample:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     counts = _parse_digit_lines(raw)
     if counts is not None:
-        return CountSample(counts)
+        return CountSample._adopt(counts)
     # undecodable bytes become U+FFFD, which fails the ASCII check of
     # _parse_lines, so they are reported with their line number
     counts = _parse_lines(raw.decode("utf-8", errors="replace").split("\n"))

@@ -430,6 +430,14 @@ def tokenize_count_findall(text: str, options: TokenizerOptions | None = None):
     return dict(vocabulary), len(vocabulary), sum(vocabulary.values()), preprocessing
 
 
+def chunk_counts_split(data: bytes) -> tuple[list[bytes], list[int]]:
+    """The distinct chunks of data between ASCII whitespace and their
+    counts, in order of first occurrence, by bytes.split and Counter:
+    one bytes object per chunk."""
+    counts = Counter(data.split())
+    return list(counts), list(counts.values())
+
+
 def strip_gutenberg_lines(text: str) -> str:
     """strip_gutenberg with both marker searches on every line."""
     lines = text.splitlines(keepends=True)

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,3 +126,35 @@ def test_write_tsv(tmp_path):
     out = tmp_path / "words.tsv"
     write_tsv(counts, out)
     assert out.read_text(encoding="utf-8") == "b\t2\na\t1\n"
+
+
+def synthetic_novel(tokens: int, seed: int) -> str:
+    """tokens words over a Zipf-weighted vocabulary of 5000 lowercase
+    words of 1 to 12 letters, a tenth capitalized, each followed by a
+    space, punctuation or a line break."""
+    g = np.random.default_rng(seed)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    vocabulary = np.array(["".join(g.choice(letters, g.integers(1, 13))) for _ in range(5000)],
+                          dtype=object)
+    words = vocabulary[np.minimum(g.zipf(1.3, tokens), vocabulary.size) - 1]
+    capital = g.random(tokens) < 0.1
+    words[capital] = [word.capitalize() for word in words[capital]]
+    gaps = np.array([" "] * 12 + [", ", ". ", "; ", "\n", " -- "], dtype=object)
+    return "".join((words + gaps[g.integers(0, gaps.size, tokens)]).tolist())
+
+
+def test_tokenizer_peak_memory_is_a_small_multiple_of_the_text():
+    # the text's translated UTF-8 bytes and a padded copy (1 byte a byte
+    # each) and some 8-byte arrays of the chunks' positions, keys and
+    # sort orders; the bound is 1.5 times the 7.3 bytes a byte that the
+    # bytes.split and Counter route took on the same text
+    text = synthetic_novel(100_000, 3)
+    size = len(text.encode("utf-8"))
+    tracemalloc.start()
+    try:
+        counts = tokenize_count(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.n_tokens == 100_000
+    assert peak <= 11.0 * size

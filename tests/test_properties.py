@@ -37,6 +37,7 @@ from yulesimon import (
     write_count_file,
     write_tsv,
 )
+from yulesimon.corpus import _chunk_counts
 from yulesimon.distribution import _READ_BLOCK, _WRITE_BLOCK, _parse_digit_lines, _parse_lines
 from yulesimon.em import em_fit_stacked
 from yulesimon.information import standard_errors
@@ -44,6 +45,7 @@ from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
 
 from _oracles import (
     batch_means_se,
+    chunk_counts_split,
     em_fit_loop,
     finite_pooled_sum,
     finite_pooled_sum_sq,
@@ -147,6 +149,65 @@ def test_tokenizer_matches_findall_over_the_whole_text(text):
         vocabulary, n_unique, n_tokens, preprocessing = tokenize_count_findall(text, options)
         assert list(got.vocabulary.items()) == list(vocabulary.items())
         assert (got.n_unique, got.n_tokens, got.preprocessing) == (n_unique, n_tokens, preprocessing)
+
+
+# lengths on both sides of the 8-byte word edges, bytes a chunk can hold
+# (letters, "'" and bytes >= 0x80; never 0x00 or a space), and prefixes
+# that make chunks share their first word or two
+CHUNK_LENGTHS = st.sampled_from([1, 7, 8, 9, 15, 16, 17, 24, 25])
+CHUNK_BYTES = st.sampled_from(list(b"abzAZ'") + [0x80, 0xa9, 0xc3, 0xff])
+CHUNK_PREFIXES = st.sampled_from([b"", b"q" * 8, b"q" * 16])
+
+
+@st.composite
+def chunked_bytes(draw):
+    """Bytes as the tokenizer's translate table leaves them: chunks drawn
+    from a pool of up to 8, between runs of spaces, with 0 to 9 spaces
+    at either end."""
+    pool = []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(CHUNK_LENGTHS)
+        tail = bytes(draw(st.lists(CHUNK_BYTES, min_size=length, max_size=length)))
+        pool.append((draw(CHUNK_PREFIXES) + tail)[:length])
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    gaps = [b" " * draw(st.integers(1, 3)) for _ in picks]
+    body = b"".join(pool[pick] + gap for pick, gap in zip(picks, gaps))
+    return b" " * draw(st.integers(0, 9)) + body.rstrip(b" ") + b" " * draw(st.integers(0, 9))
+
+
+@reproducible
+@given(data=chunked_bytes())
+@example(data=b"")
+@example(data=b" " * 20)
+def test_chunk_counts_match_split_and_counter(data):
+    assert _chunk_counts(data) == chunk_counts_split(data)
+
+
+CHUNK_CASES = ["one 1 MB chunk", "a 1 MB chunk twice among short words",
+               "300 widths among short words", "chunks that differ only in byte 9 or 17"]
+
+
+def chunk_case(name: str) -> bytes:
+    g = np.random.default_rng(23)
+    letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz", np.uint8)
+    megabyte = g.choice(letters, 2**20).tobytes()
+    if name == "one 1 MB chunk":
+        return megabyte
+    if name == "a 1 MB chunk twice among short words":
+        return b" ".join([b"a", megabyte, b"b", megabyte, b"a"])
+    if name == "300 widths among short words":
+        # chunks of 1 to 300 words, each twice
+        wide = [g.choice(letters, 8 * w - int(g.integers(0, 8))).tobytes() for w in range(1, 301)]
+        return b" ".join(g.permutation(np.array(wide * 2 + [b"a", b"the"] * 600, dtype=object)))
+    base = b"abcdefghijklmnopqrstuvwxy"
+    ninth, seventeenth = base[:8] + b"Z" + base[9:], base[:16] + b"Z" + base[17:]
+    return b" ".join([base, ninth, seventeenth, base, seventeenth, ninth, base])
+
+
+@pytest.mark.parametrize("name", CHUNK_CASES)
+def test_chunk_counts_match_split_and_counter_on_wide_chunks(name):
+    data = chunk_case(name)
+    assert _chunk_counts(data) == chunk_counts_split(data)
 
 
 # words with tied counts, a non-ASCII letter that sorts after "z" by code
