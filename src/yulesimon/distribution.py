@@ -37,8 +37,10 @@ __all__ = [
 # ceil() of the geometric inversion is clipped here before the cast to
 # int64; beyond this the count is unrepresentable anyway
 _MAX_COUNT = 2**62
-# counts per write in write_count_file: a block's working arrays take at
-# most about 60 bytes a count, so under 4 MB at any sample size
+# counts per block of write_count_file and of CountSample.histogram: a
+# block's working arrays take at most about 60 bytes a count, so under
+# 4 MB at any sample size, which the allocator serves from its heap
+# again and again instead of mapping and faulting in fresh pages
 _WRITE_BLOCK = 2**16
 # bytes per block of the array reader: a block's working arrays take a
 # few hundred KB, which the allocator serves from its heap again and
@@ -94,10 +96,11 @@ def _as_generator(rng) -> np.random.Generator:
 class CountSample:
     """Ordered collection of observed counts, every entry an integer >= 1.
 
-    histogram() computes the count histogram once and caches it; the
-    counts array is a read-only copy of the caller's, so the cache
-    cannot go stale. read_count_file hands over the array it parsed
-    through _adopt instead, with no copy."""
+    histogram() computes the count histogram once, in blocks of
+    _WRITE_BLOCK counts, and caches it; the counts array is a read-only
+    copy of the caller's, so the cache cannot go stale. read_count_file
+    hands over the array it parsed through _adopt instead, with no
+    copy."""
 
     __slots__ = ("counts", "_histogram")
 
@@ -160,9 +163,23 @@ class CountSample:
 
     def histogram(self) -> tuple[np.ndarray, np.ndarray]:
         """(u, c): the distinct counts in ascending order and how often
-        each occurs."""
+        each occurs, as np.unique(counts, return_counts=True) gives them.
+
+        Each block of _WRITE_BLOCK counts is sorted on its own, and the
+        blocks' histograms are merged by one np.unique of their distinct
+        counts, so no copy of the whole array is made; a sample of one
+        block takes a single np.unique."""
         if self._histogram is None:
-            self._histogram = np.unique(self.counts, return_counts=True)
+            counts = self.counts
+            blocks = [np.unique(counts[i:i + _WRITE_BLOCK], return_counts=True)
+                      for i in range(0, counts.size, _WRITE_BLOCK)]
+            if len(blocks) == 1:
+                self._histogram = blocks[0]
+            else:
+                u, where = np.unique(np.concatenate([u for u, _ in blocks]), return_inverse=True)
+                c = np.zeros(u.size, dtype=np.int64)
+                np.add.at(c, where, np.concatenate([c for _, c in blocks]))
+                self._histogram = u, c
         return self._histogram
 
     def total(self) -> int:
@@ -309,16 +326,21 @@ def read_count_file(path) -> CountSample:
     line number.
 
     A file of 1- to 19-digit lines of ASCII digits, each ended by a line
-    end, every count from 1 to 2**63 - 1 (write_count_file's layout, or
-    the same with CR or CRLF ends) is parsed as byte arrays, one block
-    of lines at a time. Every other file is parsed line by line, which
-    accepts the rest of the format and names the first bad line."""
+    end but the last, which may lack one, every count from 1 to
+    2**63 - 1 (write_count_file's layout, or the same with CR or CRLF
+    ends) is parsed as byte arrays, one block of lines at a time. Every
+    other file is parsed line by line, which accepts the rest of the
+    format and names the first bad line."""
     with open(path, "rb") as fh:
         raw = fh.read()
     # universal newlines, as a text-mode read translates them; the
     # search alone costs a fraction of the replace on a file without CR
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # a last line without its LF would send the file to the line parser,
+    # to which the appended LF is one more blank line
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
     counts = _parse_digit_lines(raw)
     if counts is not None:
         return CountSample._adopt(counts)

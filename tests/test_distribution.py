@@ -23,6 +23,7 @@ from yulesimon import (
     tokenize_count,
     write_count_file,
 )
+from yulesimon import distribution
 from yulesimon.distribution import _WRITE_BLOCK
 from _oracles import mixture_latents, urn_loop
 
@@ -340,6 +341,38 @@ def test_reading_a_count_file_takes_little_more_than_the_counts(tmp_path):
     assert peak <= path.stat().st_size + 16 * n + 2 * 2**20
 
 
+def test_a_file_without_its_final_line_end_takes_the_array_reader(tmp_path, monkeypatch):
+    # a copy without the last LF, or without the last CRLF, reads as the
+    # whole file does, and the line parser is never called
+    sample = sample_mixture(0.6, 2 * _WRITE_BLOCK + 1, RngStream(3))
+    path = tmp_path / "counts.txt"
+    write_count_file(path, sample)
+    raw = path.read_bytes()
+
+    def refuse(lines):
+        raise AssertionError("the line parser was called")
+
+    monkeypatch.setattr(distribution, "_parse_lines", refuse)
+    for cut, want in ((raw[:-1], sample), (raw.replace(b"\n", b"\r\n")[:-2], sample),
+                      (b"7", CountSample([7]))):
+        path.write_bytes(cut)
+        assert read_count_file(path) == want
+
+
+def test_histogram_takes_a_few_bytes_a_count():
+    # blocks of _WRITE_BLOCK counts are sorted one at a time; a sort of
+    # the whole array would copy it, 8 bytes a count
+    sample = sample_mixture(0.6, 10**6, RngStream(5))
+    tracemalloc.start()
+    try:
+        u, c = sample.histogram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.sum() == sample.n
+    assert peak <= 3 * sample.n
+
+
 def test_count_file_errors_name_the_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2\n5\n0\n1\n")
@@ -362,6 +395,10 @@ def test_count_file_errors_name_the_line(tmp_path):
             read_count_file(path)
     # a byte that is not UTF-8 is named by its line, not by a decode error
     path.write_bytes(b"2\n\n\xff\n4\n")
+    with pytest.raises(CountFileError, match="line 3"):
+        read_count_file(path)
+    # a last line without its LF keeps its number
+    path.write_text("2\n5\n0")
     with pytest.raises(CountFileError, match="line 3"):
         read_count_file(path)
     path.write_text(f" 7 \n\n{2**63 - 1}\n{'0' * 5000}3\n")

@@ -110,6 +110,32 @@ def test_cached_histogram_is_np_unique(counts):
     assert not sample.counts.flags.writeable
 
 
+def block_edge_counts(n, tail, seed):
+    """n counts with light tails, heavy tails, or half of them at the
+    int64 limit."""
+    g = np.random.default_rng(seed)
+    if tail == "light":
+        return g.geometric(0.5, size=n)
+    counts = np.maximum(g.integers(1, 2**63 - 1, size=n, endpoint=True) >> g.integers(0, 63, size=n), 1)
+    if tail == "at_limit":
+        counts[g.random(n) < 0.5] = 2**63 - 1
+    return counts
+
+
+# one count short of, at and past one histogram block of _WRITE_BLOCK
+# counts, two blocks, and three blocks and a drawn part of a fourth
+@pytest.mark.parametrize("tail", ["light", "heavy", "at_limit"])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 0), (3, None)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=3)
+@given(seed=st.integers(0, 2**32 - 1), part=st.integers(1, _WRITE_BLOCK - 1))
+def test_histogram_across_blocks_is_np_unique(blocks, extra, tail, seed, part):
+    counts = block_edge_counts(blocks * _WRITE_BLOCK + (part if extra is None else extra), tail, seed)
+    u, c = CountSample(counts).histogram()
+    want_u, want_c = np.unique(counts, return_counts=True)
+    assert u.dtype == want_u.dtype and c.dtype == want_c.dtype
+    assert np.array_equal(u, want_u) and np.array_equal(c, want_c)
+
+
 @reproducible
 @given(st.lists(st.integers(min_value=1, max_value=2**63 - 1), min_size=1, max_size=200))
 def test_total_is_exact(values):
