@@ -43,15 +43,16 @@ def _default_seed() -> int:
 
 
 def _parse_init(value: str):
+    """A policy name (dashes read as underscores, method-of-moments as
+    moments), else a float when the value parses, else the value itself,
+    which FitConfig refuses as an unknown policy."""
     name = value.replace("-", "_")
     if name in ("mode_one", "moments", "method_of_moments"):
         return name if name != "method_of_moments" else "moments"
     try:
         return float(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"init must be 'mode_one', 'moments' or a number, got {value!r}"
-        ) from None
+        return value
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:

@@ -63,25 +63,15 @@ def em_map_jacobian(
     return (data.n + prior_a - 1.0) * s2 / (prior_b + s1) ** 2
 
 
-def empirical_rates(trace, lambda_infinity: float | None = None) -> tuple[list[float], bool]:
-    """Empirical convergence rates from an iterate trace, as (values,
-    truncated); truncated flags that trailing entries were dropped
-    because successive differences vanished.
-
-    Without lambda_infinity: r_{t+1} = (lam_{t+1}-lam_t)/(lam_t-lam_{t-1})
-    (needs at least 3 iterates). With a known limit: r_{t+1} =
-    (lam_t - lam_inf)/(lam_{t-1} - lam_inf) (needs at least 2).
-    """
+def empirical_rates(trace) -> tuple[list[float], bool]:
+    """Empirical convergence rates r_{t+1} = (lam_{t+1}-lam_t)/(lam_t-lam_{t-1})
+    from an iterate trace of at least 3 iterates, as (values, truncated);
+    truncated flags that trailing entries were dropped because successive
+    differences vanished."""
     trace = [float(x) for x in trace]
-    if lambda_infinity is None:
-        if len(trace) < 3:
-            raise ValueError("trace must hold at least 3 iterates")
-        gaps = [b - a for a, b in zip(trace, trace[1:])]
-    else:
-        if len(trace) < 2:
-            raise ValueError("trace must hold at least 2 iterates")
-        gaps = [x - float(lambda_infinity) for x in trace]
-    # both forms are ratios of consecutive gaps
+    if len(trace) < 3:
+        raise ValueError("trace must hold at least 3 iterates")
+    gaps = [b - a for a, b in zip(trace, trace[1:])]
     values: list[float] = []
     for num, denom in zip(gaps[1:], gaps):
         if abs(denom) < _DENOMINATOR_FLOOR:

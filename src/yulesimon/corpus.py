@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -27,22 +27,26 @@ _END_MARKER = re.compile(r"\*+\s*END OF", re.IGNORECASE)
 
 @dataclass(frozen=True)
 class TokenizerOptions:
-    """Default pipeline: lowercase, split on any non-letter, drop empty
-    tokens; no stemming, no stop words."""
+    """The text is always lowered first. Default pipeline: split on any
+    non-letter, drop empty tokens; no stemming, no stop words."""
 
-    lowercase: bool = True
     keep_apostrophes: bool = False
     keep_digits: bool = False
 
 
 @dataclass
 class CorpusCounts:
-    """word -> frequency table plus a record of the applied options."""
+    """word -> frequency table, in order of first occurrence."""
 
     vocabulary: dict[str, int]
-    n_unique: int
-    n_tokens: int
-    preprocessing: dict
+
+    @property
+    def n_unique(self) -> int:
+        return len(self.vocabulary)
+
+    @property
+    def n_tokens(self) -> int:
+        return sum(self.vocabulary.values())
 
 
 def strip_gutenberg(text: str) -> str:
@@ -176,24 +180,22 @@ def _chunk_counts(data: bytes) -> tuple[list[bytes], list[int]]:
 def tokenize_count(text: str, options: TokenizerOptions | None = None) -> CorpusCounts:
     """Tokenize and count; empty input yields an empty table.
 
-    A token is a match of _token_pattern(options) in the text, lowered
-    first under options.lowercase, and vocabulary lists the tokens in
-    order of first occurrence. One pass finds them: the UTF-8 bytes of
-    the text go through a translate table that turns every ASCII byte
-    no token holds into a space, and _chunk_counts counts the chunks
-    between spaces with numpy, keyed exactly by their bytes packed into
-    uint64 words, with no Python object made per token. A distinct
-    chunk of ASCII letters (and digits under keep_digits) is one token.
-    Every other distinct chunk, one that holds a byte >= 0x80 or an
-    apostrophe, is decoded and refined by the token pattern, and each
-    token found in it takes the chunk's count. No match of the pattern
-    spans a space-mapped byte, and UTF-8 multibyte sequences hold no
-    ASCII byte, so every chunk decodes and the counts are those of the
-    pattern over the whole text.
+    A token is a match of _token_pattern(options) in the lowered text,
+    and vocabulary lists the tokens in order of first occurrence. One
+    pass finds them: the UTF-8 bytes of the text go through a translate
+    table that turns every ASCII byte no token holds into a space, and
+    _chunk_counts counts the chunks between spaces with numpy, keyed
+    exactly by their bytes packed into uint64 words, with no Python
+    object made per token. A distinct chunk of ASCII letters (and digits
+    under keep_digits) is one token. Every other distinct chunk, one
+    that holds a byte >= 0x80 or an apostrophe, is decoded and refined
+    by the token pattern, and each token found in it takes the chunk's
+    count. No match of the pattern spans a space-mapped byte, and UTF-8
+    multibyte sequences hold no ASCII byte, so every chunk decodes and
+    the counts are those of the pattern over the whole text.
     """
     options = options or TokenizerOptions()
-    if options.lowercase:
-        text = text.lower()
+    text = text.lower()
     table = _SPACE_TABLES[options.keep_digits, options.keep_apostrophes]
     data = text.encode("utf-8", "surrogatepass").translate(table)
     del text  # a lowered copy is not needed past this point
@@ -207,12 +209,7 @@ def tokenize_count(text: str, options: TokenizerOptions | None = None) -> Corpus
         else:
             for word in findall(chunk.decode("utf-8", "surrogatepass")):
                 vocabulary[word] = vocabulary.get(word, 0) + count
-    return CorpusCounts(
-        vocabulary=vocabulary,
-        n_unique=len(vocabulary),
-        n_tokens=sum(vocabulary.values()),
-        preprocessing=asdict(options),
-    )
+    return CorpusCounts(vocabulary)
 
 
 def sorted_items(counts: CorpusCounts) -> list[tuple[str, int]]:

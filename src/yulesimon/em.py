@@ -61,6 +61,11 @@ DIVERGING = "diverging"
 INIT_MODE_ONE = "mode_one"
 INIT_MOMENTS = "moments"
 
+# an iterate above this reports status "diverging": data whose
+# likelihood has no interior maximum (all counts equal to one) walk off
+# to infinity
+DIVERGENCE_CEILING = 1e6
+
 # loglik_trace evaluates the likelihood on a grid of iterates x distinct
 # counts; iterates are taken in chunks so the grid holds at most this
 # many elements (one iterate per chunk when the histogram is larger).
@@ -80,10 +85,6 @@ class FitConfig:
         Starting point: a number fixes lam_0 directly, "mode_one"
         starts at 1.0, "moments" uses kbar/(kbar - 1) and falls back to
         1.0 (with a warning) when the sample mean is not above one.
-    divergence_ceiling
-        Iterates above this report status "diverging" instead of
-        raising; data whose likelihood has no interior maximum (all
-        counts equal to one) walk off to infinity.
     """
 
     prior_a: float = 1.0
@@ -91,7 +92,6 @@ class FitConfig:
     tol: float = 2e-4
     max_iter: int = 500
     init: float | str = INIT_MODE_ONE
-    divergence_ceiling: float = 1e6
 
     def __post_init__(self):
         if not (self.tol > 0.0):
@@ -99,8 +99,6 @@ class FitConfig:
         if self.max_iter < 1:
             raise FieldError("{max_iter} must be >= 1")
         _check_prior(self.prior_a, self.prior_b)
-        if not (self.divergence_ceiling > 0.0):
-            raise FieldError("{divergence_ceiling} must be positive")
         _check_init(self.init)
 
 
@@ -249,7 +247,7 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
             fit.lambda_hat = lam
             fit.iterations += 1
             fit.trace.append(lam)
-            if lam > config.divergence_ceiling:
+            if lam > DIVERGENCE_CEILING:
                 fit.status = DIVERGING
             elif delta < config.tol:
                 fit.status = CONVERGED

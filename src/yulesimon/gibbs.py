@@ -132,9 +132,9 @@ def _tail_multiplicity(u: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _sweeps(data: CountSample, split: int, g: np.random.Generator, lam: float,
-            n_sweeps: int, shape: float, next_lam) -> np.ndarray:
+            n_sweeps: int, shape: float, rate_b: float) -> np.ndarray:
     """lam after each of n_sweeps sweeps from lam, split at level `split`.
-    A sweep draws sum_i w_i given lam and sets lam = next_lam(sum_w, G),
+    A sweep draws sum_i w_i given lam and sets lam = G / (rate_b + sum_w),
     with G ~ Gamma(shape) drawn in its block and sum_w a Python float.
     A block is _BLOCK sweeps, or as many as keep its split + #{k_i > split}
     lam-free variates per sweep within _BLOCK_VARIATES, and at least one.
@@ -173,7 +173,7 @@ def _sweeps(data: CountSample, split: int, g: np.random.Generator, lam: float,
             divide(num, den, terms)
             if n_tail:
                 log1p(rem, rem)
-            lam = next_lam(float(w.dot(terms)), gamma)
+            lam = gamma / (rate_b + float(w.dot(terms)))
             out[i] = lam
     return out
 
@@ -195,8 +195,7 @@ def gibbs_run(data: CountSample, config: GibbsConfig | None = None) -> GibbsResu
                              "by {} in all, not by more than {prior_a} = {}", excess,
                              config.prior_a)
     raw = _sweeps(data, split_level(*data.histogram()), config.seed.generator(),
-                  config.lambda_init, config.n_samples, config.prior_a + data.n,
-                  lambda sum_w, gamma: gamma / (rate_b + sum_w))
+                  config.lambda_init, config.n_samples, config.prior_a + data.n, rate_b)
 
     chain = raw[config.burn_in :: config.thin]
     max_lag = min(_ACF_LAGS, chain.size - 1)

@@ -18,7 +18,9 @@ from yulesimon import (
     oakes_information,
     sample_mixture,
 )
+from yulesimon.convergence import _DENOMINATOR_FLOOR
 from yulesimon.corpus import _END_MARKER, _START_MARKER, _token_pattern
+from yulesimon.em import DIVERGENCE_CEILING
 from yulesimon.special import (_check_lambda, digamma, log_beta, pooled_harmonic_sum,
                                pooled_harmonic_sum_sq)
 
@@ -192,7 +194,7 @@ def conditional_lambda_draw(sum_w, n: int, prior_a: float, prior_b: float, rng, 
 
 
 def sweeps_two_reductions(data: CountSample, split: int, g: np.random.Generator, lam: float,
-                          n_sweeps: int, shape: float, next_lam) -> np.ndarray:
+                          n_sweeps: int, shape: float, rate_b: float) -> np.ndarray:
     """The Gibbs sweep loop with sum_w built from two reductions, a dot
     over the levels and a sum over the remainders: the same draws, in
     the same order and sizes, as yulesimon.gibbs._sweeps."""
@@ -214,13 +216,13 @@ def sweeps_two_reductions(data: CountSample, split: int, g: np.random.Generator,
             if tail.size:
                 g_a = g.standard_gamma(lam + split + 1.0, size=tail.size)
                 sum_w += np.log1p(g_b[i] / g_a).sum()
-            lam = next_lam(sum_w, g_lam[i])
+            lam = g_lam[i] / (rate_b + sum_w)
             out[start + i] = lam
     return out
 
 
 def sweeps_reciprocal(data: CountSample, split: int, g: np.random.Generator, lam: float,
-                      n_sweeps: int, shape: float, next_lam) -> np.ndarray:
+                      n_sweeps: int, shape: float, rate_b: float) -> np.ndarray:
     """The Gibbs sweep loop with the level terms from np.reciprocal and
     the remainder ratios from their own np.divide, each G_a a fresh
     array: the same draws, in the same order and sizes, and the same
@@ -246,7 +248,7 @@ def sweeps_reciprocal(data: CountSample, split: int, g: np.random.Generator, lam
             if tail.size:
                 g_a = g.standard_gamma(lam + split + 1.0, size=tail.size)
                 np.log1p(np.divide(b, g_a, out=rem), out=rem)
-            lam = next_lam(float(w @ terms), gamma)
+            lam = gamma / (rate_b + float(w @ terms))
             out[i] = lam
     return out
 
@@ -327,7 +329,7 @@ def em_fit_loop(data: CountSample, config: FitConfig | None = None) -> LoopFit:
         iterations += 1
         trace.append(lam)
         loglik_trace.append(_loglik(data, lam))
-        if lam > config.divergence_ceiling:
+        if lam > DIVERGENCE_CEILING:
             status = "diverging"
             break
         if delta < config.tol:
@@ -365,6 +367,22 @@ def convexity_check(data: CountSample, lam: float) -> tuple[float, bool]:
     lam = _check_lambda(lam)
     second = -data.n / lam**2 + pooled_harmonic_sum_sq(lam, data)
     return second, lam < CONVEXITY_BOUND
+
+
+def empirical_rates_known_limit(trace, lambda_infinity: float) -> tuple[list[float], bool]:
+    """The rate path of a trace of at least 2 iterates against a known
+    limit, r_{t+1} = (lam_t - lam_inf)/(lam_{t-1} - lam_inf), as (values,
+    truncated), with the floor of convergence.empirical_rates."""
+    trace = [float(x) for x in trace]
+    if len(trace) < 2:
+        raise ValueError("trace must hold at least 2 iterates")
+    gaps = [x - float(lambda_infinity) for x in trace]
+    values: list[float] = []
+    for num, denom in zip(gaps[1:], gaps):
+        if abs(denom) < _DENOMINATOR_FLOOR:
+            return values, True
+        values.append(num / denom)
+    return values, False
 
 
 def harmonic_sum(lam: float, k: int) -> float:
@@ -414,20 +432,10 @@ def oakes_standard_error(data: CountSample, lam: float) -> float:
     return math.sqrt(1.0 / info) if info > 0.0 else math.nan
 
 
-def tokenize_count_findall(text: str, options: TokenizerOptions | None = None):
-    """(vocabulary, n_unique, n_tokens, preprocessing) of tokenize_count
-    by one findall of the token pattern over the whole text: vocabulary
-    in order of first occurrence."""
-    options = options or TokenizerOptions()
-    if options.lowercase:
-        text = text.lower()
-    vocabulary = Counter(_token_pattern(options).findall(text))
-    preprocessing = {
-        "lowercase": options.lowercase,
-        "keep_apostrophes": options.keep_apostrophes,
-        "keep_digits": options.keep_digits,
-    }
-    return dict(vocabulary), len(vocabulary), sum(vocabulary.values()), preprocessing
+def tokenize_count_findall(text: str, options: TokenizerOptions | None = None) -> dict:
+    """The vocabulary of tokenize_count by one findall of the token
+    pattern over the whole lowered text, in order of first occurrence."""
+    return dict(Counter(_token_pattern(options or TokenizerOptions()).findall(text.lower())))
 
 
 def chunk_counts_split(data: bytes) -> tuple[list[bytes], list[int]]:

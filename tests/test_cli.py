@@ -88,6 +88,19 @@ def test_bad_prior_exits_1_naming_it(counts_file, capsys, command, flag, value):
     assert err.startswith(f"ys: error: {flag} ")
 
 
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+@pytest.mark.parametrize("value, message", [
+    ("foo", "unknown --init policy 'foo'"),
+    ("nan", "fixed --init must be a finite value >= 0"),
+])
+def test_bad_init_exits_1_naming_it(counts_file, capsys, command, value, message):
+    # a name that is no policy is a refused value like a non-finite
+    # start, not a usage error: exit 2 means a fit that did not converge
+    code, out, err = run_cli(capsys, command, counts_file, "--init", value)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"ys: error: {message}"]
+
+
 def test_improper_posterior_exits_1_naming_prior_b(tmp_path, capsys):
     # a single count 1 under a prior of rate 0: the chain would drift
     # upward without bound, and no overflow warning comes first

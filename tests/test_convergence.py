@@ -15,7 +15,7 @@ from yulesimon import (
 )
 from yulesimon.special import trigamma
 
-from _oracles import random_dataset
+from _oracles import empirical_rates_known_limit, random_dataset
 
 
 def test_rate_single_observation():
@@ -82,7 +82,7 @@ def test_empirical_rates_successive_differences():
 
 
 def test_empirical_rates_known_limit_form():
-    values, truncated = empirical_rates([2.0, 1.5, 1.25], lambda_infinity=1.0)
+    values, truncated = empirical_rates_known_limit([2.0, 1.5, 1.25], lambda_infinity=1.0)
     assert values == pytest.approx([0.5, 0.5])
     assert not truncated
 
@@ -97,7 +97,7 @@ def test_empirical_rates_length_errors():
     with pytest.raises(ValueError):
         empirical_rates([1.0, 1.1])
     with pytest.raises(ValueError):
-        empirical_rates([1.0], lambda_infinity=0.5)
+        empirical_rates_known_limit([1.0], lambda_infinity=0.5)
 
 
 def test_both_rate_forms_share_a_limit():
@@ -105,7 +105,7 @@ def test_both_rate_forms_share_a_limit():
     fit = em_fit(data, FitConfig(tol=1e-10))
     assert fit.converged
     diff_form, _ = empirical_rates(fit.trace)
-    limit_form, _ = empirical_rates(fit.trace, lambda_infinity=fit.lambda_hat)
+    limit_form, _ = empirical_rates_known_limit(fit.trace, lambda_infinity=fit.lambda_hat)
     # compare where both paths have stabilized; taking the converged
     # iterate as the limit corrupts the last few limit-form entries
     window = slice(3, len(diff_form) - 4)

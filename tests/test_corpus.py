@@ -92,7 +92,6 @@ def test_tokenize_deterministic():
     a = tokenize_count(text)
     b = tokenize_count(text)
     assert a.vocabulary == b.vocabulary
-    assert a.preprocessing == b.preprocessing
 
 
 def test_to_count_sample_ordering_and_totals():

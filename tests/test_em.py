@@ -18,7 +18,7 @@ from yulesimon import (
     standard_error,
 )
 from yulesimon import em
-from yulesimon.em import CONVERGED, DIVERGING, MAX_ITER_REACHED, em_fit_stacked
+from yulesimon.em import CONVERGED, DIVERGENCE_CEILING, DIVERGING, MAX_ITER_REACHED, em_fit_stacked
 from yulesimon.special import log_beta, pooled_harmonic_sum, pooled_harmonic_sum_sq
 
 from _oracles import (
@@ -218,9 +218,12 @@ def test_em_fit_all_ones_diverges():
 
 
 def test_em_fit_ceiling_reports_diverging():
-    fit = em_fit(CountSample([1] * 25), FitConfig(max_iter=500, divergence_ceiling=100.0))
+    # under prior_a = 30 the update on 25 ones is 54 (lam + 1) / 25, which
+    # crosses the ceiling of 1e6 long before max_iter runs out
+    fit = em_fit(CountSample([1] * 25), FitConfig(prior_a=30.0, prior_b=0.0))
     assert fit.status == DIVERGING
-    assert fit.lambda_hat > 100.0
+    assert fit.iterations == 17
+    assert fit.trace[-2] <= DIVERGENCE_CEILING < fit.lambda_hat
 
 
 def test_em_fit_map_with_prior_rate_converges_on_ones():
@@ -258,16 +261,12 @@ def test_init_lambda_policies():
             FitConfig(init=bad)
 
 
-def test_fit_config_rejects_nonfinite_priors_and_ceiling():
+def test_fit_config_rejects_nonfinite_priors():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="prior_a"):
             FitConfig(prior_a=bad)
         with pytest.raises(ValueError, match="prior_b"):
             FitConfig(prior_b=bad)
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="divergence_ceiling"):
-            FitConfig(divergence_ceiling=bad)
-    assert FitConfig(divergence_ceiling=math.inf).divergence_ceiling == math.inf
 
 
 def test_init_lambda_moments_fallback_warns():

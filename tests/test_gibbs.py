@@ -133,17 +133,28 @@ def test_an_improper_or_overflowing_posterior_is_refused_naming_prior_b(
 
 
 def _sum_w_draws(data, split, lam, reps, g):
-    """reps draws of sum_w at a fixed lam from the production sweep loop,
-    its lam update replaced by one that records sum_w and keeps lam."""
+    """reps draws of sum_w at a fixed lam from the production sweep loop.
+    Under prior rate 0 a sweep sets lam = G / sum_w, with G from the one
+    draw of a scalar shape that fills no `out`; each G is made a float
+    whose division records sum_w and gives lam back, so every sweep
+    starts from lam, and the stream is drawn as the sampler draws it."""
     from yulesimon.gibbs import _sweeps
 
     draws = []
 
-    def keep_lam(sum_w, _gamma):
-        draws.append(sum_w)
-        return lam
+    class KeepLam(float):
+        def __truediv__(self, sum_w):
+            draws.append(sum_w)
+            return lam
 
-    _sweeps(data, split, g, lam, reps, 1.0, keep_lam)
+    class Generator:
+        def standard_gamma(self, shape, size=None, out=None):
+            drawn = g.standard_gamma(shape, size=size, out=out)
+            if np.ndim(shape) or out is not None:
+                return drawn
+            return np.array([KeepLam(x) for x in drawn.tolist()], dtype=object)
+
+    _sweeps(data, split, Generator(), lam, reps, 1.0, 0.0)
     return np.array(draws)
 
 
@@ -206,7 +217,7 @@ def test_large_sample_blocks_hold_at_most_2_18_variates():
     n_tail = int((data.counts > split).sum())
     g = _RecordingGenerator(206)
     n = 300
-    chain = _sweeps(data, split, g, 0.6, n, data.n + 0.05, lambda s, gam: gam / s)
+    chain = _sweeps(data, split, g, 0.6, n, data.n + 0.05, 0.0)
     assert chain.size == n and np.all(chain > 0.0)
     # each block draws its level gammas, remainder numerators and lam
     # gammas, then one gamma per count above the split in each sweep
@@ -332,8 +343,7 @@ def test_sweep_matches_the_two_reduction_sweep(case):
     chains, states = [], []
     for sweeps in (_sweeps, sweeps_two_reductions):
         g = RngStream(12).generator()
-        chains.append(sweeps(data, split, g, 1.0, 2000, 2.0 + data.n,
-                             lambda sum_w, gamma: gamma / (0.5 + sum_w)))
+        chains.append(sweeps(data, split, g, 1.0, 2000, 2.0 + data.n, 0.5))
         states.append(g.bit_generator.state)
     assert states[0] == states[1]
     if split == data.counts.max():
@@ -383,8 +393,7 @@ def test_sweep_draws_the_reciprocal_sweeps_bits(kind, data):
         chains, states = [], []
         for sweeps in (_sweeps, sweeps_reciprocal):
             g = np.random.default_rng(seed)
-            chains.append(sweeps(sample, split, g, lam, n_sweeps, 2.0 + sample.n,
-                                 lambda sum_w, gamma: gamma / (rate + sum_w)))
+            chains.append(sweeps(sample, split, g, lam, n_sweeps, 2.0 + sample.n, rate))
             states.append(g.bit_generator.state)
         assert chains[0].tobytes() == chains[1].tobytes()
         assert states[0] == states[1]

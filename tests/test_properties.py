@@ -159,9 +159,8 @@ TEXT_PIECES = st.one_of(
                     + ["\u03a3", "\ud800", "\x1f", "\t"] + LINE_BREAKS),
 )
 texts = st.lists(TEXT_PIECES, max_size=40).map("".join)
-TOKENIZER_OPTIONS = [TokenizerOptions(lowercase, apostrophes, digits)
-                     for lowercase in (False, True) for apostrophes in (False, True)
-                     for digits in (False, True)]
+TOKENIZER_OPTIONS = [TokenizerOptions(apostrophes, digits)
+                     for apostrophes in (False, True) for digits in (False, True)]
 
 
 @reproducible
@@ -172,9 +171,9 @@ TOKENIZER_OPTIONS = [TokenizerOptions(lowercase, apostrophes, digits)
 def test_tokenizer_matches_findall_over_the_whole_text(text):
     for options in TOKENIZER_OPTIONS:
         got = tokenize_count(text, options)
-        vocabulary, n_unique, n_tokens, preprocessing = tokenize_count_findall(text, options)
+        vocabulary = tokenize_count_findall(text, options)
         assert list(got.vocabulary.items()) == list(vocabulary.items())
-        assert (got.n_unique, got.n_tokens, got.preprocessing) == (n_unique, n_tokens, preprocessing)
+        assert (got.n_unique, got.n_tokens) == (len(vocabulary), sum(vocabulary.values()))
 
 
 # lengths on both sides of the 8-byte word edges, bytes a chunk can hold
@@ -245,7 +244,7 @@ vocabularies = st.dictionaries(st.text("aez\u00e9'\u2019", min_size=1, max_size=
 @reproducible
 @given(vocabulary=vocabularies)
 def test_count_sample_and_tsv_match_the_keyed_sort(vocabulary, tmp_path_factory):
-    counts = CorpusCounts(vocabulary, len(vocabulary), sum(vocabulary.values()), {})
+    counts = CorpusCounts(vocabulary)
     items = sorted_items_keyed(vocabulary)
     assert to_count_sample(counts).counts.tolist() == [count for _, count in items]
     path = tmp_path_factory.mktemp("tsv") / "w.tsv"
@@ -621,8 +620,9 @@ def test_counts_near_the_int64_limit_get_an_estimate(counts):
 def fit_blocks(draw):
     """1-3 samples of up to 300 counts at rates over [0.02, 50] and one
     all-ones sample, with a config drawn so that over the examples reps
-    stop every way: converged, out of iterations (max_iter 3), over a
-    small ceiling (3.0), and the all-ones divergence; the init policies
+    stop every way: converged, out of iterations (max_iter 3), over the
+    ceiling (the all-ones sample under prior_a 30), and the all-ones
+    divergence out of iterations (prior_a 1); the init policies
     include 0.0 and moments, whose fallback the all-ones sample takes.
     The last item is where to split the block in two."""
     samples = [CountSample(c) for c in draw(
@@ -632,7 +632,7 @@ def fit_blocks(draw):
     config = FitConfig(
         init=draw(st.sampled_from([0.0, "moments", "mode_one", 2.5])),
         max_iter=draw(st.sampled_from([3, 60])),
-        divergence_ceiling=draw(st.sampled_from([3.0, 1e6])),
+        prior_a=draw(st.sampled_from([1.0, 30.0])),
     )
     return samples, config, draw(st.integers(0, len(samples)))
 
@@ -655,12 +655,17 @@ def test_stacked_fits_match_the_one_sample_loop(block):
     with warnings.catch_warnings(record=True) as caught_stacked:
         warnings.simplefilter("always")
         fits = em_fit_stacked(samples, config)
+    with warnings.catch_warnings(record=True) as caught_se:
+        warnings.simplefilter("always")
         se = standard_errors(samples, [f.lambda_hat for f in fits])
     with warnings.catch_warnings(record=True) as caught_loop:
         warnings.simplefilter("always")
         want = [em_fit_loop(data, config) for data in samples]
         want_se = [oakes_standard_error(data, f.lambda_hat) for data, f in zip(samples, want)]
     assert _warning_texts(caught_stacked) == _warning_texts(caught_loop)
+    # under prior_a 30 a fit can stop off an interior maximum of the
+    # likelihood: the SE warns once for each NaN of the oracle's
+    assert len(caught_se) == sum(map(math.isnan, want_se))
     assert [f.status for f in fits] == [f.status for f in want]
     assert [f.iterations for f in fits] == [f.iterations for f in want]
     for fit, ref, got_se, ref_se in zip(fits, want, se, want_se):
