@@ -1,11 +1,11 @@
 """Command-line interface: ys fit|gibbs|simulate|text|diagnose|experiment.
 
 All commands read and write the one-integer-per-line count format and
-emit machine-readable reports (JSON on stdout, CSV where per-row data
-is produced). A flag fills the library field its dest names, and only
-when typed, so every default lives in the library's dataclasses; --help
-shows each option's flag name as its metavar. YS_SEED provides the
-default seed. Exit codes: 0 success
+emit machine-readable reports (JSON on stdout, with a non-finite value
+as null; CSV where per-row data is produced). A flag fills the library
+field its dest names, and only when typed, so every default lives in the
+library's dataclasses; --help shows each option's flag name as its
+metavar. YS_SEED provides the default seed. Exit codes: 0 success
 (fit/diagnose additionally require a converged estimate), 2 when the
 fit did not converge, 1 on I/O or format errors and on a refused value,
 with one error line that names the flag typed for it.
@@ -23,13 +23,9 @@ import sys
 
 import numpy as np
 
-from .convergence import diagnose
-from .corpus import TokenizerOptions, strip_gutenberg, to_count_sample, tokenize_count, write_tsv
-from .distribution import RngStream, read_count_file, write_count_file
-from .em import FitConfig, em_fit
-from .experiment import GENERATORS, ExperimentSpec, generate, run_experiment, write_replication_csv
-from .gibbs import GibbsConfig, gibbs_run
-from .information import standard_error
+# a subcommand's own modules run on its first call into them (see __init__)
+from . import convergence, corpus, em, experiment, gibbs, information
+from .distribution import GENERATORS, RngStream, generate, read_count_file, write_count_file
 from .special import FieldError
 
 __all__ = ["main"]
@@ -72,21 +68,33 @@ def _fields(cls, args, **given):
     return cls(**{**typed, **given})
 
 
+def _strict(value):
+    """value with each non-finite float in it replaced by None, which
+    JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(_strict(payload), indent=2, allow_nan=False))
 
 
 def _fit_and_diagnose(args):
     """Read the count file, fit it and diagnose the fit: the shared part
     of ys fit and ys diagnose. The flags are checked before the read."""
-    config = _fields(FitConfig, args)
-    fit = em_fit(read_count_file(args.input), config)
-    return fit, diagnose(fit)
+    config = _fields(em.FitConfig, args)
+    fit = em.em_fit(read_count_file(args.input), config)
+    return fit, convergence.diagnose(fit)
 
 
 def _cmd_fit(args) -> int:
     fit, report = _fit_and_diagnose(args)
-    std_err = standard_error(fit.sample, fit.lambda_hat) if fit.converged else math.nan
+    std_err = information.standard_error(fit.sample, fit.lambda_hat) if fit.converged else math.nan
     _emit({
         "lambda_hat": fit.lambda_hat,
         "std_err": std_err,
@@ -112,8 +120,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
-    config = _fields(GibbsConfig, args)
-    result = gibbs_run(read_count_file(args.input), config)
+    config = _fields(gibbs.GibbsConfig, args)
+    result = gibbs.gibbs_run(read_count_file(args.input), config)
     payload = {
         "posterior_mean": result.posterior_mean,
         "posterior_sd": result.posterior_sd,
@@ -142,24 +150,27 @@ def _cmd_text(args) -> int:
     with open(args.input, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
     if not args.no_strip:
-        text = strip_gutenberg(text)
-    counts = tokenize_count(
+        text = corpus.strip_gutenberg(text)
+    counts = corpus.tokenize_count(
         text,
-        TokenizerOptions(keep_apostrophes=args.keep_apostrophes, keep_digits=args.keep_digits),
+        corpus.TokenizerOptions(keep_apostrophes=args.keep_apostrophes,
+                                keep_digits=args.keep_digits),
     )
-    write_count_file(args.counts, to_count_sample(counts))
+    write_count_file(args.counts, corpus.to_count_sample(counts))
     if args.tsv:
-        write_tsv(counts, args.tsv)
+        corpus.write_tsv(counts, args.tsv)
     print(f"n_unique={counts.n_unique} n_tokens={counts.n_tokens}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
     # the Gibbs flags are checked and used only when a chain runs
-    gibbs = "gibbs" in (args.estimators or ExperimentSpec.estimators)
-    spec = _fields(ExperimentSpec, args, fit_config=_fields(FitConfig, args),
-                   gibbs_config=_fields(GibbsConfig, args) if gibbs else GibbsConfig())
-    summary = run_experiment(spec)
+    chains = "gibbs" in (args.estimators or experiment.ExperimentSpec.estimators)
+    fit_config = _fields(em.FitConfig, args)
+    gibbs_config = _fields(gibbs.GibbsConfig, args) if chains else gibbs.GibbsConfig()
+    spec = _fields(experiment.ExperimentSpec, args, fit_config=fit_config,
+                   gibbs_config=gibbs_config)
+    summary = experiment.run_experiment(spec)
     payload = {
         "true_lambda": spec.true_lambda,
         "n": spec.n,
@@ -168,7 +179,7 @@ def _cmd_experiment(args) -> int:
         "estimators": {name: vars(stats) for name, stats in summary.estimators.items()},
     }
     if args.csv:
-        write_replication_csv(summary.records, args.csv)
+        experiment.write_replication_csv(summary.records, args.csv)
         payload["csv"] = args.csv
     _emit(payload)
     return 0

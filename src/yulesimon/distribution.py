@@ -9,7 +9,8 @@ whose marginal over p recovers g, and the conditional of the latent
 success probability given an observation is p | k, lam ~ Beta(lam+1, k)
 (the Gibbs sampler draws from it). This module provides the mass
 function, both data generators (mixture and preferential-attachment
-urn), the count sample and the count-file format.
+urn) and their lookup by name, the count sample and the count-file
+format.
 """
 
 from __future__ import annotations
@@ -313,6 +314,15 @@ def sample_urn(lam: float, n: int, rng) -> CountSample:
     del parent
     sizes = sizes[roots]
     return CountSample(sizes)
+
+
+GENERATORS = {"mixture": "sample_mixture", "urn": "sample_urn"}  # sampler names in this module
+
+
+def generate(generator: str, lam: float, n: int, rng) -> CountSample:
+    """n draws of the named generator at rate lam. The sampler is looked up in
+    this module's globals at each call, so a wrapper installed here sees it."""
+    return globals()[GENERATORS[generator]](lam, n, rng)
 
 
 class CountFileError(ValueError):

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import distribution
-from .distribution import CountSample, FieldError, RngStream, _check_lambda, _check_size
+from .distribution import (GENERATORS, CountSample, FieldError, RngStream, _check_lambda,
+                           _check_size, generate)
 from .em import CONVERGED, DIVERGING, FitConfig, em_fit_stacked
 from .gibbs import GibbsConfig, gibbs_run
 from .information import standard_errors
@@ -33,7 +33,6 @@ CSV_HEADER = ["rep", "estimator", "lambda_hat", "se", "iters", "status"]
 # least one rep), so memory grows with the block, not with n_rep.
 _BLOCK_COUNTS = 1 << 16
 
-GENERATORS = {"mixture": "sample_mixture", "urn": "sample_urn"}  # sampler names in distribution
 _ESTIMATORS = ("em", "gibbs")
 
 
@@ -66,12 +65,6 @@ class ExperimentSpec:
         bad = [e for e in self.estimators if e not in _ESTIMATORS]
         if bad or not self.estimators:
             raise FieldError("{estimators} must be a nonempty subset of {}", _ESTIMATORS)
-
-
-def generate(generator: str, lam: float, n: int, rng) -> CountSample:
-    """n draws of the named generator at rate lam. The sampler is looked up in
-    distribution at each call, so a wrapper installed there (perfbench/tracing.py) sees it."""
-    return getattr(distribution, GENERATORS[generator])(lam, n, rng)
 
 
 @dataclass

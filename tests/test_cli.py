@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from yulesimon import (ExperimentSpec, FitConfig, GibbsConfig, RngStream, read_count_file,
                        sample_mixture, write_count_file)
-from yulesimon.cli import _build_parser, main
+from yulesimon.cli import _build_parser, _emit, main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "gutenberg_excerpt.txt"
 
@@ -66,6 +67,36 @@ def test_fit_all_ones_exits_2(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "fit", str(path))
     assert code == 2
     assert json.loads(out)["status"] == "diverging"
+
+
+def strict_json(text: str):
+    """text parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_values_print_as_null(tmp_path, capsys):
+    # a fit that did not converge has no standard error
+    path = tmp_path / "ones.txt"
+    path.write_text("1\n" * 30)
+    code, out, _ = run_cli(capsys, "fit", str(path))
+    assert code == 2
+    assert strict_json(out)["std_err"] is None
+    # an experiment with no converged rep has no moments
+    code, out, _ = run_cli(capsys, "experiment", "--lambda", "0.8", "--n", "50", "--reps", "2",
+                           "--max-iter", "1", "--seed", "1")
+    assert code == 0
+    em = strict_json(out)["estimators"]["em"]
+    assert (em["n_used"], em["n_failed"]) == (0, 2)
+    assert [key for key, value in em.items() if value is None] == [
+        "lambda_mean", "lambda_median", "lambda_p95", "lambda_sd",
+        "se_mean", "se_median", "se_p95", "se_sd", "mean_iterations",
+    ]
+    # at any depth, and finite values as before
+    _emit({"a": [math.inf, (-math.inf, 0.5)], "b": {"c": math.nan, "d": 1e300}})
+    assert strict_json(capsys.readouterr().out) == {"a": [None, [None, 0.5]],
+                                                   "b": {"c": None, "d": 1e300}}
 
 
 def test_fit_bad_line_exits_1(tmp_path, capsys):
