@@ -4,8 +4,9 @@ All commands read and write the one-integer-per-line count format and
 emit machine-readable reports (JSON on stdout, with a non-finite value
 as null; CSV where per-row data is produced). A flag fills the library
 field its dest names, and only when typed, so every default lives in the
-library's dataclasses; --help shows each option's flag name as its
-metavar. YS_SEED provides the default seed. Exit codes: 0 success
+library's dataclasses, and a run's randomness comes from its command
+line alone (--seed and --stream, else RngStream's defaults); --help
+shows each option's flag name as its metavar. Exit codes: 0 success
 (fit/diagnose additionally require a converged estimate), 2 when the
 fit did not converge, 1 on I/O or format errors and on a refused value,
 with one error line that names the flag typed for it.
@@ -18,7 +19,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -29,13 +29,6 @@ from .distribution import GENERATORS, RngStream, generate, read_count_file, writ
 from .special import FieldError
 
 __all__ = ["main"]
-
-
-def _default_seed() -> int:
-    value = os.environ.get("YS_SEED", "0")
-    if not (value.isascii() and value.isdigit()):
-        raise ValueError(f"YS_SEED must be a non-negative integer, got {value!r}")
-    return int(value)
 
 
 def _parse_init(value: str):
@@ -269,8 +262,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if hasattr(args, "seed"):  # the stream that fills each seed field
-            if args.seed is None:
-                args.seed = _default_seed()
             args.seed = _fields(RngStream, args)
         return args.handler(args)
     except (OSError, ValueError) as exc:

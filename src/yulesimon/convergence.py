@@ -14,6 +14,7 @@ reads the sample, the trace and the prior of its config from the fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .distribution import CountSample, _check_lambda, _check_prior
@@ -38,10 +39,19 @@ SUBLINEAR_THRESHOLD = 0.9
 _DENOMINATOR_FLOOR = 1e-14
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf where the float power overflows."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def rate_theoretical(data: CountSample, lam: float) -> float:
-    """Missing/complete information ratio at lam."""
+    """Missing/complete information ratio at lam; inf or nan where
+    lam**2 overflows."""
     lam = _check_lambda(lam)
-    return lam**2 * pooled_harmonic_sum_sq(lam, data) / data.n
+    return _square(lam) * pooled_harmonic_sum_sq(lam, data) / data.n
 
 
 def em_map_jacobian(
@@ -55,12 +65,17 @@ def em_map_jacobian(
         M'(lam) = (N+a-1) * sum sum (lam+j)^-2 / (b + sum sum (lam+j)^-1)^2
 
     which reduces to rate_theoretical at the fixed point when a=1, b=0.
+    A denominator that overflows gives 0, one that is 0 (b = 0 and the
+    sums underflowed at a huge lam) inf, or nan over a numerator of 0.
     """
     lam = _check_lambda(lam)
     _check_prior(prior_a, prior_b)
     s1 = pooled_harmonic_sum(lam, data)
     s2 = pooled_harmonic_sum_sq(lam, data)
-    return (data.n + prior_a - 1.0) * s2 / (prior_b + s1) ** 2
+    numerator, denominator = (data.n + prior_a - 1.0) * s2, _square(prior_b + s1)
+    if not denominator:
+        return math.inf if numerator else math.nan
+    return numerator / denominator
 
 
 def empirical_rates(trace) -> tuple[list[float], bool]:
@@ -101,7 +116,7 @@ def diagnose(fit: FitResult) -> ConvergenceReport:
     return ConvergenceReport(
         r_theoretical=rate,
         jacobian_at_hat=em_map_jacobian(data, lam, config.prior_a, config.prior_b),
-        regime="sublinear" if rate > SUBLINEAR_THRESHOLD else "linear",
+        regime="linear" if rate <= SUBLINEAR_THRESHOLD else "sublinear",
         empirical_rates=rates,
         truncated=truncated,
     )

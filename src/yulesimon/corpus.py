@@ -4,13 +4,13 @@ boilerplate stripping."""
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
 from .distribution import CountSample
+from .special import _warn
 
 __all__ = [
     "TokenizerOptions",
@@ -69,12 +69,10 @@ def strip_gutenberg(text: str) -> str:
             end = idx
             break
     if start is None and end is None:
-        warnings.warn("no Gutenberg markers found; text left unchanged",
-                      RuntimeWarning, stacklevel=2)
+        _warn("no Gutenberg markers found; text left unchanged")
         return text
     if start is None or end is None:
-        warnings.warn("malformed Gutenberg markers; text left unchanged",
-                      RuntimeWarning, stacklevel=2)
+        _warn("malformed Gutenberg markers; text left unchanged")
         return text
     return "".join(lines[start + 1 : end])
 

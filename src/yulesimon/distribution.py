@@ -16,12 +16,11 @@ format.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import FieldError, _check_lambda, log_beta
+from .special import FieldError, _check_lambda, _warn, log_beta
 
 __all__ = [
     "RngStream",
@@ -66,10 +65,12 @@ class RngStream:
     the same draws, distinct stream_ids are statistically independent.
 
     child() derives nested independent streams (one per replication,
-    one per sampler) without coordination.
+    one per sampler) without coordination. RngStream() is seed 0,
+    stream 0: the default of every config and of ys --seed. The
+    samplers take an RngStream only.
     """
 
-    seed: int
+    seed: int = 0
     stream_id: int = 0
     subkeys: tuple[int, ...] = field(default=())
 
@@ -87,11 +88,9 @@ class RngStream:
 
 
 def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError("rng must be an RngStream or numpy Generator")
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"rng must be an RngStream, got {type(rng).__name__}")
+    return rng.generator()
 
 
 class CountSample:
@@ -246,8 +245,7 @@ def sample_mixture(lam: float, n: int, rng) -> CountSample:
         raw = np.ceil(log_u / np.log1p(-p))
     clipped = int(np.count_nonzero(raw > _MAX_COUNT))
     if clipped:
-        warnings.warn(f"sample_mixture clipped {clipped} of {n} draws at 2**62",
-                      RuntimeWarning, stacklevel=2)
+        _warn(f"sample_mixture clipped {clipped} of {n} draws at 2**62")
     return CountSample(np.minimum(np.maximum(raw, 1.0), float(_MAX_COUNT)).astype(np.int64))
 
 

@@ -31,18 +31,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .distribution import CountSample, FieldError, _check_lambda, _check_prior
-from .special import (
-    HistogramStack,
-    digamma,
-    log_beta,
-)
+from .special import HistogramStack, _warn, digamma, log_beta
 
 __all__ = [
     "FitConfig",
@@ -198,11 +193,7 @@ def init_lambda(data: CountSample, policy) -> float:
     if policy == INIT_MOMENTS:
         kbar = data.sample_mean()
         if kbar <= 1.0:
-            warnings.warn(
-                "moments init needs a sample mean above 1; falling back to 1.0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            _warn("moments init needs a sample mean above 1; falling back to 1.0")
             return 1.0
         return kbar / (kbar - 1.0)
     return policy

@@ -5,7 +5,6 @@ of its standard error)."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -50,7 +49,7 @@ class ExperimentSpec:
     n_rep: int = 200
     generator: str = "mixture"
     estimators: tuple[str, ...] = ("em",)
-    seed: RngStream = field(default_factory=lambda: RngStream(0))
+    seed: RngStream = field(default_factory=RngStream)
     fit_config: FitConfig = field(default_factory=FitConfig)
     gibbs_config: GibbsConfig = field(default_factory=GibbsConfig)
 
@@ -115,7 +114,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
     for first in range(0, spec.n_rep, block):
         reps = range(first, min(first + block, spec.n_rep))
         samples = [generate(spec.generator, spec.true_lambda, spec.n,
-                            spec.seed.child(rep, 0).generator()) for rep in reps]
+                            spec.seed.child(rep, 0)) for rep in reps]
         rows = []
         if "em" in spec.estimators:
             rows.append(_em_records(reps, samples, spec.fit_config))
@@ -177,8 +176,7 @@ def summarize_records(records: list[ReplicationRecord]) -> dict[str, EstimatorSu
 
 
 def write_replication_csv(records: list[ReplicationRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([r.rep, r.estimator, repr(r.lambda_hat), repr(r.se), r.iters, r.status])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(CSV_HEADER) + "\n")
+        fh.writelines(f"{r.rep},{r.estimator},{r.lambda_hat!r},{r.se!r},{r.iters},{r.status}\n"
+                      for r in records)

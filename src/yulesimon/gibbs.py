@@ -45,13 +45,13 @@ seed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distribution import (CountSample, FieldError, RngStream, _check_lambda, _check_prior,
                            _check_size)
+from .special import _warn
 
 __all__ = [
     "GibbsConfig",
@@ -80,7 +80,7 @@ class GibbsConfig:
     n_samples: int = 8000
     burn_in: int = 500
     thin: int = 1
-    seed: RngStream = field(default_factory=lambda: RngStream(0))
+    seed: RngStream = field(default_factory=RngStream)
     lambda_init: float = 1.0
 
     def __post_init__(self):
@@ -228,8 +228,7 @@ def autocorrelation(chain, max_lag: int) -> np.ndarray:
     centered = x - x.mean()
     denom = float(np.dot(centered, centered))
     if denom == 0.0:
-        warnings.warn("zero-variance chain: autocorrelation undefined, returning zeros",
-                      RuntimeWarning, stacklevel=2)
+        _warn("zero-variance chain: autocorrelation undefined, returning zeros")
         return np.zeros(max_lag)
     return np.array(
         [np.dot(centered[:-lag], centered[lag:]) / denom for lag in range(1, max_lag + 1)]

@@ -22,13 +22,12 @@ log-likelihood is a slow third route.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .distribution import CountSample, _check_lambda
 from .em import observed_loglik
-from .special import HistogramStack, beta_log_moments, trigamma
+from .special import HistogramStack, _warn, beta_log_moments, trigamma
 
 __all__ = [
     "oakes_information",
@@ -39,15 +38,10 @@ __all__ = [
 ]
 
 
-def _warn_if_nonpositive(info: float, label: str, stacklevel: int = 3) -> None:
-    # stacklevel 3 names the line that called the public function
+def _warn_if_nonpositive(info: float, label: str) -> None:
     if info <= 0.0:
-        warnings.warn(
-            f"{label} information is not positive ({info:.6g}); "
-            "lambda is not an interior maximum for this data",
-            RuntimeWarning,
-            stacklevel=stacklevel,
-        )
+        _warn(f"{label} information is not positive ({info:.6g}); "
+              "lambda is not an interior maximum for this data")
 
 
 def oakes_information(data: CountSample, lambda_hat: float) -> float:
@@ -58,15 +52,16 @@ def oakes_information(data: CountSample, lambda_hat: float) -> float:
 def _oakes(samples, lambda_hats) -> list[float]:
     """oakes_information of every sample at its own estimate, from one
     trigamma call over the stacked histograms:
-    N/lam^2 + (sum_u c_u psi_1(lam+1+u) - N psi_1(lam+1))."""
+    N/lam^2 + (sum_u c_u psi_1(lam+1+u) - N psi_1(lam+1)); inf where
+    lam^2 underflows to 0 (lam below about 1e-162)."""
     lams = [_check_lambda(lam) for lam in lambda_hats]
     stack = HistogramStack(samples)
     infos = [
-        n / lam**2 + s
+        (n / lam**2 if lam**2 else math.inf) + s
         for n, lam, s in zip(stack.n, lams, stack.pooled(trigamma, lams))
     ]
     for info in infos:
-        _warn_if_nonpositive(info, "Oakes", stacklevel=4)  # one frame deeper
+        _warn_if_nonpositive(info, "Oakes")
     return infos
 
 

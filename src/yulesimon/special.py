@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 
@@ -204,6 +206,17 @@ class FieldError(ValueError):
 
     def rename(self, names) -> str:
         return self.template.format(*self.values, **{**self.fields, **names})
+
+
+def _warn(message: str) -> None:
+    """Issue message as a RuntimeWarning that names the first frame
+    outside this package, the caller's line however deep in the package
+    it arose; warnings.warn's skip_file_prefixes does this from Python
+    3.12 on."""
+    frame, stacklevel = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(f"{__package__}."):
+        frame, stacklevel = frame.f_back, stacklevel + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
 
 
 def _check_lambda(lam: float, field: str = "lam") -> float:

@@ -99,6 +99,20 @@ def test_non_finite_values_print_as_null(tmp_path, capsys):
                                                    "b": {"c": None, "d": 1e300}}
 
 
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+@pytest.mark.parametrize("prior", [["--prior-a", "1e300"], ["--prior-b", "1e155"],
+                                   ["--prior-b", "1e300"]])
+def test_huge_prior_gives_a_json_report(tmp_path, capsys, command, prior):
+    # lambda near 1e300, whose square overflows and whose pooled sums
+    # underflow to 0, or near 1e-155 and 1e-300, whose square underflows
+    path = tmp_path / "c.txt"
+    path.write_text("2\n3\n1\n")
+    code, out, err = run_cli(capsys, command, str(path), *prior)
+    assert code in (0, 2) and not err
+    report = strict_json(out)
+    assert report.get("convergence", report)["regime"] in ("linear", "sublinear")
+
+
 def test_fit_bad_line_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     for bad in ("0", "1_0", str(2**63)):
@@ -277,22 +291,18 @@ def test_simulate_urn_constraints(tmp_path, capsys):
     assert err.startswith("ys: error:")
 
 
-def test_simulate_seed_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("YS_SEED", "123")
-    env_file = tmp_path / "env.txt"
-    run_cli(capsys, "simulate", "--lambda", "0.6", "--n", "100", "--out", str(env_file))
+def test_simulate_seed_comes_from_the_command_line_alone(tmp_path, capsys, monkeypatch):
+    # the environment plays no part: without --seed the run is --seed 0's
     explicit = tmp_path / "explicit.txt"
     run_cli(capsys, "simulate", "--lambda", "0.6", "--n", "100",
-            "--seed", "123", "--out", str(explicit))
-    assert env_file.read_bytes() == explicit.read_bytes()
-
-
-def test_simulate_bad_seed_env_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("YS_SEED", "abc")
-    code, _, err = run_cli(capsys, "simulate", "--lambda", "0.6", "--n", "100",
-                           "--out", str(tmp_path / "x.txt"))
-    assert code == 1
-    assert err.startswith("ys: error:") and "YS_SEED" in err
+            "--seed", "0", "--out", str(explicit))
+    for value in ("123", "abc"):
+        monkeypatch.setenv("YS_SEED", value)
+        out = tmp_path / f"env_{value}.txt"
+        code, _, err = run_cli(capsys, "simulate", "--lambda", "0.6", "--n", "100",
+                               "--out", str(out))
+        assert code == 0 and "error" not in err
+        assert out.read_bytes() == explicit.read_bytes()
 
 
 def test_text_pipeline(tmp_path, capsys):
@@ -468,6 +478,9 @@ ITERATIONS = (["1", "3", "60"], ["0", "-3", "x"])
 BURN_IN = (["0", "1", "30"], ["-1", "x"])
 THIN = (["1", "3"], ["0", "-2"])
 REALS = (["0.6", "1.25", "5", "0.05", "1e-300"], ["0", "-1", "nan", "inf", "x"])
+# a prior whose square overflows in the rate diagnostics, or whose shape
+# pushes lambda so high that the pooled sums underflow
+PRIORS = ([*REALS[0], "1e155", "1e300"], REALS[1])
 INITS = (["mode_one", "moments", "0", "2.5"], ["-1", "nan", "x"])
 STREAMS = (["0", "7"], ["-1"])
 # count files, valid ones first: a mixture sample, all ones (no interior
@@ -519,8 +532,8 @@ def cli_argvs(draw, files: Path):
     out = str(files / "out" / pick((["a.txt"], ["missing/a.txt"])))
     command = draw(st.sampled_from(["fit", "diagnose", "gibbs", "simulate", "text", "experiment"]))
     if command in ("fit", "diagnose"):
-        argv = [command, counts, *flags(tol=REALS, max_iter=ITERATIONS, prior_a=REALS,
-                                        prior_b=REALS, init=INITS)]
+        argv = [command, counts, *flags(tol=REALS, max_iter=ITERATIONS, prior_a=PRIORS,
+                                        prior_b=PRIORS, init=INITS)]
     elif command == "gibbs":
         argv = ["gibbs", counts, *option("--samples", SIZES), *option("--burn-in", BURN_IN),
                 *flags(thin=THIN, prior_a=REALS, prior_b=REALS, seed=STREAMS, stream=STREAMS,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,20 @@ def test_rate_matches_trigamma_difference_form():
             / data.n
         )
         assert rate_theoretical(data, lam) == pytest.approx(via_trigamma, rel=1e-12)
+
+
+def test_diagnostics_at_huge_and_tiny_lambda_do_not_raise():
+    data = CountSample([2, 3, 1])
+    # lam**2 overflows and the pooled sums underflow to 0
+    assert math.isnan(rate_theoretical(data, 1e300))
+    assert math.isnan(em_map_jacobian(data, 1e300, prior_a=1e300))
+    assert em_map_jacobian(data, 1e300, prior_a=1e300, prior_b=1.0) == 0.0
+    # (b + S1)**2 overflows
+    assert em_map_jacobian(data, 3e-155, prior_b=1e155) == 0.0
+    # a fit whose rate is nan is not reported as linear
+    fit = em_fit(data, FitConfig(prior_a=1e300))
+    report = diagnose(fit)
+    assert math.isnan(report.r_theoretical) and report.regime == "sublinear"
 
 
 def test_rate_near_paper_value_for_lam_1_1():

@@ -99,6 +99,12 @@ def test_sample_mixture_reproducible():
     assert c != a
 
 
+def test_samplers_take_only_an_rng_stream():
+    for sampler in (sample_mixture, sample_urn):
+        with pytest.raises(TypeError, match="RngStream"):
+            sampler(1.25, 10, RngStream(3).generator())
+
+
 def test_sample_mixture_warns_when_it_clips():
     with pytest.warns(RuntimeWarning, match=r"clipped 327 of 3000 draws at 2\*\*62"):
         sample = sample_mixture(0.05, 3000, RngStream(2))

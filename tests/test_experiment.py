@@ -109,7 +109,7 @@ def test_improper_gibbs_replications_are_counted_as_failed():
     spec = small_spec(true_lambda=5.0, n=2, n_rep=8, estimators=("gibbs",),
                       gibbs_config=GibbsConfig(prior_b=0.0, n_samples=200, burn_in=50))
     summary = run_experiment(spec)
-    ones = [experiment.generate("mixture", 5.0, 2, spec.seed.child(rep, 0).generator())
+    ones = [experiment.generate("mixture", 5.0, 2, spec.seed.child(rep, 0))
             .counts.max() == 1 for rep in range(8)]
     stats = summary.estimators["gibbs"]
     assert 0 < stats.n_failed == sum(ones) < 8

@@ -87,6 +87,13 @@ def test_nonpositive_information_warns_and_nans():
         assert math.isnan(standard_error(data, 50.0))
 
 
+def test_information_where_lambda_squared_underflows():
+    # below about 1e-162, lam**2 is 0 and N/lam**2 reads inf
+    data = CountSample([2, 3, 1])
+    assert oakes_information(data, 1e-200) == math.inf
+    assert standard_error(data, 1e-200) == 0.0
+
+
 def test_standard_errors_shrink_with_sample_size():
     medians = {}
     for n in (50, 500, 5000):
