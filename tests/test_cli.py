@@ -291,18 +291,34 @@ def test_simulate_urn_constraints(tmp_path, capsys):
     assert err.startswith("ys: error:")
 
 
-def test_simulate_seed_comes_from_the_command_line_alone(tmp_path, capsys, monkeypatch):
+def test_simulate_seed_env_default(tmp_path, capsys, monkeypatch):
     # the environment plays no part: without --seed the run is --seed 0's
+    monkeypatch.setenv("YS_SEED", "123")
+    env_file = tmp_path / "env.txt"
+    code, _, _ = run_cli(capsys, "simulate", "--lambda", "0.6", "--n", "100",
+                         "--out", str(env_file))
+    assert code == 0
     explicit = tmp_path / "explicit.txt"
     run_cli(capsys, "simulate", "--lambda", "0.6", "--n", "100",
             "--seed", "0", "--out", str(explicit))
-    for value in ("123", "abc"):
-        monkeypatch.setenv("YS_SEED", value)
-        out = tmp_path / f"env_{value}.txt"
-        code, _, err = run_cli(capsys, "simulate", "--lambda", "0.6", "--n", "100",
-                               "--out", str(out))
-        assert code == 0 and "error" not in err
-        assert out.read_bytes() == explicit.read_bytes()
+    assert env_file.read_bytes() == explicit.read_bytes()
+
+
+def test_simulate_bad_seed_env_exits_1(tmp_path, capsys, monkeypatch):
+    # a bad YS_SEED is ignored; a bad seed can come only from --seed, and exits 1
+    monkeypatch.setenv("YS_SEED", "abc")
+    env_file = tmp_path / "env.txt"
+    code, _, err = run_cli(capsys, "simulate", "--lambda", "0.6", "--n", "100",
+                           "--out", str(env_file))
+    assert code == 0 and "error" not in err
+    explicit = tmp_path / "explicit.txt"
+    run_cli(capsys, "simulate", "--lambda", "0.6", "--n", "100",
+            "--seed", "0", "--out", str(explicit))
+    assert env_file.read_bytes() == explicit.read_bytes()
+    code, _, err = run_cli(capsys, "simulate", "--lambda", "0.6", "--n", "100",
+                           "--seed", "-1", "--out", str(tmp_path / "x.txt"))
+    assert code == 1
+    assert err.startswith("ys: error:") and "--seed" in err and "YS_SEED" not in err
 
 
 def test_text_pipeline(tmp_path, capsys):
