@@ -21,10 +21,7 @@ There is one update, _updates, and one iteration loop, em_fit_stacked:
 it fits many samples at once on their stacked histograms
 (special.HistogramStack), one digamma call per iteration for all of
 them. em_step and em_fit are their one-sample calls. No update, stopping
-rule or status needs the likelihood, so the loop does not compute it:
-FitResult.loglik_trace is worked out from the fit's sample the first
-time it is read, one _logliks call for up to 2**16 iterate x distinct
-count pairs of the trace.
+rule or status needs the likelihood, so the loop does not compute it.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -61,11 +57,6 @@ INIT_MOMENTS = "moments"
 # to infinity
 DIVERGENCE_CEILING = 1e6
 
-# loglik_trace evaluates the likelihood on a grid of iterates x distinct
-# counts; iterates are taken in chunks so the grid holds at most this
-# many elements (one iterate per chunk when the histogram is larger).
-_TRACE_GRID = 1 << 16
-
 
 @dataclass
 class FitConfig:
@@ -89,8 +80,8 @@ class FitConfig:
     init: float | str = INIT_MODE_ONE
 
     def __post_init__(self):
-        if not (self.tol > 0.0):
-            raise FieldError("{tol} must be positive")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise FieldError("{tol} must be positive and finite")
         if self.max_iter < 1:
             raise FieldError("{max_iter} must be >= 1")
         _check_prior(self.prior_a, self.prior_b)
@@ -102,11 +93,8 @@ class FitResult:
     """Estimate bundle: trace has one entry per iterate including the
     start, so len(trace) == iterations + 1. sample and config are the data
     and FitConfig it ran on, so convergence.diagnose reads the fit alone.
-
-    loglik_trace holds observed_loglik(sample, lam) for every lam of the
-    trace (-inf at a start of 0). The fit does not need it, so it is
-    computed the first time it is read and then kept. Equality compares
-    the estimate, the iteration count, the trace and the status alone."""
+    Equality compares the estimate, the iteration count, the trace and
+    the status alone."""
 
     lambda_hat: float
     iterations: int
@@ -119,29 +107,13 @@ class FitResult:
     def converged(self) -> bool:
         return self.status == CONVERGED
 
-    @cached_property
-    def loglik_trace(self) -> list[float]:
-        lams, data = self.trace, self.sample
-        step = max(1, _TRACE_GRID // data.histogram()[0].size)
-        chunks = [lams[i : i + step] for i in range(0, len(lams), step)]
-        stacks = (HistogramStack([data] * len(chunk)) for chunk in chunks)
-        return [ll for stack, chunk in zip(stacks, chunks) for ll in _logliks(stack, chunk)]
-
 
 def observed_loglik(data: CountSample, lam: float) -> float:
     """Observed-data log-likelihood sum_i log g(k_i | lam) =
     N log lam + sum_u c_u log B(lam+1, u) on the count histogram."""
-    return _logliks(HistogramStack([data]), [_check_lambda(lam)])[0]
-
-
-def _logliks(stack: HistogramStack, lams: list[float]) -> list[float]:
-    """observed_loglik of every sample of the stack at its own lam, one
-    log_beta call; -inf where lam is 0."""
-    log_b = log_beta(stack.spread(lams) + 1.0, stack.u)
-    return [
-        float(n * math.log(lam) + d) if lam > 0.0 else -math.inf
-        for n, lam, d in zip(stack.n, lams, stack.dots(log_b))
-    ]
+    lam = _check_lambda(lam)
+    u, c = data.histogram()
+    return float(data.n * math.log(lam) + c @ log_beta(lam + 1.0, u.astype(np.float64)))
 
 
 def _updates(
@@ -209,8 +181,7 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     """Fit every sample with the same config, iterating all of them
     together on their stacked histograms: each iteration makes one
     digamma call for all samples still running, and a sample leaves the
-    stack when it stops. The loop computes no likelihood; each fit's
-    loglik_trace is computed when it is first read. Each fit equals
+    stack when it stops. The loop computes no likelihood. Each fit equals
     em_fit of its sample alone.
 
     Never raises mid-run on degenerate data: samples with every count

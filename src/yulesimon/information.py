@@ -94,12 +94,12 @@ def louis_information(data: CountSample, lambda_hat: float) -> float:
     return info
 
 
-def numeric_information(data: CountSample, lambda_hat: float, step: float | None = None) -> float:
+def numeric_information(data: CountSample, lambda_hat: float) -> float:
     """Negated five-point central second difference of the observed
-    log-likelihood; step scales with lambda and stays inside (0, inf)."""
+    log-likelihood, with step h = lam/100: the points lam +- 2h stay
+    inside (0, inf) and the step scales with lambda."""
     lam = _check_lambda(lambda_hat)
-    h = step if step is not None else 0.01 * max(1.0, lam)
-    h = min(h, lam / 4.0)
+    h = lam / 100.0
     f = [observed_loglik(data, lam + i * h) for i in (-2, -1, 0, 1, 2)]
     second = (-f[4] + 16.0 * f[3] - 30.0 * f[2] + 16.0 * f[1] - f[0]) / (12.0 * h * h)
     return -second

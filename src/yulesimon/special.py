@@ -244,13 +244,11 @@ def pooled_harmonic_sum_sq(lam: float, data) -> float:
 class HistogramStack:
     """The count histograms of several CountSamples laid end to end.
 
-    Values are spread over the stack one per sample (spread), a special
-    function acts on the whole stack in one call (pooled), and the
-    per-sample sums reduce each sample's own slice with the expressions
-    a lone histogram takes, c @ x and np.sum(c * x). The functions act
-    elementwise, so a sample's results do not depend on which samples
-    share its stack, and a stack of one sample reproduces the
-    one-sample arithmetic bit for bit."""
+    A special function acts on the whole stack in one call (pooled), and
+    each sample's sum reduces its own slice of the result. The functions
+    act elementwise, so a sample's results do not depend on which samples
+    share its stack, and a stack of one sample reproduces the one-sample
+    arithmetic bit for bit."""
 
     def __init__(self, samples):
         hists = [s.histogram() for s in samples]
@@ -262,23 +260,15 @@ class HistogramStack:
         ends = np.cumsum(self.lengths).tolist()
         self._slices = [slice(e - m, e) for e, m in zip(ends, self.lengths)]
 
-    def spread(self, values) -> np.ndarray:
-        """values[r] repeated over the histogram of sample r."""
-        return np.repeat(np.asarray(values, dtype=np.float64), self.lengths)
-
     def pooled(self, fn, lams) -> list[float]:
         """sum_u c_u fn(lam_r+1+u) - N_r fn(lam_r+1) for every sample r,
         from one call of fn over the stack: with fn = digamma the pooled
         sum of 1/(lam+j), with fn = trigamma minus that of 1/(lam+j)^2.
         The lams are not checked here: every caller has checked them."""
         lam1 = np.asarray(lams, dtype=np.float64) + 1.0
-        out = fn(np.concatenate([self.spread(lam1) + self.u, lam1]))
+        out = fn(np.concatenate([np.repeat(lam1, self.lengths) + self.u, lam1]))
         cx = self.c * out[: self.u.size]
         return [
             float(cx[s].sum() - n * f1)
             for s, n, f1 in zip(self._slices, self.n, out[self.u.size :])
         ]
-
-    def dots(self, x: np.ndarray) -> list:
-        """c @ x per sample."""
-        return [self.c[s] @ x[s] for s in self._slices]

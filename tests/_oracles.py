@@ -16,6 +16,7 @@ from yulesimon import (
     em_step,
     init_lambda,
     oakes_information,
+    observed_loglik,
     sample_mixture,
 )
 from yulesimon.convergence import _DENOMINATOR_FLOOR
@@ -301,6 +302,12 @@ def _loglik(data: CountSample, lam: float) -> float:
         return -math.inf
     u, c = data.histogram()
     return float(data.n * math.log(lam) + c @ log_beta(lam + 1.0, u.astype(np.float64)))
+
+
+def loglik_trace(fit) -> list:
+    """The library's observed_loglik at every iterate of a FitResult's
+    trace, -inf at a start of 0."""
+    return [observed_loglik(fit.sample, lam) if lam > 0.0 else -math.inf for lam in fit.trace]
 
 
 class LoopFit(NamedTuple):

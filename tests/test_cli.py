@@ -146,6 +146,15 @@ def test_bad_init_exits_1_naming_it(counts_file, capsys, command, value, message
     assert err.splitlines() == [f"ys: error: {message}"]
 
 
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_nonfinite_tol_exits_1_naming_it(counts_file, capsys, command, value):
+    # a tol of inf would stop after one step, off the fixed point, as "converged"
+    code, out, err = run_cli(capsys, command, counts_file, "--tol", value)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["ys: error: --tol must be positive and finite"]
+
+
 def test_improper_posterior_exits_1_naming_prior_b(tmp_path, capsys):
     # a single count 1 under a prior of rate 0: the chain would drift
     # upward without bound, and no overflow warning comes first
