@@ -4,8 +4,8 @@ boilerplate stripping."""
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -21,8 +21,13 @@ __all__ = [
     "write_tsv",
 ]
 
-_START_MARKER = re.compile(r"\*+\s*START OF", re.IGNORECASE)
-_END_MARKER = re.compile(r"\*+\s*END OF", re.IGNORECASE)
+# the line breaks of str.splitlines; "\r\n" is one break
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK = re.compile(f"\r\n|[{_BREAKS}]")
+# the blanks of a marker are whitespace but no break, so a match in the
+# whole text lies within one line, as a match in that line alone would
+_START_MARKER = re.compile(rf"\*+[^\S{_BREAKS}]*START OF", re.IGNORECASE)
+_END_MARKER = re.compile(rf"\*+[^\S{_BREAKS}]*END OF", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -56,25 +61,53 @@ def strip_gutenberg(text: str) -> str:
     (case-insensitive, tolerant of the asterisk count). Missing or
     out-of-order markers leave the text unchanged with a warning.
 
-    Lines are those of str.splitlines. Both markers need a "*", so the
-    two marker searches run only on the lines that hold one.
+    Lines are those of str.splitlines. The body runs from the break of
+    the first START line to the start of the first END line after it.
+    No line is split out: each marker is matched only at the stars of
+    the text, and its line's bounds are found around the match.
     """
-    lines = text.splitlines(keepends=True)
-    starred = [idx for idx, line in enumerate(lines) if "*" in line]
-    start = end = None
-    for idx in starred:
-        if start is None and _START_MARKER.search(lines[idx]):
-            start = idx
-        elif start is not None and _END_MARKER.search(lines[idx]):
-            end = idx
-            break
-    if start is None and end is None:
+    start = _marker(_START_MARKER, text, 0)
+    if start is None:
         _warn("no Gutenberg markers found; text left unchanged")
         return text
-    if start is None or end is None:
+    brk = _BREAK.search(text, start.end())
+    begin = len(text) if brk is None else brk.end()
+    end = _marker(_END_MARKER, text, begin)
+    if end is None:
         _warn("malformed Gutenberg markers; text left unchanged")
         return text
-    return "".join(lines[start + 1 : end])
+    return text[begin : _line_start(text, end.start(), begin)]
+
+
+def _marker(pattern: re.Pattern, text: str, pos: int) -> re.Match | None:
+    """The first match of a marker pattern in text[pos:], tried by .match
+    at the first "*" of each run of stars only: a match at a later star
+    of the run would also be one at its first. A .search would try every
+    position, as SRE has no fast scan for a pattern that opens with a
+    repeat."""
+    star = text.find("*", pos)
+    while star >= 0:
+        if star == pos or text[star - 1] != "*":
+            found = pattern.match(text, star)
+            if found:
+                return found
+        star = text.find("*", star + 1)
+    return None
+
+
+def _line_start(text: str, pos: int, floor: int) -> int:
+    """Where the line holding pos starts, at or after floor: one past the
+    last break before pos. The search looks back from pos in a window
+    that doubles, so it reads about as much as the line holds."""
+    width = 64
+    while True:
+        low = max(floor, pos - width)
+        last = max(text.rfind(brk, low, pos) for brk in _BREAKS)
+        if last >= 0:
+            return last + 1
+        if low == floor:
+            return floor
+        width *= 2
 
 
 def _token_pattern(options: TokenizerOptions) -> re.Pattern:
@@ -210,12 +243,20 @@ def tokenize_count(text: str, options: TokenizerOptions | None = None) -> Corpus
     return CorpusCounts(vocabulary)
 
 
+def _count_groups(counts: CorpusCounts) -> list[tuple[int, list[str]]]:
+    """(count, words) by descending count, the words of each count in
+    code-point order: one dict pass groups the words by count, and each
+    group is sorted once."""
+    groups = defaultdict(list)
+    for word, count in counts.vocabulary.items():
+        groups[count].append(word)
+    return [(count, sorted(groups[count])) for count in sorted(groups, reverse=True)]
+
+
 def sorted_items(counts: CorpusCounts) -> list[tuple[str, int]]:
     """(word, count) pairs by descending count, ties by word in
-    code-point order: a sort by word, then a stable sort by count."""
-    items = sorted(counts.vocabulary.items(), key=itemgetter(0))
-    items.sort(key=itemgetter(1), reverse=True)
-    return items
+    code-point order."""
+    return [(word, count) for count, words in _count_groups(counts) for word in words]
 
 
 def to_count_sample(counts: CorpusCounts) -> CountSample:
@@ -227,6 +268,9 @@ def to_count_sample(counts: CorpusCounts) -> CountSample:
 
 
 def write_tsv(counts: CorpusCounts, path) -> None:
-    """word<TAB>count rows in the order of sorted_items."""
+    """word<TAB>count rows in the order of sorted_items, written one
+    join per distinct count."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{word}\t{count}\n" for word, count in sorted_items(counts))
+        for count, words in _count_groups(counts):
+            end = f"\t{count}\n"
+            fh.write(end.join(words) + end)

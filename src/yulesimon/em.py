@@ -187,7 +187,7 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     Never raises mid-run on degenerate data: samples with every count
     equal to one (and a flat-or-increasing prior) have no interior
     maximum, so the iterates grow without bound and the fit reports
-    status "diverging" - immediately when an iterate crosses the
+    status "diverging" - immediately when an iterate rises above the
     ceiling, otherwise once the iteration budget is exhausted.
     """
     config = config or FitConfig()
@@ -203,15 +203,16 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
         prev = [fits[r].lambda_hat for r in running]
         lams = _updates(stack, prev, config.prior_a, config.prior_b)
         still = []
-        for r, lam in zip(running, lams):
+        for r, lam, old in zip(running, lams, prev):
             fit = fits[r]
-            delta = abs(lam - fit.lambda_hat)
             fit.lambda_hat = lam
             fit.iterations += 1
             fit.trace.append(lam)
-            if lam > DIVERGENCE_CEILING:
+            # an iterate falling from a start above the ceiling is not
+            # diverging; one that rose above it is
+            if lam > max(old, DIVERGENCE_CEILING):
                 fit.status = DIVERGING
-            elif delta < config.tol:
+            elif abs(lam - old) < config.tol:
                 fit.status = CONVERGED
             else:
                 still.append(r)

@@ -1,6 +1,7 @@
 """Test-side oracles, independent of the library code paths they check."""
 
 import math
+import re
 import warnings
 from collections import Counter
 from typing import NamedTuple
@@ -20,7 +21,7 @@ from yulesimon import (
     sample_mixture,
 )
 from yulesimon.convergence import _DENOMINATOR_FLOOR
-from yulesimon.corpus import _END_MARKER, _START_MARKER, _token_pattern
+from yulesimon.corpus import _token_pattern
 from yulesimon.em import DIVERGENCE_CEILING
 from yulesimon.special import (_check_lambda, digamma, log_beta, pooled_harmonic_sum,
                                pooled_harmonic_sum_sq)
@@ -323,8 +324,9 @@ class LoopFit(NamedTuple):
 
 def em_fit_loop(data: CountSample, config: FitConfig | None = None) -> LoopFit:
     """EM on one sample, iteration by iteration through em_step, with
-    the same stopping rules as em_fit: the ceiling, tol, max_iter, and
-    "diverging" for an all-ones sample that ran out of iterations."""
+    the same stopping rules as em_fit: an iterate that rose above the
+    ceiling, tol, max_iter, and "diverging" for an all-ones sample that
+    ran out of iterations."""
     config = config or FitConfig()
     lam = init_lambda(data, config.init)
     trace, loglik_trace = [lam], [_loglik(data, lam)]
@@ -332,11 +334,12 @@ def em_fit_loop(data: CountSample, config: FitConfig | None = None) -> LoopFit:
     for _ in range(config.max_iter):
         new = em_step(lam, data, config.prior_a, config.prior_b)
         delta = abs(new - lam)
+        rose = new > lam
         lam = new
         iterations += 1
         trace.append(lam)
         loglik_trace.append(_loglik(data, lam))
-        if lam > DIVERGENCE_CEILING:
+        if lam > DIVERGENCE_CEILING and rose:
             status = "diverging"
             break
         if delta < config.tol:
@@ -453,14 +456,20 @@ def chunk_counts_split(data: bytes) -> tuple[list[bytes], list[int]]:
     return list(counts), list(counts.values())
 
 
+# the markers as a per-line search reads them, with blanks that may be
+# any whitespace: a line holds a break only at its end
+_START_LINE = re.compile(r"\*+\s*START OF", re.IGNORECASE)
+_END_LINE = re.compile(r"\*+\s*END OF", re.IGNORECASE)
+
+
 def strip_gutenberg_lines(text: str) -> str:
     """strip_gutenberg with both marker searches on every line."""
     lines = text.splitlines(keepends=True)
     start = end = None
     for idx, line in enumerate(lines):
-        if start is None and _START_MARKER.search(line):
+        if start is None and _START_LINE.search(line):
             start = idx
-        elif start is not None and _END_MARKER.search(line):
+        elif start is not None and _END_LINE.search(line):
             end = idx
             break
     if start is None and end is None:

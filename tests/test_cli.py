@@ -69,6 +69,19 @@ def test_fit_all_ones_exits_2(tmp_path, capsys):
     assert json.loads(out)["status"] == "diverging"
 
 
+@pytest.mark.parametrize("counts, code, status",
+                         [("2\n3\n1\n", 0, "converged"), ("1\n1\n1\n", 2, "diverging")])
+def test_fit_from_a_start_above_the_ceiling(tmp_path, capsys, counts, code, status):
+    # from 1e8 the iterate on 2 3 1 falls to its fixed point; on all ones it rises
+    path = tmp_path / "c.txt"
+    path.write_text(counts)
+    got, out, _ = run_cli(capsys, "fit", str(path), "--init", "1e8")
+    payload = json.loads(out)
+    assert (got, payload["status"]) == (code, status)
+    if status == "converged":
+        assert payload["lambda_hat"] == pytest.approx(1.51, abs=0.01)
+
+
 def strict_json(text: str):
     """text parsed as RFC 8259 JSON, which has no NaN or Infinity."""
     def refuse(constant):

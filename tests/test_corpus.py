@@ -11,7 +11,7 @@ from yulesimon import (
     to_count_sample,
     tokenize_count,
 )
-from yulesimon.corpus import sorted_items, write_tsv
+from yulesimon.corpus import CorpusCounts, sorted_items, write_tsv
 
 FIXTURE = Path(__file__).parent / "fixtures" / "gutenberg_excerpt.txt"
 
@@ -127,6 +127,12 @@ def test_write_tsv(tmp_path):
     assert out.read_text(encoding="utf-8") == "b\t2\na\t1\n"
 
 
+def test_write_tsv_of_no_words_writes_an_empty_file(tmp_path):
+    out = tmp_path / "words.tsv"
+    write_tsv(CorpusCounts({}), out)
+    assert out.read_bytes() == b""
+
+
 def synthetic_novel(tokens: int, seed: int) -> str:
     """tokens words over a Zipf-weighted vocabulary of 5000 lowercase
     words of 1 to 12 letters, a tenth capitalized, each followed by a
@@ -157,3 +163,19 @@ def test_tokenizer_peak_memory_is_a_small_multiple_of_the_text():
         tracemalloc.stop()
     assert counts.n_tokens == 100_000
     assert peak <= 11.0 * size
+
+
+def test_strip_peak_memory_is_a_small_multiple_of_the_text():
+    # a body of one word a line: the stripped slice holds one byte a
+    # character, while a list of the lines would hold some 60 bytes a line
+    body = synthetic_novel(100_000, 5).replace(" ", "\n")
+    text = f"head\n*** START OF A NOVEL ***\n{body}\n*** END OF A NOVEL ***\ntail\n"
+    assert text.isascii()
+    tracemalloc.start()
+    try:
+        stripped = strip_gutenberg(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stripped == body + "\n"
+    assert peak <= 2.0 * len(text)

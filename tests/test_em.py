@@ -24,6 +24,7 @@ from yulesimon.special import log_beta, pooled_harmonic_sum, pooled_harmonic_sum
 from _oracles import (
     CONVEXITY_BOUND,
     convexity_check,
+    em_fit_loop,
     finite_em_step,
     golden_section_maximize,
     int64_limit_sample,
@@ -200,6 +201,23 @@ def test_em_fit_ceiling_reports_diverging():
     assert fit.status == DIVERGING
     assert fit.iterations == 17
     assert fit.trace[-2] <= DIVERGENCE_CEILING < fit.lambda_hat
+
+
+def test_em_fit_falling_from_above_the_ceiling_is_not_diverging():
+    # from 1e8 the iterate on 2 3 1 halves step by step toward the fixed
+    # point: above the ceiling but falling, so the fit runs on
+    data = CountSample([2, 3, 1])
+    config = FitConfig(init=1e8)
+    fit = em_fit(data, config)
+    assert fit.status == CONVERGED
+    assert DIVERGENCE_CEILING < fit.trace[1] < fit.trace[0]
+    assert fit.lambda_hat == pytest.approx(em_fit(data).lambda_hat, rel=1e-3)
+    loop = em_fit_loop(data, config)
+    assert (loop.status, loop.trace) == (fit.status, fit.trace)
+    # on all ones the iterate rises above the ceiling from the same start
+    ones = em_fit(CountSample([1, 1, 1]), config)
+    assert ones.status == DIVERGING
+    assert ones.lambda_hat > max(ones.trace[-2], DIVERGENCE_CEILING)
 
 
 def test_em_fit_map_with_prior_rate_converges_on_ones():

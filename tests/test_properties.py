@@ -37,7 +37,7 @@ from yulesimon import (
     write_count_file,
     write_tsv,
 )
-from yulesimon.corpus import _chunk_counts
+from yulesimon.corpus import _chunk_counts, sorted_items
 from yulesimon.distribution import _READ_BLOCK, _WRITE_BLOCK, _parse_digit_lines, _parse_lines
 from yulesimon.em import em_fit_stacked
 from yulesimon.information import standard_errors
@@ -247,6 +247,7 @@ vocabularies = st.dictionaries(st.text("aez\u00e9'\u2019", min_size=1, max_size=
 def test_count_sample_and_tsv_match_the_keyed_sort(vocabulary, tmp_path_factory):
     counts = CorpusCounts(vocabulary)
     items = sorted_items_keyed(vocabulary)
+    assert sorted_items(counts) == items
     assert to_count_sample(counts).counts.tolist() == [count for _, count in items]
     path = tmp_path_factory.mktemp("tsv") / "w.tsv"
     write_tsv(counts, path)
@@ -259,10 +260,40 @@ MARKER_LINES = st.sampled_from([
 ])
 
 
+LF = ["\n"] * 12
+LONG = "x" * 20_000
+
+
 @reproducible
 @given(lines=st.lists(MARKER_LINES, max_size=12),
        breaks=st.lists(st.sampled_from(LINE_BREAKS), min_size=12, max_size=12),
        final=st.booleans())
+# an END marker on the START line, alone or before a later END line
+@example(lines=["head", "*** START OF A *** END OF A", "body", "tail"], breaks=LF, final=True)
+@example(lines=["*** START OF A *** END OF A", "body", "*** END OF A", "tail"], breaks=LF,
+         final=True)
+# text before the END marker's stars on its line
+@example(lines=["*** START OF A", "body", "the last line *** END OF A", "tail"], breaks=LF,
+         final=True)
+# a START line that is the last line and has no break
+@example(lines=["head", "*** START OF A"], breaks=LF, final=False)
+@example(lines=["head", "*** START OF A"], breaks=["\r\n"] * 12, final=True)
+# CRLF breaks, and U+2028 breaks only
+@example(lines=["head", "*** START OF A", "", "body", "*** END OF A", "tail"],
+         breaks=["\r\n"] * 12, final=True)
+@example(lines=["head", "*** START OF A", "body", "", "*** END OF A", "tail"],
+         breaks=["\u2028"] * 12, final=False)
+# lines of more than 10**4 characters just before the END line, and
+# before the END marker on its line, which is the first line of the body
+@example(lines=["*** START OF A", "body", LONG, "*** END OF A"], breaks=LF, final=True)
+@example(lines=["*** START OF A", LONG + " *** END OF A", "tail"], breaks=LF, final=True)
+@example(lines=["*** START OF A", "body", LONG + "*** END OF A"], breaks=["\r\n"] * 12,
+         final=False)
+# body lines of stars only, and runs of stars before a marker
+@example(lines=["*** START OF A", "* * *", "*****", "*", "body", "***** END OF A", "*"],
+         breaks=LF, final=True)
+@example(lines=["** * ***START OF A", "**", "*** *END OF A"], breaks=["\x1e"] * 12,
+         final=True)
 def test_strip_gutenberg_matches_the_line_loop(lines, breaks, final):
     text = "".join(line + brk for line, brk in zip(lines, breaks))
     if not final and lines:
