@@ -135,6 +135,15 @@ _SPACE_TABLES = {(digits, apostrophes): _space_table(digits, apostrophes)
 
 # _LOW_BYTES[j] keeps the first j bytes of a little-endian uint64 word
 _LOW_BYTES = np.array([(1 << 8 * j) - 1 for j in range(9)], dtype=np.uint64)
+# odd, so each power of it is odd too
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _multipliers(width: int) -> np.ndarray:
+    """The odd uint64 multiplier of each key column, _GOLDEN ** (j + 1)
+    with wrapping arithmetic: a key's hash, the words times these summed,
+    is a polynomial in its words."""
+    return np.multiply.accumulate(np.full(width, _GOLDEN))
 
 
 def _chunk_counts(data: bytes) -> tuple[list[bytes], list[int]]:
@@ -148,11 +157,16 @@ def _chunk_counts(data: bytes) -> tuple[list[bytes], list[int]]:
     read through one unaligned 8-byte window and the last masked to the
     chunk's length. No chunk byte is 0x00 or 0x20, so two chunks of the
     same width in words are equal exactly when their keys are. The
-    chunks of one word are grouped by an argsort of their keys, and the
-    wider ones, ordered by width with one stable argsort, by a lexsort
-    of each width's word columns. Each run of equal keys gives a count
-    and, by np.minimum.reduceat over the sort order, its first chunk;
-    an argsort of those first chunks gives the order of the items."""
+    chunks are grouped by width (the wider ones ordered by one stable
+    argsort of it), and each group of m chunks by one np.sort of packed
+    uint64 values: the high bits of the key's hash, with the chunk's row
+    in the group in the low bit_length(m - 1) bits. Equal keys then lie
+    in runs in ascending row order, so each run's first row is its first
+    occurrence. Comparing the sorted keys row by row checks the hash
+    exactly: if two different keys share the kept hash bits, the group
+    is ordered again by np.lexsort of its word columns, which is stable.
+    Each run gives a count and its first chunk; an argsort of those
+    first chunks gives the order of the items."""
     padded = b" " + data + b" " * 8
     is_chunk = np.frombuffer(padded, np.uint8) != 0x20
     # padded starts and ends with a space, so the edges alternate
@@ -191,14 +205,30 @@ def _chunk_counts(data: bytes) -> tuple[list[bytes], list[int]]:
         del at
         words[:, -1] &= _LOW_BYTES[last]
         del last
-        order = np.lexsort(words.T) if width > 1 else np.argsort(words[:, 0])
-        words = words.take(order, axis=0)
-        new = np.ones(order.size, bool)
-        np.any(words[1:] != words[:-1], axis=1, out=new[1:])
-        del words
+        bits = (tokens.size - 1).bit_length()
+        low = np.uint64((1 << bits) - 1)
+        if width > 1:
+            packed = words @ _multipliers(width)
+        else:
+            packed = words[:, 0] * _multipliers(1)
+        # a product's low bits depend only on its factors' low bits, so
+        # the row number takes the place of the hash's low bits
+        packed &= ~low
+        packed |= np.arange(tokens.size, dtype=np.uint64)
+        packed.sort()
+        order = (packed & low).view(np.int64)
+        packed >>= bits
+        keys = words.take(order, axis=0)
+        new = np.ones(tokens.size, bool)
+        np.any(keys[1:] != keys[:-1], axis=1, out=new[1:])
+        if (new[1:] & (packed[1:] == packed[:-1])).any():
+            order = np.lexsort(words.T)
+            keys = words.take(order, axis=0)
+            np.any(keys[1:] != keys[:-1], axis=1, out=new[1:])
+        del words, keys, packed
         runs = np.flatnonzero(new)
-        firsts.append(np.minimum.reduceat(tokens.take(order), runs))
-        counts.append(np.diff(runs, append=order.size))
+        firsts.append(tokens.take(order.take(runs)))
+        counts.append(np.diff(runs, append=tokens.size))
     firsts = np.concatenate(firsts)
     order = np.argsort(firsts)
     firsts = firsts.take(order)
@@ -253,12 +283,6 @@ def _count_groups(counts: CorpusCounts) -> list[tuple[int, list[str]]]:
     return [(count, sorted(groups[count])) for count in sorted(groups, reverse=True)]
 
 
-def sorted_items(counts: CorpusCounts) -> list[tuple[str, int]]:
-    """(word, count) pairs by descending count, ties by word in
-    code-point order."""
-    return [(word, count) for count, words in _count_groups(counts) for word in words]
-
-
 def to_count_sample(counts: CorpusCounts) -> CountSample:
     """The counts in descending order, as the rows of write_tsv hold
     them; ties share a count, so no word order is needed."""
@@ -268,8 +292,8 @@ def to_count_sample(counts: CorpusCounts) -> CountSample:
 
 
 def write_tsv(counts: CorpusCounts, path) -> None:
-    """word<TAB>count rows in the order of sorted_items, written one
-    join per distinct count."""
+    """word<TAB>count rows by descending count, ties by word in
+    code-point order, written one join per distinct count."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for count, words in _count_groups(counts):
             end = f"\t{count}\n"

@@ -117,14 +117,22 @@ def observed_loglik(data: CountSample, lam: float) -> float:
 
 
 def _updates(
-    stack: HistogramStack, lams: list[float], prior_a: float, prior_b: float
+    stack: HistogramStack, lams: list[float], prior_a: float, prior_b: float,
+    start: tuple[str, object],
 ) -> list[float]:
     """em_step of every sample of the stack from its own lam, one digamma
-    call: (N + a - 1) / (b + sum_u c_u psi(lam+1+u) - N psi(lam+1))."""
-    return [
-        (n + prior_a - 1.0) / (prior_b + s)
-        for n, s in zip(stack.n, stack.pooled(digamma, lams))
-    ]
+    call: (N + a - 1) / (b + sum_u c_u psi(lam+1+u) - N psi(lam+1)).
+
+    At a lam so large (about 1e15 and up) that the digamma difference
+    loses every digit, the denominator can round to 0; that raises a
+    FieldError naming start, the (field, value) the iterates began from."""
+    sums = stack.pooled(digamma, lams)
+    try:
+        return [(n + prior_a - 1.0) / (prior_b + s) for n, s in zip(stack.n, sums)]
+    except ZeroDivisionError:
+        field, value = start
+        raise FieldError("no EM update from {%s} {!r}: the pooled sum b + S1 rounds to 0"
+                         % field, value) from None
 
 
 def em_step(
@@ -141,7 +149,8 @@ def em_step(
         raise ValueError("lam_prev must be finite and >= 0")
     if data.n + prior_a - 1.0 <= 0.0:
         raise FieldError("degenerate update: N + {prior_a} - 1 must be positive", prior_a="a")
-    return _updates(HistogramStack([data]), [lam_prev], prior_a, prior_b)[0]
+    return _updates(HistogramStack([data]), [lam_prev], prior_a, prior_b,
+                    ("lam_prev", lam_prev))[0]
 
 
 def _check_init(policy) -> float | str:
@@ -201,7 +210,7 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     running = list(range(len(samples)))
     for _ in range(config.max_iter):
         prev = [fits[r].lambda_hat for r in running]
-        lams = _updates(stack, prev, config.prior_a, config.prior_b)
+        lams = _updates(stack, prev, config.prior_a, config.prior_b, ("init", config.init))
         still = []
         for r, lam, old in zip(running, lams, prev):
             fit = fits[r]

@@ -22,6 +22,7 @@ log-likelihood is a slow third route.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -46,23 +47,23 @@ def _warn_if_nonpositive(info: float, label: str) -> None:
 
 def oakes_information(data: CountSample, lambda_hat: float) -> float:
     """N/lam^2 minus the pooled squared-reciprocal sum."""
-    return _oakes([data], [lambda_hat])[0]
+    return _oakes([data], [lambda_hat])[0][0]
 
 
-def _oakes(samples, lambda_hats) -> list[float]:
-    """oakes_information of every sample at its own estimate, from one
-    trigamma call over the stacked histograms:
-    N/lam^2 + (sum_u c_u psi_1(lam+1+u) - N psi_1(lam+1)); inf where
-    lam^2 underflows to 0 (lam below about 1e-162)."""
+def _oakes(samples, lambda_hats) -> list[tuple]:
+    """(I, N, lam, s) of every sample at its own estimate, from one
+    trigamma call over the stacked histograms: I = N/lam^2 + s, the
+    oakes_information, with s = sum_u c_u psi_1(lam+1+u) - N psi_1(lam+1);
+    I is inf where lam^2 underflows to 0 (lam below about 1e-162)."""
     lams = [_check_lambda(lam) for lam in lambda_hats]
     stack = HistogramStack(samples)
-    infos = [
-        (n / lam**2 if lam**2 else math.inf) + s
+    terms = [
+        ((n / lam**2 if lam**2 else math.inf) + s, n, lam, s)
         for n, lam, s in zip(stack.n, lams, stack.pooled(trigamma, lams))
     ]
-    for info in infos:
+    for info, *_ in terms:
         _warn_if_nonpositive(info, "Oakes")
-    return infos
+    return terms
 
 
 def louis_information(data: CountSample, lambda_hat: float) -> float:
@@ -114,6 +115,15 @@ def standard_error(data: CountSample, lambda_hat: float) -> float:
 
 def standard_errors(samples, lambda_hats) -> list[float]:
     """standard_error of every sample at its own estimate, with one
-    trigamma call for all of them."""
-    return [math.sqrt(1.0 / info) if info > 0.0 else math.nan
-            for info in _oakes(samples, lambda_hats)]
+    trigamma call for all of them. Where 1/I is 0 or subnormal, as at a
+    lam so small that N/lam^2 overflows or lam^2 underflows, the SE is
+    lam/sqrt(N + lam^2 s), the same quantity with its digits kept."""
+    ses = []
+    for info, n, lam, s in _oakes(samples, lambda_hats):
+        if not info > 0.0:
+            ses.append(math.nan)
+        elif 1.0 / info < sys.float_info.min:
+            ses.append(lam / math.sqrt(n + lam * lam * s))
+        else:
+            ses.append(math.sqrt(1.0 / info))
+    return ses

@@ -126,6 +126,19 @@ def test_huge_prior_gives_a_json_report(tmp_path, capsys, command, prior):
     assert report.get("convergence", report)["regime"] in ("linear", "sublinear")
 
 
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+@pytest.mark.parametrize("value", ["1e16", "1e300"])
+def test_start_where_the_pooled_sum_loses_every_digit_exits_1_naming_it(tmp_path, capsys,
+                                                                       command, value):
+    # from so large a start the update's denominator b + S1 rounds to 0
+    path = tmp_path / "c.txt"
+    path.write_text("2\n3\n1\n")
+    code, out, err = run_cli(capsys, command, str(path), "--init", value)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"ys: error: no EM update from --init {float(value)!r}: "
+                                "the pooled sum b + S1 rounds to 0"]
+
+
 def test_fit_bad_line_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     for bad in ("0", "1_0", str(2**63)):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ from yulesimon import (
     to_count_sample,
     tokenize_count,
 )
-from yulesimon.corpus import CorpusCounts, sorted_items, write_tsv
+from yulesimon.corpus import CorpusCounts, write_tsv
+
+from _oracles import tokenize_count_findall
 
 FIXTURE = Path(__file__).parent / "fixtures" / "gutenberg_excerpt.txt"
 
@@ -94,11 +97,12 @@ def test_tokenize_deterministic():
     assert a.vocabulary == b.vocabulary
 
 
-def test_to_count_sample_ordering_and_totals():
+def test_to_count_sample_ordering_and_totals(tmp_path):
     counts = tokenize_count("b b b a c c")
     sample = to_count_sample(counts)
     assert sample == CountSample([3, 2, 1])
-    assert sorted_items(counts) == [("b", 3), ("c", 2), ("a", 1)]
+    write_tsv(counts, tmp_path / "words.tsv")
+    assert (tmp_path / "words.tsv").read_bytes() == b"b\t3\nc\t2\na\t1\n"
     assert sample.total() == counts.n_tokens
 
 
@@ -146,6 +150,23 @@ def synthetic_novel(tokens: int, seed: int) -> str:
     words[capital] = [word.capitalize() for word in words[capital]]
     gaps = np.array([" "] * 12 + [", ", ". ", "; ", "\n", " -- "], dtype=object)
     return "".join((words + gaps[g.integers(0, gaps.size, tokens)]).tolist())
+
+
+def test_hashed_grouping_needs_no_lexsort_fallback_on_novels(monkeypatch):
+    # no two different keys of one width share their kept hash bits, on
+    # the fixture nor on a novel of the benchmark's kind, so no group is
+    # ordered again by np.lexsort; the hash wraps without a warning
+    def refuse(keys):
+        raise AssertionError("a group took the np.lexsort fallback")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    texts = [FIXTURE.read_text(encoding="utf-8"), synthetic_novel(100_000, 3),
+             synthetic_novel(100_000, 4)]
+    for text in texts:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vocabulary = tokenize_count(text).vocabulary
+        assert list(vocabulary.items()) == list(tokenize_count_findall(text).items())
 
 
 def test_tokenizer_peak_memory_is_a_small_multiple_of_the_text():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +20,7 @@ from yulesimon import (
 )
 from yulesimon import em
 from yulesimon.em import CONVERGED, DIVERGENCE_CEILING, DIVERGING, MAX_ITER_REACHED, em_fit_stacked
-from yulesimon.special import log_beta, pooled_harmonic_sum, pooled_harmonic_sum_sq
+from yulesimon.special import FieldError, log_beta, pooled_harmonic_sum, pooled_harmonic_sum_sq
 
 from _oracles import (
     CONVEXITY_BOUND,
@@ -85,6 +86,18 @@ def test_em_step_accepts_zero_start():
 def test_em_step_degenerate_prior_errors():
     with pytest.raises(ValueError):
         em_step(1.0, CountSample([2]), prior_a=0.0)
+
+
+@pytest.mark.parametrize("start", [1e15, 1e16, 1e300])
+def test_a_start_where_the_pooled_sum_loses_every_digit_is_a_field_error(start):
+    # on 2 3 1 the digamma difference at lam >= 1e15 rounds to exactly 0
+    data = CountSample([2, 3, 1])
+    with pytest.raises(FieldError, match=re.escape(f"no EM update from init {start!r}: ")):
+        em_fit(data, FitConfig(init=start))
+    with pytest.raises(FieldError, match=re.escape(f"no EM update from lam_prev {start!r}: ")):
+        em_step(start, data)
+    # a prior rate keeps the denominator positive
+    assert em_fit(data, FitConfig(init=start, prior_b=2.0)).converged
 
 
 def test_em_fit_on_counts_near_the_int64_limit():

@@ -88,10 +88,20 @@ def test_nonpositive_information_warns_and_nans():
 
 
 def test_information_where_lambda_squared_underflows():
-    # below about 1e-162, lam**2 is 0 and N/lam**2 reads inf
+    # below about 1e-162, lam**2 is 0 and N/lam**2 reads inf; the SE is
+    # lam/sqrt(N - lam^2 S2), which is lam/sqrt(N) to every digit there
     data = CountSample([2, 3, 1])
     assert oakes_information(data, 1e-200) == math.inf
-    assert standard_error(data, 1e-200) == 0.0
+    assert standard_error(data, 1e-200) == pytest.approx(1e-200 / math.sqrt(3), rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", [3e-155, 1.5e-154, 1e-300])
+def test_standard_error_keeps_its_digits_where_one_over_the_information_is_not_normal(lam):
+    # at 3e-155 (the estimate under --prior-b 1e155) N/lam^2 overflows
+    # while lam^2 does not underflow; at 1.5e-154 the information is
+    # finite but 1/I is subnormal
+    data = CountSample([2, 3, 1])
+    assert standard_error(data, lam) == pytest.approx(lam / math.sqrt(3), rel=1e-15)
 
 
 def test_standard_errors_shrink_with_sample_size():
