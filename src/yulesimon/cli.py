@@ -87,7 +87,7 @@ def _fit_and_diagnose(args):
 
 def _cmd_fit(args) -> int:
     fit, report = _fit_and_diagnose(args)
-    std_err = information.standard_error(fit.sample, fit.lambda_hat) if fit.converged else math.nan
+    std_err = information._fit_standard_error(fit) if fit.converged else math.nan
     _emit({
         "lambda_hat": fit.lambda_hat,
         "std_err": std_err,
@@ -157,10 +157,10 @@ def _cmd_text(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    # the Gibbs flags are checked and used only when a chain runs
+    # the Gibbs flags are checked and used, and gibbs run, only when a chain runs
     chains = "gibbs" in (args.estimators or experiment.ExperimentSpec.estimators)
     fit_config = _fields(em.FitConfig, args)
-    gibbs_config = _fields(gibbs.GibbsConfig, args) if chains else gibbs.GibbsConfig()
+    gibbs_config = _fields(gibbs.GibbsConfig, args) if chains else None
     spec = _fields(experiment.ExperimentSpec, args, fit_config=fit_config,
                    gibbs_config=gibbs_config)
     summary = experiment.run_experiment(spec)

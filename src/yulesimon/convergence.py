@@ -1,15 +1,23 @@
 """Convergence-rate diagnostics for the EM fixed-point iteration.
 
-The linear rate equals the missing-to-complete information ratio
+The update map M(lam) = (N+a-1)/(b + S1), with S1 = sum_i sum_{j=1..k_i}
+1/(lam+j) and S2 the same sum of 1/(lam+j)^2, has the derivative
 
-    r = lam^2 * sum_i sum_{j=1..k_i} 1/(lam+j)^2 / N
+    M'(lam) = (N+a-1) S2 / (b + S1)^2,
 
-(complete information 1/lam^2 per observation). The same number is the
-derivative of the update map M(lam) = (N+a-1)/(b + sum sum 1/(lam+j))
-evaluated at the fixed point, so the analytic Jacobian below doubles as
-a cross-check of the rate formula, and ratios of successive iterate
-differences give empirical rate paths from any recorded trace. diagnose
-reads the sample, the trace and the prior of its config from the fit.
+and at its fixed point, where b + S1 = (N+a-1)/lam, that is the rate
+
+    r = lam^2 S2 / (N+a-1),
+
+the missing-to-complete information ratio lam^2 S2 / N under the
+likelihood (a = 1, b = 0; complete information 1/lam^2 per
+observation). The Jacobian is so a cross-check of the rate formula, and
+ratios of successive iterate differences give empirical rate paths from
+any recorded trace. Each formula is written once (_rate, _jacobian):
+rate_theoretical (the likelihood's rate) and em_map_jacobian take the
+sums from their own pooled calls at any lam, while diagnose reads the
+sample, the trace, the prior of its config and the sums at the estimate
+from the fit alone, and so reports the rate of the map that ran.
 """
 
 from __future__ import annotations
@@ -48,10 +56,17 @@ def _square(x: float) -> float:
 
 
 def rate_theoretical(data: CountSample, lam: float) -> float:
-    """Missing/complete information ratio at lam; inf or nan where
-    lam**2 overflows."""
+    """Missing/complete information ratio lam^2 S2 / N at lam, the rate
+    of the likelihood EM at its fixed point; inf or nan where lam**2
+    overflows."""
     lam = _check_lambda(lam)
-    return _square(lam) * pooled_harmonic_sum_sq(lam, data) / data.n
+    return _rate(data.n, lam, pooled_harmonic_sum_sq(lam, data), 1.0)
+
+
+def _rate(n: int, lam: float, s2: float, prior_a: float) -> float:
+    """lam^2 S2 / (N+a-1), the rate of the EM/MAP iteration at its fixed
+    point lam; the prior rate b acts through the fixed point alone."""
+    return _square(lam) * s2 / (n + prior_a - 1.0)
 
 
 def em_map_jacobian(
@@ -64,15 +79,18 @@ def em_map_jacobian(
 
         M'(lam) = (N+a-1) * sum sum (lam+j)^-2 / (b + sum sum (lam+j)^-1)^2
 
-    which reduces to rate_theoretical at the fixed point when a=1, b=0.
+    which reduces to rate_theoretical at the fixed point.
     A denominator that overflows gives 0, one that is 0 (b = 0 and the
     sums underflowed at a huge lam) inf, or nan over a numerator of 0.
     """
     lam = _check_lambda(lam)
     _check_prior(prior_a, prior_b)
     s1 = pooled_harmonic_sum(lam, data)
-    s2 = pooled_harmonic_sum_sq(lam, data)
-    numerator, denominator = (data.n + prior_a - 1.0) * s2, _square(prior_b + s1)
+    return _jacobian(data.n, s1, pooled_harmonic_sum_sq(lam, data), prior_a, prior_b)
+
+
+def _jacobian(n: int, s1: float, s2: float, prior_a: float, prior_b: float) -> float:
+    numerator, denominator = (n + prior_a - 1.0) * s2, _square(prior_b + s1)
     if not denominator:
         return math.inf if numerator else math.nan
     return numerator / denominator
@@ -108,14 +126,16 @@ class ConvergenceReport:
 
 
 def diagnose(fit: FitResult) -> ConvergenceReport:
-    """The convergence report of a finished fit, on the fit's own sample
-    and under the prior of its own config."""
-    data, lam, config = fit.sample, fit.lambda_hat, fit.config
-    rate = rate_theoretical(data, lam)
+    """The convergence report of a finished fit, on the fit's own sample,
+    under the prior of its own config, and from the pooled sums it
+    carries at its estimate."""
+    lam = _check_lambda(fit.lambda_hat)
+    n, config, (s1, s2) = fit.sample.n, fit.config, fit.sums
+    rate = _rate(n, lam, s2, config.prior_a)
     rates, truncated = empirical_rates(fit.trace) if len(fit.trace) >= 3 else ([], False)
     return ConvergenceReport(
         r_theoretical=rate,
-        jacobian_at_hat=em_map_jacobian(data, lam, config.prior_a, config.prior_b),
+        jacobian_at_hat=_jacobian(n, s1, s2, config.prior_a, config.prior_b),
         regime="linear" if rate <= SUBLINEAR_THRESHOLD else "sublinear",
         empirical_rates=rates,
         truncated=truncated,

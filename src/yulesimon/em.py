@@ -22,6 +22,12 @@ it fits many samples at once on their stacked histograms
 (special.HistogramStack), one digamma call per iteration for all of
 them. em_step and em_fit are their one-sample calls. No update, stopping
 rule or status needs the likelihood, so the loop does not compute it.
+The fit ends with one pass of the joint kernel special._polygammas at
+every estimate, and each FitResult carries the pooled sums S1 = sum sum
+1/(lam+j) and S2 = sum sum 1/(lam+j)^2 there: the standard error, the
+rate and the Jacobian at the estimate read them, with no pass of their
+own. A FitResult built or changed by hand makes its own pass when its
+sums are first read.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distribution import CountSample, FieldError, _check_lambda, _check_prior
-from .special import HistogramStack, _warn, digamma, log_beta
+from .special import HistogramStack, _polygammas, _warn, digamma, log_beta
 
 __all__ = [
     "FitConfig",
@@ -92,9 +98,10 @@ class FitConfig:
 class FitResult:
     """Estimate bundle: trace has one entry per iterate including the
     start, so len(trace) == iterations + 1. sample and config are the data
-    and FitConfig it ran on, so convergence.diagnose reads the fit alone.
-    Equality compares the estimate, the iteration count, the trace and
-    the status alone."""
+    and FitConfig it ran on, and sums the pooled sums (S1, S2) at
+    lambda_hat, so convergence.diagnose reads the fit alone. Equality
+    compares the estimate, the iteration count, the trace and the status
+    alone."""
 
     lambda_hat: float
     iterations: int
@@ -102,10 +109,33 @@ class FitResult:
     status: str
     sample: CountSample = field(repr=False, compare=False)
     config: FitConfig = field(repr=False, compare=False)
+    # (sample, lambda_hat, S1, S2) as of the last pass over the sample
+    _sums: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
         return self.status == CONVERGED
+
+    @property
+    def sums(self) -> tuple[float, float]:
+        """(S1, S2) at lambda_hat: those of the fit's last pass, or of a
+        pass of its own where the fit's sample or estimate has changed
+        since, or it was built by hand."""
+        at = self._sums
+        if at is None or at[0] is not self.sample or at[1] != self.lambda_hat:
+            _carry_sums([self], HistogramStack([self.sample]))
+        return self._sums[2:]
+
+
+def _carry_sums(fits, stack: HistogramStack) -> None:
+    """Give every fit its sums at its estimate from one pass of the joint
+    kernel over stack, the histograms of the fits' samples. An estimate
+    of inf (an update whose numerator is near the float limit) gets NaN
+    sums, which no reader takes: they refuse that estimate."""
+    with np.errstate(invalid="ignore"):
+        sums = stack.pooled(_polygammas, [fit.lambda_hat for fit in fits])
+    for fit, (s1, minus_s2) in zip(fits, sums):
+        fit._sums = (fit.sample, fit.lambda_hat, s1, -minus_s2)
 
 
 def observed_loglik(data: CountSample, lam: float) -> float:
@@ -147,10 +177,16 @@ def em_step(
     lam_prev = float(lam_prev)
     if not (lam_prev >= 0.0 and math.isfinite(lam_prev)):
         raise ValueError("lam_prev must be finite and >= 0")
-    if data.n + prior_a - 1.0 <= 0.0:
-        raise FieldError("degenerate update: N + {prior_a} - 1 must be positive", prior_a="a")
+    _check_numerator([data.n], prior_a)
     return _updates(HistogramStack([data]), [lam_prev], prior_a, prior_b,
                     ("lam_prev", lam_prev))[0]
+
+
+def _check_numerator(ns, prior_a: float) -> None:
+    """FieldError unless N + a - 1, the numerator of the update, is
+    positive for every N of ns."""
+    if any(n + prior_a - 1.0 <= 0.0 for n in ns):
+        raise FieldError("degenerate update: N + {prior_a} - 1 must be positive", prior_a="a")
 
 
 def _check_init(policy) -> float | str:
@@ -190,8 +226,9 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     """Fit every sample with the same config, iterating all of them
     together on their stacked histograms: each iteration makes one
     digamma call for all samples still running, and a sample leaves the
-    stack when it stops. The loop computes no likelihood. Each fit equals
-    em_fit of its sample alone.
+    stack when it stops. The loop computes no likelihood. One joint pass
+    over the whole stack at the estimates then gives each fit its sums.
+    Each fit equals em_fit of its sample alone.
 
     Never raises mid-run on degenerate data: samples with every count
     equal to one (and a flat-or-increasing prior) have no interior
@@ -202,11 +239,10 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     config = config or FitConfig()
     samples = list(samples)
     starts = [init_lambda(data, config.init) for data in samples]
-    stack = HistogramStack(samples)
+    stack = everyone = HistogramStack(samples)
     fits = [FitResult(lam, 0, [lam], MAX_ITER_REACHED, data, config)
             for lam, data in zip(starts, samples)]
-    if any(n + config.prior_a - 1.0 <= 0.0 for n in stack.n):
-        raise FieldError("degenerate update: N + {prior_a} - 1 must be positive", prior_a="a")
+    _check_numerator(stack.n, config.prior_a)
     running = list(range(len(samples)))
     for _ in range(config.max_iter):
         prev = [fits[r].lambda_hat for r in running]
@@ -237,4 +273,5 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
         for fit, data in zip(fits, samples):
             if fit.status == MAX_ITER_REACHED and data.histogram()[0][-1] == 1:
                 fit.status = DIVERGING
+    _carry_sums(fits, everyone)
     return fits

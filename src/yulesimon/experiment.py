@@ -10,11 +10,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# gibbs, lazy in the package, runs on the first chain of an experiment
+from . import gibbs
 from .distribution import (GENERATORS, CountSample, FieldError, RngStream, _check_lambda,
                            _check_size, generate)
 from .em import CONVERGED, DIVERGING, FitConfig, em_fit_stacked
-from .gibbs import GibbsConfig, gibbs_run
-from .information import standard_errors
+from .information import _fit_standard_error
 
 __all__ = [
     "ExperimentSpec",
@@ -42,7 +43,8 @@ class ExperimentSpec:
 
     Replication r derives its generator stream from child(r, 0) and its
     Gibbs stream from child(r, 1) of the base seed, so results do not
-    depend on scheduling or on which estimators run."""
+    depend on scheduling or on which estimators run. gibbs_config None
+    runs the chains under GibbsConfig's defaults."""
 
     true_lambda: float
     n: int
@@ -51,7 +53,7 @@ class ExperimentSpec:
     estimators: tuple[str, ...] = ("em",)
     seed: RngStream = field(default_factory=RngStream)
     fit_config: FitConfig = field(default_factory=FitConfig)
-    gibbs_config: GibbsConfig = field(default_factory=GibbsConfig)
+    gibbs_config: gibbs.GibbsConfig | None = None
 
     def __post_init__(self):
         _check_lambda(self.true_lambda, "true_lambda")
@@ -106,9 +108,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
 
     Replications are generated and EM-fitted in blocks of up to
     _BLOCK_COUNTS counts, each block through one stacked fit
-    (em_fit_stacked, standard_errors); a rep's record does not depend on
-    the block size. Gibbs chains run one rep after another. Records are
-    in rep order, em before gibbs within a rep."""
+    (em_fit_stacked, whose fits carry the sums of their standard
+    errors); a rep's record does not depend on the block size. Gibbs
+    chains run one rep after another. Records are in rep order, em
+    before gibbs within a rep."""
     records: list[ReplicationRecord] = []
     block = max(1, _BLOCK_COUNTS // spec.n)
     for first in range(0, spec.n_rep, block):
@@ -126,23 +129,21 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
 
 def _em_records(reps, samples, config: FitConfig) -> list[ReplicationRecord]:
     """EM rows of one block; the standard error only for converged fits."""
-    fits = em_fit_stacked(samples, config)
-    done = [i for i, fit in enumerate(fits) if fit.converged]
-    errors = standard_errors([samples[i] for i in done], [fits[i].lambda_hat for i in done])
-    se = dict(zip(done, errors))
     return [
-        ReplicationRecord(rep, "em", fit.lambda_hat, se.get(i, math.nan), fit.iterations,
-                          fit.status)
-        for i, (rep, fit) in enumerate(zip(reps, fits))
+        ReplicationRecord(rep, "em", fit.lambda_hat,
+                          _fit_standard_error(fit) if fit.converged else math.nan,
+                          fit.iterations, fit.status)
+        for rep, fit in zip(reps, em_fit_stacked(samples, config))
     ]
 
 
 def _gibbs_record(spec: ExperimentSpec, rep: int, data: CountSample) -> ReplicationRecord:
     """The rep's Gibbs row; a chain refused for its prior rate (an
     improper posterior, or summaries that overflow) is a failed rep."""
-    config = replace(spec.gibbs_config, seed=spec.seed.child(rep, 1))
+    base = gibbs.GibbsConfig() if spec.gibbs_config is None else spec.gibbs_config
+    config = replace(base, seed=spec.seed.child(rep, 1))
     try:
-        result = gibbs_run(data, config)
+        result = gibbs.gibbs_run(data, config)
     except FieldError:
         return ReplicationRecord(rep, "gibbs", math.nan, math.nan, 0, DIVERGING)
     return ReplicationRecord(

@@ -5,10 +5,12 @@ expectation step plus the mixed partial collapses to
 
     I = N/lam^2 - sum_i sum_{j=1..k_i} 1/(lam + j)^2,
 
-and standard_error is 1/sqrt(I). The pooled sum comes from
-special.HistogramStack.pooled with trigamma, the kernel the EM update
-takes with digamma; standard_errors stacks the count histograms of many
-samples so that one trigamma call serves them all.
+and standard_error is 1/sqrt(I). The formula needs only N, lam and the
+pooled sum S2, so it is written once (_standard_error) for two sources
+of S2: a finished fit carries S2 at its estimate from the fit's own
+last pass (_fit_standard_error, which ys fit and the experiments read),
+and standard_errors takes it from one trigamma call over the stacked
+count histograms of any samples at any lambdas.
 Two cross-checks compute the same quantity another way and are kept for
 the tests. The Louis-style route assembles it from complete-data
 moments: minus expected complete-data curvature B = N/lam^2, the
@@ -47,23 +49,24 @@ def _warn_if_nonpositive(info: float, label: str) -> None:
 
 def oakes_information(data: CountSample, lambda_hat: float) -> float:
     """N/lam^2 minus the pooled squared-reciprocal sum."""
-    return _oakes([data], [lambda_hat])[0][0]
+    return _information(*_oakes_terms([data], [lambda_hat])[0])
 
 
-def _oakes(samples, lambda_hats) -> list[tuple]:
-    """(I, N, lam, s) of every sample at its own estimate, from one
-    trigamma call over the stacked histograms: I = N/lam^2 + s, the
-    oakes_information, with s = sum_u c_u psi_1(lam+1+u) - N psi_1(lam+1);
-    I is inf where lam^2 underflows to 0 (lam below about 1e-162)."""
+def _oakes_terms(samples, lambda_hats) -> list[tuple[int, float, float]]:
+    """(N, lam, S2) of every sample at its own estimate, lam checked and
+    S2 from one trigamma call over the stacked histograms."""
     lams = [_check_lambda(lam) for lam in lambda_hats]
     stack = HistogramStack(samples)
-    terms = [
-        ((n / lam**2 if lam**2 else math.inf) + s, n, lam, s)
-        for n, lam, s in zip(stack.n, lams, stack.pooled(trigamma, lams))
-    ]
-    for info, *_ in terms:
-        _warn_if_nonpositive(info, "Oakes")
-    return terms
+    return [(n, lam, -s) for n, lam, s in zip(stack.n, lams, stack.pooled(trigamma, lams))]
+
+
+def _information(n: int, lam: float, s2: float) -> float:
+    """The Oakes information N/lam^2 - S2 from the pooled sum S2 at lam,
+    with a warning where it is not positive; N/lam^2 is inf where lam^2
+    underflows to 0 (lam below about 1e-162)."""
+    info = (n / lam**2 if lam**2 else math.inf) - s2
+    _warn_if_nonpositive(info, "Oakes")
+    return info
 
 
 def louis_information(data: CountSample, lambda_hat: float) -> float:
@@ -115,15 +118,24 @@ def standard_error(data: CountSample, lambda_hat: float) -> float:
 
 def standard_errors(samples, lambda_hats) -> list[float]:
     """standard_error of every sample at its own estimate, with one
-    trigamma call for all of them. Where 1/I is 0 or subnormal, as at a
-    lam so small that N/lam^2 overflows or lam^2 underflows, the SE is
-    lam/sqrt(N + lam^2 s), the same quantity with its digits kept."""
-    ses = []
-    for info, n, lam, s in _oakes(samples, lambda_hats):
-        if not info > 0.0:
-            ses.append(math.nan)
-        elif 1.0 / info < sys.float_info.min:
-            ses.append(lam / math.sqrt(n + lam * lam * s))
-        else:
-            ses.append(math.sqrt(1.0 / info))
-    return ses
+    trigamma call for all of them."""
+    return [_standard_error(*terms) for terms in _oakes_terms(samples, lambda_hats)]
+
+
+def _fit_standard_error(fit) -> float:
+    """standard_error of a finished em.FitResult at its estimate, from the
+    pooled sum S2 that the fit carries there."""
+    return _standard_error(fit.sample.n, _check_lambda(fit.lambda_hat), fit.sums[1])
+
+
+def _standard_error(n: int, lam: float, s2: float) -> float:
+    """1/sqrt(I) for I = _information(n, lam, s2), NaN where I is not
+    positive. Where 1/I is 0 or subnormal, as at a lam so small that
+    N/lam^2 overflows or lam^2 underflows, it is lam/sqrt(N - lam^2 S2),
+    the same quantity with its digits kept."""
+    info = _information(n, lam, s2)
+    if not info > 0.0:
+        return math.nan
+    if 1.0 / info < sys.float_info.min:
+        return lam / math.sqrt(n - lam * lam * s2)
+    return math.sqrt(1.0 / info)

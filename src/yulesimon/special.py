@@ -1,25 +1,15 @@
-"""Numerically stable log-gamma, digamma, trigamma and the shifted
-harmonic sums built on them.
+"""Numerically stable log-gamma, digamma, trigamma and the pooled
+harmonic sums built on them, in pure float64 arithmetic: arguments below
+6 are shifted upward with the standard recurrences, and the asymptotic
+(de Moivre / Bernoulli) series of ten terms is a few ulp off at the
+threshold. Scalars or numpy arrays in, broadcast like numpy ufuncs.
 
-Everything here is pure float64 arithmetic with no external
-special-function dependency: arguments below 6 are shifted upward with
-the standard recurrences and the asymptotic (de Moivre / Bernoulli)
-series is applied above the threshold. With ten series terms the
-truncation error at the threshold is a few ulp.
-
-All functions accept scalars or numpy arrays and broadcast like numpy
-ufuncs; scalars in, float out.
-
-The pooled sums sum_i sum_{j=1..k_i} (lam + j)^-p for p = 1, 2, which
+The pooled sums S_p = sum_i sum_{j=1..k_i} (lam + j)^-p, p = 1, 2, of
 the EM update, the Oakes information and the rate of convergence are
-built from, need the data only through its count histogram (distinct
-counts u, multiplicities c). Through the recurrences of psi and psi_1
-they are differences of polygammas, sum_u c_u fn(lam+1+u) - N fn(lam+1),
-so their cost and memory grow with the number of distinct counts, never
-with max(k) or sum(k). HistogramStack.pooled is the one place that forms
-that difference: it lays the histograms of several samples end to end,
-so that one special-function call serves all of them, and
-pooled_harmonic_sum and pooled_harmonic_sum_sq are its one-sample calls.
+sum_u c_u fn(lam+1+u) - N fn(lam+1) over the count histogram (distinct
+counts u, multiplicities c). HistogramStack.pooled forms it for several
+samples laid end to end from one call of digamma, trigamma, or the joint
+kernel _polygammas (both, once at the end of a fit).
 """
 
 from __future__ import annotations
@@ -45,22 +35,9 @@ __all__ = [
 _SHIFT = 6.0
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# B_2n for n = 1..10: 1/6, -1/30, 1/42, -1/30, 5/66, -691/2730, 7/6,
-# -3617/510, 43867/798, -174611/330
-_BERNOULLI = np.array(
-    [
-        1.0 / 6.0,
-        -1.0 / 30.0,
-        1.0 / 42.0,
-        -1.0 / 30.0,
-        5.0 / 66.0,
-        -691.0 / 2730.0,
-        7.0 / 6.0,
-        -3617.0 / 510.0,
-        43867.0 / 798.0,
-        -174611.0 / 330.0,
-    ]
-)
+# B_2n for n = 1..10
+_BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+                       43867 / 798, -174611 / 330])
 # ln-gamma series coefficients B_2n / (2n (2n-1))
 _LGAMMA_COEF = _BERNOULLI / np.array([2 * n * (2 * n - 1) for n in range(1, 11)], dtype=float)
 # digamma series coefficients B_2n / (2n)
@@ -75,36 +52,37 @@ def _validated(x, name: str) -> tuple[np.ndarray, bool]:
 
 
 def _poly(coef: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    # Horner evaluation of sum coef[n] * r2**n, n = 0..len-1
+    # Horner evaluation of sum coef[n] * r2**n, n = 0..len-1, in place
     acc = np.full_like(r2, coef[-1])
     for c in coef[-2::-1]:
-        acc = acc * r2 + c
+        acc *= r2
+        acc += c
     return acc
 
 
-def _shift_up(z: np.ndarray, term, *args) -> tuple[np.ndarray, np.ndarray]:
+def _shift_up(z: np.ndarray, term, *args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raise every argument below _SHIFT by whole steps until none is
-    left, summing term(z, *args) over the values stepped past (args are
-    arrays of z's shape); returns the shifted arguments and that sum,
-    the recurrence correction.
-
-    The arguments below _SHIFT are gathered once and stepped together;
-    a step adds term only where its argument is still below _SHIFT, so
-    each value gets the same additions in the same order as it would
-    alone. The boolean mask gathers them from an array of any shape."""
-    z = np.atleast_1d(z).copy()
-    adj = np.zeros_like(z)
+    left, summing term(z, *args) (one array or a tuple of them; args have
+    z's shape) over the values stepped past. Returns the shifted z (a
+    copy if any moved), the mask low of those that moved, and the sums in
+    the order of z[low], the correction the caller applies at low. A
+    step adds term only where its argument is still below _SHIFT, so
+    each value gets the same additions in the same order as alone."""
+    z = np.atleast_1d(z)
     low = z < _SHIFT
     zl = z[low]
-    acc = np.zeros(zl.size)
     rest = [x[low] for x in args]
-    mask = np.ones(zl.size, dtype=bool)
+    acc = np.asarray(term(zl, *rest))  # every gathered value takes the first step
+    zl += 1.0
+    mask = zl < _SHIFT
     while mask.any():
         np.add(acc, term(zl, *rest), out=acc, where=mask)
         np.add(zl, 1.0, out=zl, where=mask)
         np.less(zl, _SHIFT, out=mask)
-    z[low], adj[low] = zl, acc
-    return z, adj
+    if zl.size:
+        z = z.copy()
+        z[low] = zl
+    return z, low, acc
 
 
 def _series(z: np.ndarray) -> np.ndarray:
@@ -113,42 +91,57 @@ def _series(z: np.ndarray) -> np.ndarray:
     return r * _poly(_LGAMMA_COEF, r * r)
 
 
+def _psi_series(z: np.ndarray, r: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    # psi(z) for z >= _SHIFT, from r = 1/z and r2 = r*r
+    return np.log(z) - 0.5 * r - r2 * _poly(_DIGAMMA_COEF, r2)
+
+
+def _psi1_series(r: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    # psi_1(z) for z >= _SHIFT, from r = 1/z and r2 = r*r
+    return r + 0.5 * r2 + r * r2 * _poly(_BERNOULLI, r2)
+
+
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
     z, scalar = _validated(x, "x")
-    z, adj = _shift_up(z, np.log)
+    z, low, adj = _shift_up(z, np.log)
     out = (z - 0.5) * np.log(z) - z + _HALF_LN_2PI + _series(z)
-    out -= adj
+    out[low] -= adj
     return float(out[0]) if scalar else out
 
 
 def digamma(x):
-    """psi(x) = d/dx ln Gamma(x) for x > 0.
-
-    Satisfies the recurrence psi(x+1) = psi(x) + 1/x to float precision.
-    """
+    """psi(x) = d/dx ln Gamma(x) for x > 0; psi(x+1) = psi(x) + 1/x to
+    float precision."""
     z, scalar = _validated(x, "x")
-    z, adj = _shift_up(z, lambda v: 1.0 / v)
+    z, low, adj = _shift_up(z, lambda v: 1.0 / v)
     r = 1.0 / z
-    r2 = r * r
-    out = np.log(z) - 0.5 * r - r2 * _poly(_DIGAMMA_COEF, r2)
-    out -= adj
+    out = _psi_series(z, r, r * r)
+    out[low] -= adj
     return float(out[0]) if scalar else out
 
 
 def trigamma(x):
-    """psi_1(x) = d/dx psi(x) for x > 0.
-
-    Satisfies psi_1(x+1) = psi_1(x) - 1/x^2; psi_1(1) is the Basel sum
-    pi^2/6.
-    """
+    """psi_1(x) = d/dx psi(x) for x > 0; psi_1(x+1) = psi_1(x) - 1/x^2,
+    and psi_1(1) is the Basel sum pi^2/6."""
     z, scalar = _validated(x, "x")
-    z, adj = _shift_up(z, lambda v: 1.0 / (v * v))
+    z, low, adj = _shift_up(z, lambda v: 1.0 / (v * v))
+    r = 1.0 / z
+    out = _psi1_series(r, r * r)
+    out[low] += adj
+    return float(out[0]) if scalar else out
+
+
+def _polygammas(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digamma(x), trigamma(x)) bit for bit, for an array x > 0
+    unchecked: each argument is shifted up once, summing 1/v and 1/v^2."""
+    z, low, (adj1, adj2) = _shift_up(x, lambda v: (1.0 / v, 1.0 / (v * v)))
     r = 1.0 / z
     r2 = r * r
-    out = r + 0.5 * r2 + r * r2 * _poly(_BERNOULLI, r2)
-    out += adj
-    return float(out[0]) if scalar else out
+    psi, psi1 = _psi_series(z, r, r2), _psi1_series(r, r2)
+    psi[low] -= adj1
+    psi1[low] += adj2
+    return psi, psi1
 
 
 def _log_gamma_ratio(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -161,9 +154,11 @@ def _log_gamma_ratio(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     with S the Stirling tail. No term grows like b log b, so the digits
     hold for b up to the int64 limit."""
     a, b = np.broadcast_arrays(np.atleast_1d(a), b)
-    z, adj = _shift_up(b, lambda v, av: np.log1p(av / v), a)
+    z, low, adj = _shift_up(b, lambda v, av: np.log1p(av / v), a)
     x = z + a
-    return (z - 0.5) * np.log1p(a / z) + a * np.log(x) - a + _series(x) - _series(z) - adj
+    out = (z - 0.5) * np.log1p(a / z) + a * np.log(x) - a + _series(x) - _series(z)
+    out[low] -= adj
+    return out
 
 
 def log_beta(a, b):
@@ -242,13 +237,11 @@ def pooled_harmonic_sum_sq(lam: float, data) -> float:
 
 
 class HistogramStack:
-    """The count histograms of several CountSamples laid end to end.
-
-    A special function acts on the whole stack in one call (pooled), and
+    """The count histograms of several CountSamples laid end to end: a
+    special function acts on the whole stack in one call (pooled), and
     each sample's sum reduces its own slice of the result. The functions
     act elementwise, so a sample's results do not depend on which samples
-    share its stack, and a stack of one sample reproduces the one-sample
-    arithmetic bit for bit."""
+    share its stack, and a stack of one gives the one-sample bits."""
 
     def __init__(self, samples):
         hists = [s.histogram() for s in samples]
@@ -260,13 +253,18 @@ class HistogramStack:
         ends = np.cumsum(self.lengths).tolist()
         self._slices = [slice(e - m, e) for e, m in zip(ends, self.lengths)]
 
-    def pooled(self, fn, lams) -> list[float]:
+    def pooled(self, fn, lams) -> list:
         """sum_u c_u fn(lam_r+1+u) - N_r fn(lam_r+1) for every sample r,
-        from one call of fn over the stack: with fn = digamma the pooled
-        sum of 1/(lam+j), with fn = trigamma minus that of 1/(lam+j)^2.
-        The lams are not checked here: every caller has checked them."""
+        from one call of fn over the stack: S1 with fn = digamma, -S2 with
+        trigamma, and a tuple of sums from a kernel that returns a tuple
+        of arrays. The lams are not checked here."""
         lam1 = np.asarray(lams, dtype=np.float64) + 1.0
-        out = fn(np.concatenate([np.repeat(lam1, self.lengths) + self.u, lam1]))
+        outs = fn(np.concatenate([np.repeat(lam1, self.lengths) + self.u, lam1]))
+        if not isinstance(outs, tuple):
+            return self._reduce(outs)
+        return list(zip(*map(self._reduce, outs)))
+
+    def _reduce(self, out: np.ndarray) -> list[float]:
         cx = self.c * out[: self.u.size]
         return [
             float(cx[s].sum() - n * f1)

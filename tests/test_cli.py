@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from yulesimon import (ExperimentSpec, FitConfig, GibbsConfig, RngStream, read_count_file,
                        sample_mixture, write_count_file)
 from yulesimon.cli import _build_parser, _emit, main
+from yulesimon.special import HistogramStack, _polygammas, digamma
 
 FIXTURE = Path(__file__).parent / "fixtures" / "gutenberg_excerpt.txt"
 
@@ -273,6 +274,26 @@ def test_fit_and_diagnose_report_the_prior_they_ran_under(counts_file, capsys):
     for key in ("jacobian_at_hat", "r_theoretical"):
         assert reports[0][key] == reports[1][key]
     assert reports[0]["jacobian_at_hat"] != no_prior["jacobian_at_hat"]
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_fit_makes_one_pooled_pass_per_iteration_and_one_after_the_loop(
+        command, counts_file, capsys, monkeypatch):
+    """The standard error, the rate and the Jacobian read the sums the
+    fit carries: one digamma pass per EM iteration, then one joint pass."""
+    kernels = []
+    pooled = HistogramStack.pooled
+
+    def counted(self, fn, lams):
+        kernels.append(fn)
+        return pooled(self, fn, lams)
+
+    monkeypatch.setattr(HistogramStack, "pooled", counted)
+    code, out, _ = run_cli(capsys, command, counts_file)
+    assert code == 0
+    iterations = json.loads(out)["iterations"]
+    assert len(kernels) == iterations + 1
+    assert kernels[:-1] == [digamma] * iterations and kernels[-1] is _polygammas
 
 
 def test_gibbs_report_and_chain_file(counts_file, tmp_path, capsys):

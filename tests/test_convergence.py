@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from yulesimon import (
     CountSample,
     FitConfig,
+    FitResult,
     RngStream,
     diagnose,
     em_fit,
@@ -14,8 +16,10 @@ from yulesimon import (
     empirical_rates,
     rate_theoretical,
     sample_mixture,
+    standard_error,
 )
-from yulesimon.special import trigamma
+from yulesimon.information import _fit_standard_error
+from yulesimon.special import pooled_harmonic_sum_sq, trigamma
 
 from _oracles import empirical_rates_known_limit, random_dataset
 
@@ -91,6 +95,45 @@ def test_jacobian_equals_rate_at_fixed_point():
         assert 0.0 < rate < 1.0
 
 
+def test_rate_under_a_prior_is_the_map_iterations_rate():
+    """diagnose reports lam^2 S2 / (N + a - 1) under the prior of the
+    fit's config; the prior rate b acts through the fixed point alone."""
+    data = random_dataset(0.8, 300, 4)
+    lam = 0.9
+    s2 = sum(1.0 / (lam + j) ** 2 for k in data.counts.tolist() for j in range(1, k + 1))
+
+    def rate(**prior):
+        fit = FitResult(lam, 0, [lam], "converged", data, FitConfig(**prior))
+        return diagnose(fit).r_theoretical
+
+    assert rate(prior_a=30.0, prior_b=5.0) == pytest.approx(lam**2 * s2 / (300 + 29.0), rel=1e-12)
+    assert rate(prior_a=30.0, prior_b=5.0) == rate(prior_a=30.0)
+    assert rate(prior_b=5.0) == rate() == rate_theoretical(data, lam)
+
+
+def test_diagnose_reads_sums_at_the_estimate_however_the_fit_was_made():
+    """A FitResult built by hand, or copied or changed after its fit, has
+    no sums of the fit's pass at its own estimate and sample; diagnose
+    and the fit's standard error take fresh ones there."""
+    data, other = random_dataset(0.8, 300, 4), random_dataset(2.0, 200, 5)
+    fit = em_fit(data, FitConfig(tol=1e-10))
+
+    def check(fit, data, lam):
+        report = diagnose(fit)
+        assert report.r_theoretical == rate_theoretical(data, lam)
+        assert report.jacobian_at_hat == em_map_jacobian(data, lam)
+        assert _fit_standard_error(fit) == standard_error(data, lam)
+
+    check(fit, data, fit.lambda_hat)
+    by_hand = FitResult(0.9, 0, [0.9], "converged", data, FitConfig())
+    check(by_hand, data, 0.9)
+    assert diagnose(by_hand).regime == "linear"
+    check(replace(fit, lambda_hat=1.5), data, 1.5)
+    check(replace(fit, sample=other), other, fit.lambda_hat)
+    fit.lambda_hat = 0.5
+    check(fit, data, 0.5)
+
+
 def test_empirical_rates_successive_differences():
     values, truncated = empirical_rates([1.0, 1.5, 1.75])
     assert values == pytest.approx([0.5])
@@ -161,6 +204,10 @@ def test_diagnose_takes_the_prior_the_fit_ran_under():
     assert report.jacobian_at_hat == em_map_jacobian(fit.sample, fit.lambda_hat, 30.0, 5.0)
     assert abs(report.jacobian_at_hat - np.median(report.empirical_rates[-3:])) < 1e-3
     assert abs(report.jacobian_at_hat - em_map_jacobian(fit.sample, fit.lambda_hat)) > 1e-3
+    # the rate of the MAP iteration, lam^2 S2 / (N + a - 1), is that Jacobian
+    s2 = pooled_harmonic_sum_sq(fit.lambda_hat, fit.sample)
+    assert report.r_theoretical == fit.lambda_hat**2 * s2 / (fit.sample.n + 29.0)
+    assert abs(report.r_theoretical - report.jacobian_at_hat) < 1e-8
 
 
 @pytest.mark.parametrize("field", ["prior_a", "prior_b"])

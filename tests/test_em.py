@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from yulesimon import (
     CountSample,
     FitConfig,
     RngStream,
+    diagnose,
     em_fit,
     em_map_jacobian,
     em_step,
@@ -237,6 +239,37 @@ def test_em_fit_map_with_prior_rate_converges_on_ones():
     # a proper prior rate caps the update, so all-ones data still converges
     fit = em_fit(CountSample([1] * 25), FitConfig(prior_a=2.0, prior_b=1.0))
     assert fit.status == CONVERGED
+
+
+def test_fits_carry_the_pooled_sums_at_their_estimate_bit_for_bit():
+    """FitResult.sums, from the one joint pass at the end of a fit, are
+    pooled_harmonic_sum and pooled_harmonic_sum_sq at lambda_hat bit for
+    bit: for one-sample and stacked fits, however each fit stopped."""
+    samples = [random_dataset(0.6, 400, 1), random_dataset(5.0, 300, 2),
+               CountSample([1] * 25), int64_limit_sample()]
+    fits = [*em_fit_stacked(samples), *em_fit_stacked(samples, FitConfig(max_iter=3)),
+            em_fit(samples[0]), em_fit(samples[1], FitConfig(max_iter=3)),
+            em_fit(samples[2]), em_fit(samples[2], FitConfig(prior_a=30.0))]
+    assert [fit.status for fit in fits] == [
+        CONVERGED, CONVERGED, DIVERGING, CONVERGED,
+        MAX_ITER_REACHED, MAX_ITER_REACHED, DIVERGING, CONVERGED,
+        CONVERGED, MAX_ITER_REACHED, DIVERGING, DIVERGING]
+    for fit in fits:
+        want = (pooled_harmonic_sum(fit.lambda_hat, fit.sample),
+                pooled_harmonic_sum_sq(fit.lambda_hat, fit.sample))
+        assert [x.hex() for x in fit.sums] == [x.hex() for x in want]
+
+
+def test_an_estimate_that_overflows_to_inf_ends_the_fit_without_a_warning():
+    # (N + a - 1) / S1 = 1.7e308 / 0.5 on the sample 1: the final pass at
+    # lambda = inf gives NaN sums quietly, and diagnose refuses the estimate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = em_fit(CountSample([1]), FitConfig(prior_a=1.7e308))
+    assert fit.status == DIVERGING and fit.lambda_hat == math.inf
+    assert math.isnan(fit.sums[0])
+    with pytest.raises(FieldError, match="^lambda must be positive and finite$"):
+        diagnose(fit)
 
 
 def test_em_fit_flat_prior_is_bitwise_pure_likelihood():

@@ -86,8 +86,12 @@ def counts_file(tmp_path):
     (["simulate", "--lambda", "1.25", "--n", "100", "--out", "OUT"], set()),
     (["simulate", "--generator", "urn", "--lambda", "1.25", "--n", "100", "--out", "OUT"], set()),
     (["experiment", "--lambda", "0.8", "--n", "50", "--reps", "2", "--seed", "1"],
+     {"experiment", "em", "information"}),
+    (["experiment", "--lambda", "0.8", "--n", "50", "--reps", "2", "--seed", "1",
+      "--estimators", "em,gibbs", "--gibbs-samples", "60", "--gibbs-burn-in", "10"],
      {"experiment", "em", "gibbs", "information"}),
-], ids=["import", "fit", "gibbs", "text", "simulate", "simulate-urn", "experiment"])
+], ids=["import", "fit", "gibbs", "text", "simulate", "simulate-urn", "experiment",
+        "experiment-gibbs"])
 def test_a_subcommand_runs_only_its_modules(argv, runs, counts_file, tmp_path):
     out = str(tmp_path / "out.txt")
     argv = [counts_file if a == "COUNTS" else out if a == "OUT" else a for a in argv]

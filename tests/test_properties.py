@@ -42,7 +42,8 @@ from yulesimon.corpus import _chunk_counts
 from yulesimon.distribution import _READ_BLOCK, _WRITE_BLOCK, _parse_digit_lines, _parse_lines
 from yulesimon.em import em_fit_stacked
 from yulesimon.information import standard_errors
-from yulesimon.special import pooled_harmonic_sum, pooled_harmonic_sum_sq
+from yulesimon.special import (_polygammas, digamma, pooled_harmonic_sum, pooled_harmonic_sum_sq,
+                               trigamma)
 
 from _oracles import (
     batch_means_se,
@@ -99,6 +100,26 @@ def test_finite_and_polygamma_sums_agree(counts, lam):
     for pooled, finite in ((pooled_harmonic_sum, finite_pooled_sum),
                            (pooled_harmonic_sum_sq, finite_pooled_sum_sq)):
         assert pooled(lam, sample) == pytest.approx(finite(lam, sample), rel=1e-12)
+
+
+# log-uniform over [1e-3, 1e16], and floats on both sides of the shift
+# threshold 6: within 64 ulp of it, within 1 of it, and the whole numbers
+# below it, where the shift takes the most steps
+kernel_arguments = st.one_of(
+    st.floats(0.0, 1.0).map(lambda t: 1e-3 * 1e19**t),
+    st.integers(-64, 64).map(lambda k: 6.0 + k * math.ulp(6.0)),
+    st.floats(5.0, 7.0),
+    st.integers(1, 7).map(float),
+)
+
+
+@reproducible
+@given(x=st.lists(kernel_arguments, min_size=1, max_size=40))
+def test_joint_kernel_is_digamma_and_trigamma_bit_for_bit(x):
+    x = np.array(x)
+    psi, psi1 = _polygammas(x)
+    assert np.array_equal(psi.view(np.int64), digamma(x).view(np.int64))
+    assert np.array_equal(psi1.view(np.int64), trigamma(x).view(np.int64))
 
 
 @reproducible
@@ -593,6 +614,21 @@ def test_em_map_jacobian_equals_rate_at_the_fixed_point(counts):
     data, fit = converged_fit(counts, FitConfig(tol=1e-10, max_iter=4000))
     lam = fit.lambda_hat
     assert abs(em_map_jacobian(data, lam) - rate_theoretical(data, lam)) <= 1e-8
+
+
+@reproducible
+@given(counts=fit_samples, prior_a=st.floats(1.0, 30.0), prior_b=st.floats(0.0, 5.0))
+def test_map_rate_equals_the_jacobian_at_the_fixed_point(counts, prior_a, prior_b):
+    """Under a Gamma(a, b) prior the reported rate lam^2 S2 / (N + a - 1)
+    is the derivative of the MAP map at its fixed point, within
+    criterion 08's bound."""
+    data = CountSample(counts)
+    fit = em_fit(data, FitConfig(prior_a=prior_a, prior_b=prior_b, tol=1e-10, max_iter=4000))
+    assume(fit.converged)
+    report = diagnose(fit)
+    s2 = pooled_harmonic_sum_sq(fit.lambda_hat, data)
+    assert report.r_theoretical == fit.lambda_hat**2 * s2 / (data.n + prior_a - 1.0)
+    assert abs(report.r_theoretical - report.jacobian_at_hat) <= 1e-8
 
 
 # Golden-section search finds the mode to sqrt(eps |log pi| / (lam^2
