@@ -128,8 +128,13 @@ class ConvergenceReport:
 def diagnose(fit: FitResult) -> ConvergenceReport:
     """The convergence report of a finished fit, on the fit's own sample,
     under the prior of its own config, and from the pooled sums it
-    carries at its estimate."""
-    lam = _check_lambda(fit.lambda_hat)
+    carries at its estimate. An estimate of inf, where an update
+    overflowed and the fit stopped as diverging, has NaN sums and so a
+    NaN rate and Jacobian; any other estimate must be positive and
+    finite."""
+    lam = fit.lambda_hat
+    if lam != math.inf:
+        lam = _check_lambda(lam)
     n, config, (s1, s2) = fit.sample.n, fit.config, fit.sums
     rate = _rate(n, lam, s2, config.prior_a)
     rates, truncated = empirical_rates(fit.trace) if len(fit.trace) >= 3 else ([], False)

@@ -47,8 +47,8 @@ _WRITE_BLOCK = 2**16
 # again; arrays the size of a large file would be mapped, and their
 # pages faulted in, afresh on every read
 _READ_BLOCK = 2**16
-_INT64_MAX = 2**63 - 1
-# the longest line the array reader takes: 19 digits stay below 2**64
+# the digits of a count that the array reader accumulates: 19 stay
+# below 2**64, and any further left must be 0
 _MAX_DIGITS = 19
 # 10**1 .. 10**18: a count has one digit more than the powers it reaches
 _POWERS_OF_TEN = 10 ** np.arange(1, _MAX_DIGITS, dtype=np.uint64)
@@ -329,123 +329,117 @@ class CountFileError(ValueError):
 
 def read_count_file(path) -> CountSample:
     """Read the count format: one integer from 1 to 2**63 - 1 per line,
-    written in ASCII digits; LF, CRLF or CR line ends, surrounding
-    whitespace and blank lines are accepted. Errors name the offending
-    line number.
+    written in ASCII digits; LF, CRLF or CR line ends, ASCII whitespace
+    (space, tab, VT, FF) around a count, leading zeros and blank lines
+    are accepted. Errors name the file's first bad line.
 
-    A file of 1- to 19-digit lines of ASCII digits, each ended by a line
-    end but the last, which may lack one, every count from 1 to
-    2**63 - 1 (write_count_file's layout, or the same with CR or CRLF
-    ends) is parsed as byte arrays, one block of lines at a time. Every
-    other file is parsed line by line, which accepts the rest of the
-    format and names the first bad line."""
+    A pre-pass cuts the bytes into blocks, each just after an LF and of
+    at most _READ_BLOCK bytes unless one line is longer, and counts each
+    block's LFs with numpy. The LFs size one output array, into which
+    _parse_block parses each block in turn."""
     with open(path, "rb") as fh:
         raw = fh.read()
     # universal newlines, as a text-mode read translates them; the
     # search alone costs a fraction of the replace on a file without CR
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    # a last line without its LF would send the file to the line parser,
-    # to which the appended LF is one more blank line
+    # a last line without its LF gets one, which ends its count
     if not raw.endswith(b"\n"):
         raw += b"\n"
-    counts = _parse_digit_lines(raw)
-    if counts is not None:
-        return CountSample._adopt(counts)
-    # undecodable bytes become U+FFFD, which fails the ASCII check of
-    # _parse_lines, so they are reported with their line number
-    counts = _parse_lines(raw.decode("utf-8", errors="replace").split("\n"))
-    if not counts:
-        raise CountFileError("count file holds no counts")
-    return CountSample(np.array(counts, dtype=np.int64))
-
-
-def _parse_digit_lines(raw: bytes) -> np.ndarray | None:
-    """The counts of a file of 1- to 19-digit ASCII lines, each ended
-    by LF, all from 1 to 2**63 - 1; None for any other file.
-
-    A pre-pass cuts the bytes into blocks of at most _READ_BLOCK, each
-    just after an LF, and counts each block's LFs with numpy. The counts
-    size one output array, and each block is parsed into its slice of
-    it. The values accumulate in uint64, where 19 digits cannot wrap;
-    viewed as int64, a value above 2**63 - 1 turns negative, so one
-    check rejects it and 0 alike."""
-    if not raw.endswith(b"\n"):
-        return None
     view = np.frombuffer(raw, np.uint8)
     blocks = []
     start = 0
     while start < len(raw):
-        # a window of _READ_BLOCK bytes without an LF holds part of a line
-        # of more than 19 digits
-        stop = raw.rfind(b"\n", start, start + _READ_BLOCK) + 1
-        if stop <= start:
-            return None
+        # a window without an LF is part of a long line, a block of its own
+        stop = raw.rfind(b"\n", start, start + _READ_BLOCK) + 1 or raw.find(b"\n", start) + 1
         blocks.append((start, stop, int(np.count_nonzero(view[start:stop] == 10))))
         start = stop
     out = np.empty(sum(lines for _, _, lines in blocks), dtype=np.uint64)
     done = 0
     for start, stop, lines in blocks:
-        if not _parse_block(view[start:stop] - 48, lines, out, done):
-            return None
-        done += lines
-    counts = out.view(np.int64)
-    return counts if counts.min() >= 1 else None
+        found, bad = _parse_block(view[start:stop], out[done:done + lines])
+        if bad is not None:
+            raise _bad_line(raw, start + bad)
+        done += found
+    if not done:
+        raise CountFileError("count file holds no counts")
+    return CountSample._adopt(out[:done].view(np.int64))
 
 
-def _parse_block(digits: np.ndarray, lines: int, out: np.ndarray, done: int) -> bool:
-    """Parse one block of _parse_digit_lines, its bytes less 48 as uint8,
-    its last byte an LF and lines its LF count, into out from index done
-    on; False when a line is outside the array format.
+def _parse_block(block: np.ndarray, out: np.ndarray) -> tuple[int, int | None]:
+    """Parse one block of read_count_file (uint8 bytes, the last an LF)
+    into the head of out, which has a slot per LF: the number of counts
+    and None, or in place of None the offset of a byte on the block's
+    first bad line.
 
-    A digit less 48 is 0-9 and every other byte is above 9, so the block
-    has as many bytes above 9 as LFs only when each of them is an LF.
-    Each line's last digit is taken in one gather. Each pass then steps
-    one byte to the left and adds digit * 10**j to the lines that still
-    have a digit there; in Yule-Simon data most lines have one or two
-    digits, so the passes shrink fast. The byte left of a block's first
-    line is read at index -1, the block's final LF, so every line is
-    bounded by a non-digit."""
+    A byte less 48 is a digit 0-9 and every other byte is above 9. A
+    count is a run of digits ended by the non-digit right of it; index
+    -1, the final LF, bounds the block's first run on the left. When
+    each non-digit is an LF, the runs are the lines but the blank ones.
+    Each run's last digit is taken in one gather; each pass then steps
+    one byte left and adds digit * 10**j to the runs that still have a
+    digit there, and as most Yule-Simon counts have one or two digits,
+    the passes shrink fast. 19 digits accumulate in uint64 without
+    wrapping; viewed as int64, a value above 2**63 - 1 turns negative,
+    so one check refuses it and 0 alike."""
+    digits = block - 48
     ends = np.flatnonzero(digits > 9)
-    if ends.size != lines:
-        return False
     pos = ends - 1
-    digit = digits[pos]
-    # an LF before an LF: an empty line
-    if digit.max() > 9:
-        return False
-    value = out[done:done + lines]
-    value[:] = digit
-    rows = np.arange(lines)
+    last = digits[pos]
+    bad = []
+    if ends.size != out.size or last.max() > 9:
+        # the non-digits that end a run
+        at = np.flatnonzero(last <= 9)
+        if ends.size != out.size:
+            byte = block[ends]
+            # tab, LF, VT, FF and space: bytes.strip()'s ASCII whitespace
+            # but CR, a line end by now
+            space = (byte - 9 <= 3) | (byte == 32)
+            if not space.all():
+                bad.append(ends[~space])
+            # two runs share a line unless an LF lies from the first's end
+            # to the second's start, which only a run ended by other
+            # whitespace can fail; the second is refused, not parsed, so
+            # out keeps a slot for every run parsed
+            if np.any(byte[at[:-1]] != 10):
+                again = np.flatnonzero(~np.logical_or.reduceat(byte == 10, at)[:-1]) + 1
+                bad.append(ends[at[again]])
+                at = np.delete(at, again)
+        ends, pos, last = ends[at], pos[at], last[at]
+    value = out[:ends.size]
+    value[:] = last
+    rows = np.arange(ends.size)
     for power in _POWERS_OF_TEN:
         pos -= 1
         digit = digits[pos]
         more = np.flatnonzero(digit <= 9)
         if not more.size:
-            return True
+            break
         rows, pos = rows[more], pos[more]
         value[rows] += digit[more] * power
-    # a line with a digit left of its 19th
-    return not np.any(digits[pos - 1] <= 9)
+    else:
+        # a run of more than 19 digits: the nearest byte left of its 19th
+        # that is not a 0 must be the non-digit before the run
+        long = pos[digits[pos - 1] <= 9]
+        not_zero = np.flatnonzero(digits)
+        bad.append(long[digits[not_zero[np.searchsorted(not_zero, long) - 1]] <= 9])
+    signed = value.view(np.int64)
+    if signed.min(initial=1) < 1:
+        bad.append(ends[signed < 1])
+    return ends.size, min((int(where[0]) for where in bad if where.size), default=None)
 
 
-def _parse_lines(lines) -> list[int]:
-    """The counts, read one line at a time; the first line outside the
-    format raises CountFileError with its number."""
-    counts = []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        if not (text.isascii() and text.isdigit()):
-            raise CountFileError(f"line {lineno}: expected ASCII digits, got {text!r}")
-        digits = text.lstrip("0")
-        if not digits:
-            raise CountFileError(f"line {lineno}: counts must be >= 1, got 0")
-        if len(digits) > _MAX_DIGITS or int(digits) > _INT64_MAX:
-            raise CountFileError(f"line {lineno}: count exceeds 2**63 - 1")
-        counts.append(int(digits))
-    return counts
+def _bad_line(raw: bytes, at: int) -> CountFileError:
+    """The refusal of the line of raw that holds byte at, numbered by the
+    LFs before it and worded from its bytes stripped of ASCII whitespace."""
+    lineno = raw.count(b"\n", 0, at) + 1
+    text = raw[raw.rfind(b"\n", 0, at) + 1:raw.find(b"\n", at)].strip()
+    if not text.isdigit():
+        got = text.decode("utf-8", errors="replace")
+        return CountFileError(f"line {lineno}: expected ASCII digits, got {got!r}")
+    if not text.strip(b"0"):
+        return CountFileError(f"line {lineno}: counts must be >= 1, got 0")
+    return CountFileError(f"line {lineno}: count exceeds 2**63 - 1")
 
 
 def write_count_file(path, sample: CountSample) -> None:
@@ -462,7 +456,7 @@ def write_count_file(path, sample: CountSample) -> None:
 
 def _digit_lines(counts: np.ndarray) -> np.ndarray:
     """The lines of counts (int64, each >= 1) as one uint8 array, the
-    inverse of _parse_digit_lines.
+    inverse of read_count_file's parse.
 
     A count's digit count is found by binary search on the powers of
     ten, the line ends are the cumulative sum of the line lengths, and

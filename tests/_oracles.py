@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from yulesimon import (
+    CountFileError,
     CountSample,
     FitConfig,
     RngStream,
@@ -182,6 +183,31 @@ def parse_digit_lines_by_width(raw: bytes) -> np.ndarray | None:
         out[rows] = value
     counts = out.view(np.int64)
     return counts if counts.min() >= 1 else None
+
+
+# the whitespace a count file may hold around a count: the characters
+# that bytes.strip() strips
+ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+
+
+def parse_lines(lines) -> list[int]:
+    """The counts of a count file's lines of text, read one line at a
+    time, each stripped of ASCII whitespace; the first line outside the
+    format raises CountFileError with its number."""
+    counts = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip(ASCII_WHITESPACE)
+        if not text:
+            continue
+        if not (text.isascii() and text.isdigit()):
+            raise CountFileError(f"line {lineno}: expected ASCII digits, got {text!r}")
+        digits = text.lstrip("0")
+        if not digits:
+            raise CountFileError(f"line {lineno}: counts must be >= 1, got 0")
+        if len(digits) > 19 or int(digits) > 2**63 - 1:
+            raise CountFileError(f"line {lineno}: count exceeds 2**63 - 1")
+        counts.append(int(digits))
+    return counts
 
 
 def conditional_lambda_draw(sum_w, n: int, prior_a: float, prior_b: float, rng, size=None):

@@ -128,6 +128,20 @@ def test_huge_prior_gives_a_json_report(tmp_path, capsys, command, prior):
 
 
 @pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_an_update_that_overflows_to_inf_exits_2_with_a_report(tmp_path, capsys, command):
+    # (N + a - 1) / S1 = 1.7e308 / 0.5 on the file 1: the fit stops as
+    # diverging at lambda = inf, whose rates are NaN
+    path = tmp_path / "one.txt"
+    path.write_text("1\n")
+    code, out, err = run_cli(capsys, command, str(path), "--prior-a", "1.7e308")
+    assert code == 2 and not err
+    report = strict_json(out)
+    assert report["status"] == "diverging" and report["lambda_hat"] is None
+    rates = report.get("convergence", report)
+    assert rates["r_theoretical"] is None and rates["jacobian_at_hat"] is None
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
 @pytest.mark.parametrize("value", ["1e16", "1e300"])
 def test_start_where_the_pooled_sum_loses_every_digit_exits_1_naming_it(tmp_path, capsys,
                                                                        command, value):

@@ -19,7 +19,7 @@ from yulesimon import (
     standard_error,
 )
 from yulesimon.information import _fit_standard_error
-from yulesimon.special import pooled_harmonic_sum_sq, trigamma
+from yulesimon.special import FieldError, pooled_harmonic_sum_sq, trigamma
 
 from _oracles import empirical_rates_known_limit, random_dataset
 
@@ -132,6 +132,14 @@ def test_diagnose_reads_sums_at_the_estimate_however_the_fit_was_made():
     check(replace(fit, sample=other), other, fit.lambda_hat)
     fit.lambda_hat = 0.5
     check(fit, data, 0.5)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, -math.inf])
+def test_diagnose_refuses_an_estimate_that_no_fit_ends_at(lam):
+    # only an update's overflow to inf ends a fit off the positive floats
+    fit = FitResult(lam, 0, [lam], "converged", CountSample([1, 2]), FitConfig())
+    with pytest.raises(FieldError, match="^lambda must be positive and finite$"):
+        diagnose(fit)
 
 
 def test_empirical_rates_successive_differences():

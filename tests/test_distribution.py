@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -23,9 +24,8 @@ from yulesimon import (
     tokenize_count,
     write_count_file,
 )
-from yulesimon import distribution
 from yulesimon.distribution import _WRITE_BLOCK
-from _oracles import mixture_latents, urn_loop
+from _oracles import mixture_latents, parse_lines, urn_loop
 
 
 def test_log_pmf_known_values():
@@ -330,35 +330,47 @@ def test_count_file_blocks_write_one_line_per_count(tmp_path, n):
     assert read_count_file(path) == sample
 
 
-def test_reading_a_count_file_takes_little_more_than_the_counts(tmp_path):
+def padded(raw: bytes) -> bytes:
+    # one space before every line
+    return (b" " + raw.replace(b"\n", b"\n "))[:-1]
+
+
+def with_blank_lines(raw: bytes) -> bytes:
+    # a blank line after every tenth line
+    lines = raw.split(b"\n")
+    for at in range(len(lines) - 10, 0, -10):
+        lines.insert(at, b"")
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("layout", [bytes, padded, with_blank_lines],
+                         ids=["written", "padded", "blank_lines"])
+def test_reading_a_count_file_takes_little_more_than_the_counts(tmp_path, layout):
     # the traced peak of a read may hold the file's bytes, the parsed
     # counts and CountSample's copy of them (8 bytes a count each), and
-    # 2 MB of working arrays, whatever the file's size
+    # 2 MB of working arrays, whatever the file's size or layout
     n = 2**18
     path = tmp_path / "counts.txt"
-    write_count_file(path, sample_mixture(0.6, n, RngStream(5)))
+    sample = sample_mixture(0.6, n, RngStream(5))
+    write_count_file(path, sample)
+    path.write_bytes(layout(path.read_bytes()))
     tracemalloc.start()
     try:
-        sample = read_count_file(path)
+        got = read_count_file(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sample.n == n
+    assert got == sample
     assert peak <= path.stat().st_size + 16 * n + 2 * 2**20
 
 
-def test_a_file_without_its_final_line_end_takes_the_array_reader(tmp_path, monkeypatch):
+def test_a_file_without_its_final_line_end_takes_the_array_reader(tmp_path):
     # a copy without the last LF, or without the last CRLF, reads as the
-    # whole file does, and the line parser is never called
+    # whole file does
     sample = sample_mixture(0.6, 2 * _WRITE_BLOCK + 1, RngStream(3))
     path = tmp_path / "counts.txt"
     write_count_file(path, sample)
     raw = path.read_bytes()
-
-    def refuse(lines):
-        raise AssertionError("the line parser was called")
-
-    monkeypatch.setattr(distribution, "_parse_lines", refuse)
     for cut, want in ((raw[:-1], sample), (raw.replace(b"\n", b"\r\n")[:-2], sample),
                       (b"7", CountSample([7]))):
         path.write_bytes(cut)
@@ -409,3 +421,23 @@ def test_count_file_errors_name_the_line(tmp_path):
         read_count_file(path)
     path.write_text(f" 7 \n\n{2**63 - 1}\n{'0' * 5000}3\n")
     assert read_count_file(path).counts.tolist() == [7, 2**63 - 1, 3]
+
+
+# a line of each kind the reader refuses, each found by its own check
+BAD_LINES = {"byte": "7:", "two_runs": "1 2", "zero": " 0", "too_big": str(2**63),
+             "twenty_digits": "1" + "0" * 19}
+
+
+@pytest.mark.parametrize("first, second", itertools.permutations(BAD_LINES, 2))
+def test_a_refusal_names_the_first_of_two_bad_lines(tmp_path, first, second):
+    # both lines are in one read block: the refusal is the earlier one's,
+    # worded as the line-by-line oracle words it
+    text = f"3\n{BAD_LINES[first]}\n5\n{BAD_LINES[second]}\n"
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(CountFileError) as want:
+        parse_lines(text.split("\n"))
+    assert str(want.value).startswith("line 2: ")
+    with pytest.raises(CountFileError) as got:
+        read_count_file(path)
+    assert str(got.value) == str(want.value)

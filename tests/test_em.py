@@ -262,14 +262,14 @@ def test_fits_carry_the_pooled_sums_at_their_estimate_bit_for_bit():
 
 def test_an_estimate_that_overflows_to_inf_ends_the_fit_without_a_warning():
     # (N + a - 1) / S1 = 1.7e308 / 0.5 on the sample 1: the final pass at
-    # lambda = inf gives NaN sums quietly, and diagnose refuses the estimate
+    # lambda = inf gives NaN sums quietly, and so NaN rates in the report
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit = em_fit(CountSample([1]), FitConfig(prior_a=1.7e308))
+        report = diagnose(fit)
     assert fit.status == DIVERGING and fit.lambda_hat == math.inf
     assert math.isnan(fit.sums[0])
-    with pytest.raises(FieldError, match="^lambda must be positive and finite$"):
-        diagnose(fit)
+    assert math.isnan(report.r_theoretical) and math.isnan(report.jacobian_at_hat)
 
 
 def test_em_fit_flat_prior_is_bitwise_pure_likelihood():

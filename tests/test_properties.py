@@ -39,7 +39,7 @@ from yulesimon import (
 )
 from yulesimon import corpus
 from yulesimon.corpus import _chunk_counts
-from yulesimon.distribution import _READ_BLOCK, _WRITE_BLOCK, _parse_digit_lines, _parse_lines
+from yulesimon.distribution import _READ_BLOCK, _WRITE_BLOCK
 from yulesimon.em import em_fit_stacked
 from yulesimon.information import standard_errors
 from yulesimon.special import (_polygammas, digamma, pooled_harmonic_sum, pooled_harmonic_sum_sq,
@@ -54,6 +54,7 @@ from _oracles import (
     loglik_trace,
     oakes_standard_error,
     parse_digit_lines_by_width,
+    parse_lines,
     posterior_mode,
     posterior_moments,
     sorted_items_keyed,
@@ -422,10 +423,10 @@ def _read_outcome(path):
 
 
 def _line_parser_outcome(text):
-    """What the line parser gives on text after the universal-newline
-    translation of a text-mode read."""
+    """What the line-by-line oracle gives on text after the universal-
+    newline translation of a text-mode read."""
     try:
-        return _parse_lines(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
+        return parse_lines(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
     except CountFileError as exc:
         return str(exc)
 
@@ -436,7 +437,6 @@ def test_array_reader_matches_int_on_valid_files(text, tmp_path_factory):
     path = tmp_path_factory.mktemp("counts") / "valid.txt"
     path.write_bytes(text.encode("ascii"))
     want = [int(x) for x in text.split()]
-    assert _parse_digit_lines(text.encode("ascii")).tolist() == want
     assert read_count_file(path).counts.tolist() == want
 
 
@@ -446,7 +446,6 @@ def test_array_reader_matches_int_across_read_blocks(text, tmp_path_factory):
     raw = text.encode("ascii")
     assert _READ_BLOCK < len(raw) <= 4 * _READ_BLOCK
     want = [int(x) for x in text.split()]
-    assert _parse_digit_lines(raw).tolist() == want
     assert parse_digit_lines_by_width(raw).tolist() == want
     path = tmp_path_factory.mktemp("counts") / "blocks.txt"
     path.write_bytes(raw)
@@ -454,9 +453,13 @@ def test_array_reader_matches_int_across_read_blocks(text, tmp_path_factory):
 
 
 # twenty_digits puts a 1 before the line padded to 19 digits: its last
-# 19 digits are a valid count, but the line is 10**19 or more
-PERTURBATIONS = ("crlf", "cr", "spaces", "blank", "no_final_newline", "zero", "too_big",
-                 "twenty_digits")
+# 19 digits are a valid count, but the line is 10**19 or more;
+# leading_zeros pads the line with zeros past 19 digits, and long_line
+# past _READ_BLOCK bytes, both valid; two_runs and nbsp (U+00A0 around a
+# count) are refused
+PERTURBATIONS = ("crlf", "cr", "spaces", "tabs", "vt", "ff", "blank", "no_final_newline", "zero",
+                 "too_big", "twenty_digits", "leading_zeros", "long_line", "two_runs", "nbsp")
+REFUSED = ("zero", "too_big", "twenty_digits", "two_runs", "nbsp")
 
 
 # two read blocks, the second holding a single line, on which the
@@ -471,6 +474,11 @@ TWO_BLOCKS = "7\n" * (_READ_BLOCK // 2) + "12\n"
 @example(text=TWO_BLOCKS, kind="zero", at=1.0)
 @example(text=TWO_BLOCKS, kind="too_big", at=1.0)
 @example(text=TWO_BLOCKS, kind="twenty_digits", at=1.0)
+@example(text=TWO_BLOCKS, kind="cr", at=1.0)
+@example(text=TWO_BLOCKS, kind="tabs", at=0.0)
+@example(text=TWO_BLOCKS, kind="long_line", at=0.5)
+@example(text=TWO_BLOCKS, kind="two_runs", at=1.0)
+@example(text=TWO_BLOCKS, kind="nbsp", at=1.0)
 def test_reader_matches_line_parser_off_the_array_format(text, kind, at, tmp_path_factory):
     lines = text.split("\n")[:-1]
     i = min(int(at * len(lines)), len(lines) - 1)
@@ -481,15 +489,18 @@ def test_reader_matches_line_parser_off_the_array_format(text, kind, at, tmp_pat
     elif kind == "no_final_newline":
         text = text[:-1]
     else:
-        lines[i] = {"spaces": f"  {lines[i]} ", "blank": f"\n{lines[i]}", "zero": "0",
-                    "too_big": "9" * 19, "twenty_digits": f"1{lines[i]:0>19}"}[kind]
+        lines[i] = {"spaces": f"  {lines[i]} ", "tabs": f"\t{lines[i]}\t",
+                    "vt": f"\x0b{lines[i]}", "ff": f"{lines[i]}\x0c", "blank": f"\n{lines[i]}",
+                    "zero": "0", "too_big": "9" * 19, "twenty_digits": f"1{lines[i]:0>19}",
+                    "leading_zeros": f"{lines[i]:0>25}",
+                    "long_line": f"{lines[i]:0>{_READ_BLOCK + 5}}", "two_runs": f"{lines[i]} 2",
+                    "nbsp": f"\xa0{lines[i]}\xa0"}[kind]
         text = "\n".join(lines) + "\n"
-    assert _parse_digit_lines(text.encode("ascii")) is None
     path = tmp_path_factory.mktemp("counts") / f"{kind}.txt"
-    path.write_bytes(text.encode("ascii"))
+    path.write_bytes(text.encode("utf-8"))
     got = _read_outcome(path)
     assert got == _line_parser_outcome(text)
-    if kind in ("zero", "too_big", "twenty_digits"):
+    if kind in REFUSED:
         assert got.startswith(f"line {i + 1}: ")
 
 
@@ -512,20 +523,20 @@ def _with_stray_byte(byte, place):
 
 @pytest.mark.parametrize("place", ["first_block", "block_end", "last_line"])
 def test_array_reader_refuses_every_byte_but_digits_and_lf(place, tmp_path):
+    # every byte but the digits, LF and ASCII whitespace (CR a line end)
+    # is refused, and the refusal names its line
+    path = tmp_path / "stray.txt"
     for value in range(256):
         byte = bytes([value])
-        if byte != b"\n" and not byte.isdigit():
-            assert _parse_digit_lines(_with_stray_byte(byte, place)[0]) is None, byte
-    for byte in (b":", b"a", b"\t", b"\x00", b"\xff"):
         raw, lineno = _with_stray_byte(byte, place)
-        path = tmp_path / "stray.txt"
         path.write_bytes(raw)
         got = _read_outcome(path)
-        assert got == _line_parser_outcome(raw.decode("utf-8", errors="replace"))
+        if byte.isspace() or byte in (b":", b"a", b"\x00", b"\xff"):
+            assert got == _line_parser_outcome(raw.decode("utf-8", errors="replace")), byte
         if byte == b"\t" and place == "block_end":
             # whitespace around a count is accepted
             assert got == [7] * (lineno - 1) + [77, 12]
-        else:
+        elif not (byte.isspace() or byte.isdigit()):
             assert got.startswith(f"line {lineno}: "), (byte, got)
 
 
@@ -558,7 +569,6 @@ def test_count_file_writer_matches_the_join_oracle(counts, tmp_path_factory):
     write_count_file_join(folder / "join.txt", sample)
     written = (folder / "array.txt").read_bytes()
     assert written == (folder / "join.txt").read_bytes()
-    assert _parse_digit_lines(written) is not None
     assert read_count_file(folder / "array.txt") == sample
 
 
