@@ -47,17 +47,9 @@ SUBLINEAR_THRESHOLD = 0.9
 _DENOMINATOR_FLOOR = 1e-14
 
 
-def _square(x: float) -> float:
-    """x ** 2, or inf where the float power overflows."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 def rate_theoretical(data: CountSample, lam: float) -> float:
     """Missing/complete information ratio lam^2 S2 / N at lam, the rate
-    of the likelihood EM at its fixed point; inf or nan where lam**2
+    of the likelihood EM at its fixed point; inf or nan where lam^2
     overflows."""
     lam = _check_lambda(lam)
     return _rate(data.n, lam, pooled_harmonic_sum_sq(lam, data), 1.0)
@@ -65,8 +57,9 @@ def rate_theoretical(data: CountSample, lam: float) -> float:
 
 def _rate(n: int, lam: float, s2: float, prior_a: float) -> float:
     """lam^2 S2 / (N+a-1), the rate of the EM/MAP iteration at its fixed
-    point lam; the prior rate b acts through the fixed point alone."""
-    return _square(lam) * s2 / (n + prior_a - 1.0)
+    point lam; the prior rate b acts through the fixed point alone.
+    Squares here are products, which overflow to inf without raising."""
+    return lam * lam * s2 / (n + prior_a - 1.0)
 
 
 def em_map_jacobian(
@@ -90,7 +83,8 @@ def em_map_jacobian(
 
 
 def _jacobian(n: int, s1: float, s2: float, prior_a: float, prior_b: float) -> float:
-    numerator, denominator = (n + prior_a - 1.0) * s2, _square(prior_b + s1)
+    root = prior_b + s1
+    numerator, denominator = (n + prior_a - 1.0) * s2, root * root
     if not denominator:
         return math.inf if numerator else math.nan
     return numerator / denominator

@@ -6,11 +6,11 @@ expectation step plus the mixed partial collapses to
     I = N/lam^2 - sum_i sum_{j=1..k_i} 1/(lam + j)^2,
 
 and standard_error is 1/sqrt(I). The formula needs only N, lam and the
-pooled sum S2, so it is written once (_standard_error) for two sources
-of S2: a finished fit carries S2 at its estimate from the fit's own
-last pass (_fit_standard_error, which ys fit and the experiments read),
-and standard_errors takes it from one trigamma call over the stacked
-count histograms of any samples at any lambdas.
+pooled sum S2, so it is written once (_information, _standard_error)
+for two sources of S2: a finished fit carries S2 at its estimate from
+the fit's own last pass (_fit_standard_error, which ys fit and the
+experiments read), and oakes_information and standard_error take it
+from special.pooled_harmonic_sum_sq at any lambda.
 Two cross-checks compute the same quantity another way and are kept for
 the tests. The Louis-style route assembles it from complete-data
 moments: minus expected complete-data curvature B = N/lam^2, the
@@ -30,14 +30,13 @@ import numpy as np
 
 from .distribution import CountSample, _check_lambda
 from .em import observed_loglik
-from .special import HistogramStack, _warn, beta_log_moments, trigamma
+from .special import _warn, beta_log_moments, pooled_harmonic_sum_sq
 
 __all__ = [
     "oakes_information",
     "louis_information",
     "numeric_information",
     "standard_error",
-    "standard_errors",
 ]
 
 
@@ -49,22 +48,18 @@ def _warn_if_nonpositive(info: float, label: str) -> None:
 
 def oakes_information(data: CountSample, lambda_hat: float) -> float:
     """N/lam^2 minus the pooled squared-reciprocal sum."""
-    return _information(*_oakes_terms([data], [lambda_hat])[0])
-
-
-def _oakes_terms(samples, lambda_hats) -> list[tuple[int, float, float]]:
-    """(N, lam, S2) of every sample at its own estimate, lam checked and
-    S2 from one trigamma call over the stacked histograms."""
-    lams = [_check_lambda(lam) for lam in lambda_hats]
-    stack = HistogramStack(samples)
-    return [(n, lam, -s) for n, lam, s in zip(stack.n, lams, stack.pooled(trigamma, lams))]
+    lam = _check_lambda(lambda_hat)
+    return _information(data.n, lam, pooled_harmonic_sum_sq(lam, data))
 
 
 def _information(n: int, lam: float, s2: float) -> float:
     """The Oakes information N/lam^2 - S2 from the pooled sum S2 at lam,
     with a warning where it is not positive; N/lam^2 is inf where lam^2
-    underflows to 0 (lam below about 1e-162)."""
-    info = (n / lam**2 if lam**2 else math.inf) - s2
+    underflows to 0 (lam below about 1e-162) and 0 where it overflows to
+    inf (lam above about 1.34e154), so the information there is not
+    positive."""
+    square = lam * lam
+    info = (n / square if square else math.inf) - s2
     _warn_if_nonpositive(info, "Oakes")
     return info
 
@@ -112,14 +107,9 @@ def numeric_information(data: CountSample, lambda_hat: float) -> float:
 def standard_error(data: CountSample, lambda_hat: float) -> float:
     """Standard error of lambda_hat, 1/sqrt(oakes_information); NaN
     when the information is not positive, which happens only off an
-    interior maximum."""
-    return standard_errors([data], [lambda_hat])[0]
-
-
-def standard_errors(samples, lambda_hats) -> list[float]:
-    """standard_error of every sample at its own estimate, with one
-    trigamma call for all of them."""
-    return [_standard_error(*terms) for terms in _oakes_terms(samples, lambda_hats)]
+    interior maximum or where lam^2 overflows."""
+    lam = _check_lambda(lambda_hat)
+    return _standard_error(data.n, lam, pooled_harmonic_sum_sq(lam, data))
 
 
 def _fit_standard_error(fit) -> float:

@@ -115,10 +115,12 @@ def test_non_finite_values_print_as_null(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["fit", "diagnose"])
 @pytest.mark.parametrize("prior", [["--prior-a", "1e300"], ["--prior-b", "1e155"],
-                                   ["--prior-b", "1e300"]])
+                                   ["--prior-b", "1e300"],
+                                   ["--prior-a", "1e300", "--prior-b", "1", "--init", "1e300"]])
 def test_huge_prior_gives_a_json_report(tmp_path, capsys, command, prior):
     # lambda near 1e300, whose square overflows and whose pooled sums
-    # underflow to 0, or near 1e-155 and 1e-300, whose square underflows
+    # underflow to 0 (also from a start of 1e300, where the fit converges),
+    # or near 1e-155 and 1e-300, whose square underflows
     path = tmp_path / "c.txt"
     path.write_text("2\n3\n1\n")
     code, out, err = run_cli(capsys, command, str(path), *prior)

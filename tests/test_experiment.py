@@ -103,6 +103,17 @@ def test_divergent_replications_reported_not_hidden():
         assert math.isfinite(stats.lambda_mean)
 
 
+def test_a_fit_at_a_lambda_whose_square_overflows_has_a_nan_standard_error():
+    # started at 1e300 under Gamma(1e300, 1), a fit stops near 1e300,
+    # where lambda^2 overflows and the information is not positive
+    spec = ExperimentSpec(0.8, 150, n_rep=2,
+                          fit_config=FitConfig(prior_a=1e300, prior_b=1.0, init=1e300))
+    with pytest.warns(RuntimeWarning, match="Oakes information is not positive"):
+        summary = run_experiment(spec)
+    assert len(summary.records) == 2
+    assert all(math.isnan(r.se) for r in summary.records)
+
+
 def test_improper_gibbs_replications_are_counted_as_failed():
     # under a prior of rate 0 an all-ones sample has an improper posterior;
     # its Gibbs row fails and the other reps still run

@@ -95,6 +95,17 @@ def test_information_where_lambda_squared_underflows():
     assert standard_error(data, 1e-200) == pytest.approx(1e-200 / math.sqrt(3), rel=1e-15)
 
 
+@pytest.mark.parametrize("lam", [1e155, 1e200, 1e300])
+def test_information_where_lambda_squared_overflows(lam):
+    # above about 1.34e154, lam*lam is inf and N/lam^2 reads 0, so the
+    # information is not positive and the SE is NaN, with the warning
+    data = CountSample([2, 3, 1])
+    with pytest.warns(RuntimeWarning, match="Oakes information is not positive"):
+        assert oakes_information(data, lam) <= 0
+    with pytest.warns(RuntimeWarning, match="Oakes information is not positive"):
+        assert math.isnan(standard_error(data, lam))
+
+
 @pytest.mark.parametrize("lam", [3e-155, 1.5e-154, 1e-300])
 def test_standard_error_keeps_its_digits_where_one_over_the_information_is_not_normal(lam):
     # at 3e-155 (the estimate under --prior-b 1e155) N/lam^2 overflows

@@ -41,7 +41,7 @@ from yulesimon import corpus
 from yulesimon.corpus import _chunk_counts
 from yulesimon.distribution import _READ_BLOCK, _WRITE_BLOCK
 from yulesimon.em import em_fit_stacked
-from yulesimon.information import standard_errors
+from yulesimon.information import _fit_standard_error
 from yulesimon.special import (_polygammas, digamma, pooled_harmonic_sum, pooled_harmonic_sum_sq,
                                trigamma)
 
@@ -757,7 +757,7 @@ def test_stacked_fits_match_the_one_sample_loop(block):
         fits = em_fit_stacked(samples, config)
     with warnings.catch_warnings(record=True) as caught_se:
         warnings.simplefilter("always")
-        se = standard_errors(samples, [f.lambda_hat for f in fits])
+        se = [_fit_standard_error(fit) for fit in fits]
     with warnings.catch_warnings(record=True) as caught_loop:
         warnings.simplefilter("always")
         want = [em_fit_loop(data, config) for data in samples]
