@@ -110,11 +110,12 @@ def empirical_rates(trace) -> tuple[list[float], bool]:
 @dataclass
 class ConvergenceReport:
     """Theoretical rate, Jacobian at the estimate, and the empirical
-    per-iteration rate path of a finished fit."""
+    per-iteration rate path of a finished fit; regime is None when the
+    rate is NaN."""
 
     r_theoretical: float
     jacobian_at_hat: float
-    regime: str
+    regime: str | None
     empirical_rates: list[float]
     truncated: bool
 
@@ -132,10 +133,12 @@ def diagnose(fit: FitResult) -> ConvergenceReport:
     n, config, (s1, s2) = fit.sample.n, fit.config, fit.sums
     rate = _rate(n, lam, s2, config.prior_a)
     rates, truncated = empirical_rates(fit.trace) if len(fit.trace) >= 3 else ([], False)
+    # a NaN rate (an estimate of inf, or inf * 0 at a huge one) has no regime
+    regime = None if math.isnan(rate) else "linear" if rate <= SUBLINEAR_THRESHOLD else "sublinear"
     return ConvergenceReport(
         r_theoretical=rate,
         jacobian_at_hat=_jacobian(n, s1, s2, config.prior_a, config.prior_b),
-        regime="linear" if rate <= SUBLINEAR_THRESHOLD else "sublinear",
+        regime=regime,
         empirical_rates=rates,
         truncated=truncated,
     )

@@ -100,7 +100,8 @@ class CountSample:
     _WRITE_BLOCK counts, and caches it; the counts array is a read-only
     copy of the caller's, so the cache cannot go stale. read_count_file
     hands over the array it parsed through _adopt instead, with no
-    copy."""
+    copy, and _mixture_block its rows, whose histograms it may also set
+    as it makes them."""
 
     __slots__ = ("counts", "_histogram")
 
@@ -143,8 +144,9 @@ class CountSample:
     @classmethod
     def _adopt(cls, counts: np.ndarray) -> CountSample:
         """A sample that holds counts itself, made read-only: a fresh 1-d
-        int64 array of counts >= 1 that nothing else holds, so neither
-        the checks nor the copy of __init__ are needed."""
+        int64 array of counts >= 1 (or a row of a fresh 2-d one) that
+        nothing else holds, so neither the checks nor the copy of
+        __init__ are needed."""
         sample = cls.__new__(cls)
         counts.flags.writeable = False
         sample.counts = counts
@@ -165,13 +167,13 @@ class CountSample:
         """(u, c): the distinct counts in ascending order and how often
         each occurs, as np.unique(counts, return_counts=True) gives them.
 
-        Each block of _WRITE_BLOCK counts is sorted on its own, and the
-        blocks' histograms are merged by one np.unique of their distinct
-        counts, so no copy of the whole array is made; a sample of one
-        block takes a single np.unique."""
+        Each block of _WRITE_BLOCK counts is sorted on its own by
+        _row_histograms, and the blocks' histograms are merged by one
+        np.unique of their distinct counts, so no copy of the whole
+        array is made; a sample of one block takes a single sort."""
         if self._histogram is None:
             counts = self.counts
-            blocks = [np.unique(counts[i:i + _WRITE_BLOCK], return_counts=True)
+            blocks = [_row_histograms(counts[None, i:i + _WRITE_BLOCK])[0]
                       for i in range(0, counts.size, _WRITE_BLOCK)]
             if len(blocks) == 1:
                 self._histogram = blocks[0]
@@ -189,6 +191,23 @@ class CountSample:
 
     def sample_mean(self) -> float:
         return float(self.counts.mean())
+
+
+def _row_histograms(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(u, c) of each row of a 2-d int64 array, as np.unique(row,
+    return_counts=True) gives them: one np.sort along the rows, then
+    the starts of the runs of equal values in the flattened sort, with
+    a run forced at each row's start so that no run spans two rows."""
+    n = rows.shape[1]
+    flat = np.sort(rows, axis=1).ravel()
+    starts = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::n] = True
+    at = np.flatnonzero(starts)
+    u, c = flat[at], np.diff(at, append=flat.size)
+    # each row's first run, and the end of the last row's runs
+    bounds = np.searchsorted(at, np.arange(0, flat.size + 1, n)).tolist()
+    return [(u[a:b], c[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _check_prior(prior_a: float, prior_b: float) -> None:
@@ -235,18 +254,55 @@ def sample_mixture(lam: float, n: int, rng) -> CountSample:
     latents are not returned: the first n uniforms of the stream fix p
     and the next n fix k. Draws beyond 2**62 are clipped to it with a
     RuntimeWarning that says how many. n is at most MAX_DRAWS.
+
+    This is the one-rep call of _mixture_block, which run_experiment
+    calls once per block of reps.
+    """
+    return _mixture_block(lam, n, [rng])[0]
+
+
+def _mixture_block(lam: float, n: int, rngs) -> list[CountSample]:
+    """sample_mixture of each stream of rngs, in one array pass.
+
+    Row r of one (reps, 2n) array takes the 2n uniforms of rngs[r], and
+    each step of the transform (log1p, the division by lam, exp, log1p,
+    the division, ceil and the clip) then runs in place on the whole
+    block, before one int64 cast; numpy's elementwise kernels give each
+    count the bits a one-rep call gives it. Clipped draws warn once per
+    clipped rep, in rep order, as the one-rep calls would. A
+    block of at most _WRITE_BLOCK counts also gets its histograms from
+    one _row_histograms call; a larger one, a single rep as
+    run_experiment cuts its blocks, leaves them to
+    CountSample.histogram's blocks.
     """
     lam = _check_lambda(lam)
     _check_size(n, "n")
-    g = _as_generator(rng)
-    p = np.exp(np.log1p(-g.random(n)) / lam)
-    log_u = np.log1p(-g.random(n))
+    draws = np.empty((len(rngs), 2 * n))
+    for row, rng in zip(draws, rngs):
+        _as_generator(rng).random(out=row)
+    # log(1 - U) of every uniform: the first n of a row become log(1 - p),
+    # the next n the counts
+    np.negative(draws, out=draws)
+    np.log1p(draws, out=draws)
+    log_q, raw = draws[:, :n], draws[:, n:]
+    log_q /= lam
+    np.exp(log_q, out=log_q)
+    np.negative(log_q, out=log_q)
+    np.log1p(log_q, out=log_q)
     with np.errstate(divide="ignore"):
-        raw = np.ceil(log_u / np.log1p(-p))
-    clipped = int(np.count_nonzero(raw > _MAX_COUNT))
-    if clipped:
-        _warn(f"sample_mixture clipped {clipped} of {n} draws at 2**62")
-    return CountSample(np.minimum(np.maximum(raw, 1.0), float(_MAX_COUNT)).astype(np.int64))
+        raw /= log_q
+    np.ceil(raw, out=raw)
+    for clipped in np.count_nonzero(raw > _MAX_COUNT, axis=1).tolist():
+        if clipped:
+            _warn(f"sample_mixture clipped {clipped} of {n} draws at 2**62")
+    np.maximum(raw, 1.0, out=raw)
+    np.minimum(raw, float(_MAX_COUNT), out=raw)
+    counts = raw.astype(np.int64)
+    samples = [CountSample._adopt(row) for row in counts]
+    if counts.size <= _WRITE_BLOCK:
+        for sample, histogram in zip(samples, _row_histograms(counts)):
+            sample._histogram = histogram
+    return samples
 
 
 def sample_urn(lam: float, n: int, rng) -> CountSample:

@@ -135,7 +135,8 @@ def _carry_sums(fits, stack: HistogramStack) -> None:
     with np.errstate(invalid="ignore"):
         sums = stack.pooled(_polygammas, [fit.lambda_hat for fit in fits])
     for fit, (s1, minus_s2) in zip(fits, sums):
-        fit._sums = (fit.sample, fit.lambda_hat, s1, -minus_s2)
+        # 0.0 - x, not -x: a sum that underflowed to 0.0 gives S2 = +0.0
+        fit._sums = (fit.sample, fit.lambda_hat, s1, 0.0 - minus_s2)
 
 
 def observed_loglik(data: CountSample, lam: float) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 # gibbs, lazy in the package, runs on the first chain of an experiment
 from . import gibbs
 from .distribution import (GENERATORS, CountSample, FieldError, RngStream, _check_lambda,
-                           _check_size, generate)
+                           _check_size, _mixture_block, generate)
 from .em import CONVERGED, DIVERGING, FitConfig, em_fit_stacked
 from .information import _fit_standard_error
 
@@ -107,7 +107,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
     """Run every replication of the cell and summarize.
 
     Replications are generated and EM-fitted in blocks of up to
-    _BLOCK_COUNTS counts, each block through one stacked fit
+    _BLOCK_COUNTS counts: the mixture draws a block in one array pass
+    (_mixture_block, each rep from its own stream), the urn one rep
+    after another, and each block is fitted through one stacked fit
     (em_fit_stacked, whose fits carry the sums of their standard
     errors); a rep's record does not depend on the block size. Gibbs
     chains run one rep after another. Records are in rep order, em
@@ -116,8 +118,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
     block = max(1, _BLOCK_COUNTS // spec.n)
     for first in range(0, spec.n_rep, block):
         reps = range(first, min(first + block, spec.n_rep))
-        samples = [generate(spec.generator, spec.true_lambda, spec.n,
-                            spec.seed.child(rep, 0)) for rep in reps]
+        rngs = [spec.seed.child(rep, 0) for rep in reps]
+        if spec.generator == "mixture":
+            samples = _mixture_block(spec.true_lambda, spec.n, rngs)
+        else:
+            samples = [generate(spec.generator, spec.true_lambda, spec.n, rng) for rng in rngs]
         rows = []
         if "em" in spec.estimators:
             rows.append(_em_records(reps, samples, spec.fit_config))
@@ -153,8 +158,9 @@ def _gibbs_record(spec: ExperimentSpec, rep: int, data: CountSample) -> Replicat
 
 def _moments(x: np.ndarray) -> list[float]:
     """Mean, median, 95th percentile and standard deviation (ddof 1, or
-    0 for a single value) of the successful replications."""
-    sd = float(x.std(ddof=1)) if x.size > 1 else 0.0
+    0 for a single value: 0.0 for a finite one, NaN for a NaN) of the
+    successful replications."""
+    sd = float(x.std(ddof=min(1, x.size - 1)))
     return [float(x.mean()), float(np.median(x)), float(np.percentile(x, 95)), sd]
 
 

@@ -126,7 +126,23 @@ def test_huge_prior_gives_a_json_report(tmp_path, capsys, command, prior):
     code, out, err = run_cli(capsys, command, str(path), *prior)
     assert code in (0, 2) and not err
     report = strict_json(out)
-    assert report.get("convergence", report)["regime"] in ("linear", "sublinear")
+    rates = report.get("convergence", report)
+    assert rates["regime"] in ("linear", "sublinear", None)
+    assert (rates["regime"] is None) == (rates["r_theoretical"] is None)
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_a_jacobian_whose_sums_underflow_is_a_positive_zero(tmp_path, capsys, command):
+    # at 1e300 the pooled trigamma sum underflows to 0, and S2 is +0.0
+    path = tmp_path / "c.txt"
+    path.write_text("2\n3\n1\n")
+    code, out, err = run_cli(capsys, command, str(path), "--prior-a", "1e300", "--prior-b", "1",
+                             "--init", "1e300")
+    assert code in (0, 2) and not err
+    assert '"jacobian_at_hat": 0.0' in out
+    report = strict_json(out)
+    jacobian = report.get("convergence", report)["jacobian_at_hat"]
+    assert jacobian == 0.0 and math.copysign(1.0, jacobian) == 1.0
 
 
 @pytest.mark.parametrize("command", ["fit", "diagnose"])
@@ -141,6 +157,7 @@ def test_an_update_that_overflows_to_inf_exits_2_with_a_report(tmp_path, capsys,
     assert report["status"] == "diverging" and report["lambda_hat"] is None
     rates = report.get("convergence", report)
     assert rates["r_theoretical"] is None and rates["jacobian_at_hat"] is None
+    assert rates["regime"] is None
 
 
 @pytest.mark.parametrize("command", ["fit", "diagnose"])

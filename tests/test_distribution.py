@@ -24,7 +24,7 @@ from yulesimon import (
     tokenize_count,
     write_count_file,
 )
-from yulesimon.distribution import _WRITE_BLOCK
+from yulesimon.distribution import _WRITE_BLOCK, _mixture_block, _row_histograms
 from _oracles import mixture_latents, parse_lines, urn_loop
 
 
@@ -112,6 +112,31 @@ def test_sample_mixture_warns_when_it_clips():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sample_mixture(0.6, 3000, RngStream(2))
+
+
+def test_mixture_block_warns_once_per_clipped_rep_in_rep_order():
+    rngs = [RngStream(5), RngStream(2), RngStream(1), RngStream(2, 1)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        block = _mixture_block(0.05, 3000, rngs)
+    assert all(w.category is RuntimeWarning for w in caught)
+    clipped = [int(np.count_nonzero(sample.counts == 2**62)) for sample in block]
+    assert clipped[1] == 327 and len(set(clipped)) == len(clipped)
+    assert [str(w.message) for w in caught] == [
+        f"sample_mixture clipped {k} of 3000 draws at 2**62" for k in clipped]
+
+
+def test_sample_mixture_takes_three_8_byte_arrays_of_the_counts():
+    # the block's 2n uniforms are transformed in place, then cast once
+    n = 10**6
+    tracemalloc.start()
+    try:
+        sample = sample_mixture(0.6, n, RngStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.n == n
+    assert peak <= 26 * n
 
 
 def test_sample_mixture_latent_consistency():
@@ -389,6 +414,36 @@ def test_histogram_takes_a_few_bytes_a_count():
         tracemalloc.stop()
     assert c.sum() == sample.n
     assert peak <= 3 * sample.n
+
+
+@pytest.mark.parametrize("reps, n, values", [
+    (1, 1, "geometric"), (1, 1000, "geometric"), (12, 500, "geometric"), (20, 3001, "wide"),
+    # runs of one value in every row, which the flat sort would join
+    (9, 7, "constant"), (8, 1, "geometric"),
+])
+def test_row_histograms_are_np_unique_of_each_row(reps, n, values):
+    g = np.random.default_rng(reps * n)
+    if values == "geometric":
+        rows = g.geometric(0.3, size=(reps, n))
+    elif values == "wide":
+        rows = np.maximum(g.integers(1, 2**63 - 1, size=(reps, n)) >> g.integers(0, 63, size=(reps, n)), 1)
+    else:
+        rows = np.repeat(g.integers(1, 3, size=(reps, 1)), n, axis=1)
+    histograms = _row_histograms(rows)
+    assert len(histograms) == reps
+    for row, (u, c) in zip(rows, histograms):
+        want_u, want_c = np.unique(row, return_counts=True)
+        assert u.dtype == want_u.dtype and c.dtype == want_c.dtype
+        assert np.array_equal(u, want_u) and np.array_equal(c, want_c)
+
+
+def test_histogram_of_one_count_past_a_block_is_np_unique():
+    # a full row, then a row of one count, merged
+    counts = np.random.default_rng(3).geometric(0.01, size=_WRITE_BLOCK + 1)
+    u, c = CountSample(counts).histogram()
+    want_u, want_c = np.unique(counts, return_counts=True)
+    assert u.dtype == want_u.dtype and c.dtype == want_c.dtype
+    assert np.array_equal(u, want_u) and np.array_equal(c, want_c)
 
 
 def test_count_file_errors_name_the_line(tmp_path):

@@ -114,6 +114,17 @@ def test_a_fit_at_a_lambda_whose_square_overflows_has_a_nan_standard_error():
     assert all(math.isnan(r.se) for r in summary.records)
 
 
+def test_a_single_nan_value_has_a_nan_sd():
+    # one rep converges at 1e300 with a NaN standard error, one diverges
+    spec = ExperimentSpec(0.8, 150, n_rep=2,
+                          fit_config=FitConfig(prior_a=1e300, prior_b=1.0, init=1e300))
+    with pytest.warns(RuntimeWarning, match="Oakes information is not positive"):
+        stats = run_experiment(spec).estimators["em"]
+    assert stats.n_used == 1
+    assert math.isnan(stats.se_mean) and math.isnan(stats.se_sd)
+    assert stats.lambda_sd == 0.0 and math.copysign(1.0, stats.lambda_sd) == 1.0
+
+
 def test_improper_gibbs_replications_are_counted_as_failed():
     # under a prior of rate 0 an all-ones sample has an improper posterior;
     # its Gibbs row fails and the other reps still run

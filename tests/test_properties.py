@@ -39,7 +39,7 @@ from yulesimon import (
 )
 from yulesimon import corpus
 from yulesimon.corpus import _chunk_counts
-from yulesimon.distribution import _READ_BLOCK, _WRITE_BLOCK
+from yulesimon.distribution import _READ_BLOCK, _WRITE_BLOCK, _mixture_block
 from yulesimon.em import em_fit_stacked
 from yulesimon.information import _fit_standard_error
 from yulesimon.special import (_polygammas, digamma, pooled_harmonic_sum, pooled_harmonic_sum_sq,
@@ -52,6 +52,7 @@ from _oracles import (
     finite_pooled_sum,
     finite_pooled_sum_sq,
     loglik_trace,
+    mixture_latents,
     oakes_standard_error,
     parse_digit_lines_by_width,
     parse_lines,
@@ -158,6 +159,31 @@ def test_histogram_across_blocks_is_np_unique(blocks, extra, tail, seed, part):
     want_u, want_c = np.unique(counts, return_counts=True)
     assert u.dtype == want_u.dtype and c.dtype == want_c.dtype
     assert np.array_equal(u, want_u) and np.array_equal(c, want_c)
+
+
+@reproducible
+@given(lam=st.floats(0.0, 1.0).map(lambda t: 0.05 * 2000.0**t),
+       n=st.one_of(st.integers(1, 2000), st.sampled_from([7, 8, 9, 63, 64, 65, 1001, 2000])),
+       reps=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+@example(lam=0.05, n=2000, reps=20, seed=0)
+@example(lam=100.0, n=1, reps=1, seed=0)
+def test_mixture_block_gives_every_rep_its_one_rep_counts(lam, n, reps, seed):
+    # lambda log-uniform on [0.05, 100]; sizes off a multiple of the SIMD
+    # width leave a tail in every row
+    rngs = [RngStream(seed).child(rep, 0) for rep in range(reps)]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "sample_mixture clipped", RuntimeWarning)
+        block = _mixture_block(lam, n, rngs)
+        singles = [sample_mixture(lam, n, rng) for rng in rngs]
+    assert len(block) == reps
+    for sample, single, rng in zip(block, singles, rngs):
+        assert np.array_equal(sample.counts, single.counts)
+        # the per-rep transform on two draws of n uniforms
+        assert np.array_equal(sample.counts, mixture_latents(lam, n, rng)[2])
+        assert not sample.counts.flags.writeable
+        u, c = sample.histogram()
+        want_u, want_c = np.unique(sample.counts, return_counts=True)
+        assert np.array_equal(u, want_u) and np.array_equal(c, want_c)
 
 
 @reproducible
