@@ -14,10 +14,11 @@ likelihood (a = 1, b = 0; complete information 1/lam^2 per
 observation). The Jacobian is so a cross-check of the rate formula, and
 ratios of successive iterate differences give empirical rate paths from
 any recorded trace. Each formula is written once (_rate, _jacobian):
-rate_theoretical (the likelihood's rate) and em_map_jacobian take the
-sums from their own pooled calls at any lam, while diagnose reads the
-sample, the trace, the prior of its config and the sums at the estimate
-from the fit alone, and so reports the rate of the map that ran.
+rate_theoretical (the likelihood's rate) takes S2 from a pooled call at
+any lam, em_map_jacobian both sums from one joint pass, and diagnose
+reads the sample, the trace, the prior of its config and the sums at
+the estimate from the fit alone, and so reports the rate of the map
+that ran. A FitResult is immutable: replace gives one with fresh sums.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from .distribution import CountSample, _check_lambda, _check_prior
 from .em import FitResult
-from .special import pooled_harmonic_sum, pooled_harmonic_sum_sq
+from .special import HistogramStack, pooled_harmonic_sum_sq
 
 __all__ = [
     "SUBLINEAR_THRESHOLD",
@@ -78,8 +79,8 @@ def em_map_jacobian(
     """
     lam = _check_lambda(lam)
     _check_prior(prior_a, prior_b)
-    s1 = pooled_harmonic_sum(lam, data)
-    return _jacobian(data.n, s1, pooled_harmonic_sum_sq(lam, data), prior_a, prior_b)
+    s1, s2 = HistogramStack([data]).sums([lam])[0]
+    return _jacobian(data.n, s1, s2, prior_a, prior_b)
 
 
 def _jacobian(n: int, s1: float, s2: float, prior_a: float, prior_b: float) -> float:

@@ -289,7 +289,8 @@ def _mixture_block(lam: float, n: int, rngs) -> list[CountSample]:
     np.exp(log_q, out=log_q)
     np.negative(log_q, out=log_q)
     np.log1p(log_q, out=log_q)
-    with np.errstate(divide="ignore"):
+    # a quotient past the float limit is a draw the clip warning counts
+    with np.errstate(divide="ignore", over="ignore"):
         raw /= log_q
     np.ceil(raw, out=raw)
     for clipped in np.count_nonzero(raw > _MAX_COUNT, axis=1).tolist():

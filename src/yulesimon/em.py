@@ -22,12 +22,12 @@ it fits many samples at once on their stacked histograms
 (special.HistogramStack), one digamma call per iteration for all of
 them. em_step and em_fit are their one-sample calls. No update, stopping
 rule or status needs the likelihood, so the loop does not compute it.
-The fit ends with one pass of the joint kernel special._polygammas at
-every estimate, and each FitResult carries the pooled sums S1 = sum sum
-1/(lam+j) and S2 = sum sum 1/(lam+j)^2 there: the standard error, the
-rate and the Jacobian at the estimate read them, with no pass of their
-own. A FitResult built or changed by hand makes its own pass when its
-sums are first read.
+The fit ends with one joint pass (HistogramStack.sums) at every
+estimate, and each immutable FitResult carries the pooled sums S1 = sum
+sum 1/(lam+j) and S2 = sum sum 1/(lam+j)^2 there: the standard error,
+the rate and the Jacobian at the estimate read them, with no pass of
+their own. A FitResult built by hand or by dataclasses.replace makes its
+own pass when its sums are first read.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .distribution import CountSample, FieldError, _check_lambda, _check_prior
-from .special import HistogramStack, _polygammas, _warn, digamma, log_beta
+from .special import HistogramStack, _warn, digamma, log_beta
 
 __all__ = [
     "FitConfig",
@@ -94,7 +95,7 @@ class FitConfig:
         _check_init(self.init)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitResult:
     """Estimate bundle: trace has one entry per iterate including the
     start, so len(trace) == iterations + 1. sample and config are the data
@@ -109,34 +110,17 @@ class FitResult:
     status: str
     sample: CountSample = field(repr=False, compare=False)
     config: FitConfig = field(repr=False, compare=False)
-    # (sample, lambda_hat, S1, S2) as of the last pass over the sample
-    _sums: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
         return self.status == CONVERGED
 
-    @property
+    @cached_property
     def sums(self) -> tuple[float, float]:
-        """(S1, S2) at lambda_hat: those of the fit's last pass, or of a
-        pass of its own where the fit's sample or estimate has changed
-        since, or it was built by hand."""
-        at = self._sums
-        if at is None or at[0] is not self.sample or at[1] != self.lambda_hat:
-            _carry_sums([self], HistogramStack([self.sample]))
-        return self._sums[2:]
-
-
-def _carry_sums(fits, stack: HistogramStack) -> None:
-    """Give every fit its sums at its estimate from one pass of the joint
-    kernel over stack, the histograms of the fits' samples. An estimate
-    of inf (an update whose numerator is near the float limit) gets NaN
-    sums, which no reader takes: they refuse that estimate."""
-    with np.errstate(invalid="ignore"):
-        sums = stack.pooled(_polygammas, [fit.lambda_hat for fit in fits])
-    for fit, (s1, minus_s2) in zip(fits, sums):
-        # 0.0 - x, not -x: a sum that underflowed to 0.0 gives S2 = +0.0
-        fit._sums = (fit.sample, fit.lambda_hat, s1, 0.0 - minus_s2)
+        """(S1, S2) at lambda_hat: em_fit_stacked fills them from its
+        joint pass over the whole stack, and any other fit makes a pass
+        of its own when they are first read."""
+        return HistogramStack([self.sample]).sums([self.lambda_hat])[0]
 
 
 def observed_loglik(data: CountSample, lam: float) -> float:
@@ -239,27 +223,23 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     """
     config = config or FitConfig()
     samples = list(samples)
-    starts = [init_lambda(data, config.init) for data in samples]
+    traces = [[init_lambda(data, config.init)] for data in samples]
+    statuses = [MAX_ITER_REACHED] * len(samples)
     stack = everyone = HistogramStack(samples)
-    fits = [FitResult(lam, 0, [lam], MAX_ITER_REACHED, data, config)
-            for lam, data in zip(starts, samples)]
     _check_numerator(stack.n, config.prior_a)
     running = list(range(len(samples)))
     for _ in range(config.max_iter):
-        prev = [fits[r].lambda_hat for r in running]
+        prev = [traces[r][-1] for r in running]
         lams = _updates(stack, prev, config.prior_a, config.prior_b, ("init", config.init))
         still = []
         for r, lam, old in zip(running, lams, prev):
-            fit = fits[r]
-            fit.lambda_hat = lam
-            fit.iterations += 1
-            fit.trace.append(lam)
+            traces[r].append(lam)
             # an iterate falling from a start above the ceiling is not
             # diverging; one that rose above it is
             if lam > max(old, DIVERGENCE_CEILING):
-                fit.status = DIVERGING
+                statuses[r] = DIVERGING
             elif abs(lam - old) < config.tol:
-                fit.status = CONVERGED
+                statuses[r] = CONVERGED
             else:
                 still.append(r)
         if not still:
@@ -271,8 +251,12 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     # strictly increasing in lambda iff every count is 1, and a Gamma
     # prior with b = 0, a >= 1 does not pull the update back down
     if config.prior_b == 0.0 and config.prior_a >= 1.0:
-        for fit, data in zip(fits, samples):
-            if fit.status == MAX_ITER_REACHED and data.histogram()[0][-1] == 1:
-                fit.status = DIVERGING
-    _carry_sums(fits, everyone)
+        for r, data in enumerate(samples):
+            if statuses[r] == MAX_ITER_REACHED and data.histogram()[0][-1] == 1:
+                statuses[r] = DIVERGING
+    fits = [FitResult(trace[-1], len(trace) - 1, trace, status, data, config)
+            for trace, status, data in zip(traces, statuses, samples)]
+    # where cached_property keeps its value
+    for fit, sums in zip(fits, everyone.sums([fit.lambda_hat for fit in fits])):
+        vars(fit)["sums"] = sums
     return fits

@@ -9,7 +9,7 @@ the EM update, the Oakes information and the rate of convergence are
 sum_u c_u fn(lam+1+u) - N fn(lam+1) over the count histogram (distinct
 counts u, multiplicities c). HistogramStack.pooled forms it for several
 samples laid end to end from one call of digamma, trigamma, or the joint
-kernel _polygammas (both, once at the end of a fit).
+kernel _polygammas (both, in HistogramStack.sums).
 """
 
 from __future__ import annotations
@@ -263,6 +263,14 @@ class HistogramStack:
         if not isinstance(outs, tuple):
             return self._reduce(outs)
         return list(zip(*map(self._reduce, outs)))
+
+    def sums(self, lams) -> list[tuple[float, float]]:
+        """(S1, S2) of every sample at its lam from one pass of the joint
+        kernel; a lam of inf gets NaN sums, quietly. S2 is 0.0 - x, not -x,
+        so one that underflowed to 0 reads +0.0."""
+        with np.errstate(invalid="ignore"):
+            sums = self.pooled(_polygammas, lams)
+        return [(s1, 0.0 - minus_s2) for s1, minus_s2 in sums]
 
     def _reduce(self, out: np.ndarray) -> list[float]:
         cx = self.c * out[: self.u.size]

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from yulesimon import (
     standard_error,
 )
 from yulesimon.information import _fit_standard_error
-from yulesimon.special import FieldError, pooled_harmonic_sum_sq, trigamma
+from yulesimon.special import FieldError, HistogramStack, pooled_harmonic_sum_sq, trigamma
 
 from _oracles import empirical_rates_known_limit, random_dataset
 
@@ -47,6 +47,8 @@ def test_diagnostics_at_huge_and_tiny_lambda_do_not_raise():
     assert math.isnan(rate_theoretical(data, 1e300))
     assert math.isnan(em_map_jacobian(data, 1e300, prior_a=1e300))
     assert em_map_jacobian(data, 1e300, prior_a=1e300, prior_b=1.0) == 0.0
+    # an S2 that underflowed gives +0.0, as diagnose's Jacobian does
+    assert math.copysign(1.0, em_map_jacobian(data, 1e300, prior_b=1.0)) == 1.0
     # (b + S1)**2 overflows
     assert em_map_jacobian(data, 3e-155, prior_b=1e155) == 0.0
     # a fit whose rate is nan is not reported as linear
@@ -112,9 +114,10 @@ def test_rate_under_a_prior_is_the_map_iterations_rate():
 
 
 def test_diagnose_reads_sums_at_the_estimate_however_the_fit_was_made():
-    """A FitResult built by hand, or copied or changed after its fit, has
-    no sums of the fit's pass at its own estimate and sample; diagnose
-    and the fit's standard error take fresh ones there."""
+    """A FitResult built by hand, or by replace from a fit, has no sums
+    of the fit's pass at its own estimate and sample; diagnose and the
+    fit's standard error take fresh ones there. A fit cannot be changed
+    in place."""
     data, other = random_dataset(0.8, 300, 4), random_dataset(2.0, 200, 5)
     fit = em_fit(data, FitConfig(tol=1e-10))
 
@@ -130,8 +133,28 @@ def test_diagnose_reads_sums_at_the_estimate_however_the_fit_was_made():
     assert diagnose(by_hand).regime == "linear"
     check(replace(fit, lambda_hat=1.5), data, 1.5)
     check(replace(fit, sample=other), other, fit.lambda_hat)
-    fit.lambda_hat = 0.5
-    check(fit, data, 0.5)
+    with pytest.raises(FrozenInstanceError):
+        fit.lambda_hat = 0.5
+
+
+def test_a_fit_made_by_hand_makes_one_pass_for_its_sums(monkeypatch):
+    data = random_dataset(0.8, 300, 4)
+    passes = []
+    sums = HistogramStack.sums
+
+    def counted(self, lams):
+        passes.append(lams)
+        return sums(self, lams)
+
+    monkeypatch.setattr(HistogramStack, "sums", counted)
+    fit = em_fit(data)
+    assert len(passes) == 1
+    by_hand = FitResult(0.9, 0, [0.9], "converged", data, FitConfig())
+    assert by_hand.sums == by_hand.sums == sums(HistogramStack([data]), [0.9])[0]
+    diagnose(by_hand)
+    diagnose(fit)
+    _fit_standard_error(by_hand)
+    assert passes == [[fit.lambda_hat], [0.9]]
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, -math.inf])

@@ -126,6 +126,16 @@ def test_mixture_block_warns_once_per_clipped_rep_in_rep_order():
         f"sample_mixture clipped {k} of 3000 draws at 2**62" for k in clipped]
 
 
+def test_draws_past_the_float_limit_warn_once_as_clipped():
+    # at lambda 1e-3 most quotients overflow to inf before the clip; the
+    # clip warning counts them, and numpy's overflow warning stays quiet
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sample = sample_mixture(0.001, 700, RngStream(1))
+    assert [str(w.message) for w in caught] == ["sample_mixture clipped 674 of 700 draws at 2**62"]
+    assert np.count_nonzero(sample.counts == 2**62) == 674
+
+
 def test_sample_mixture_takes_three_8_byte_arrays_of_the_counts():
     # the block's 2n uniforms are transformed in place, then cast once
     n = 10**6
