@@ -19,6 +19,8 @@ any lam, em_map_jacobian both sums from one joint pass, and diagnose
 reads the sample, the trace, the prior of its config and the sums at
 the estimate from the fit alone, and so reports the rate of the map
 that ran. A FitResult is immutable: replace gives one with fresh sums.
+Every S1 and S2 comes from the table-and-tail kernel of
+special.HistogramStack, which keeps their digits at every lam.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ def em_map_jacobian(
 
     which reduces to rate_theoretical at the fixed point.
     A denominator that overflows gives 0, one that is 0 (b = 0 and the
-    sums underflowed at a huge lam) inf, or nan over a numerator of 0.
+    square of S1 underflowed at a huge lam) inf, or nan over a numerator
+    of 0.
     """
     lam = _check_lambda(lam)
     _check_prior(prior_a, prior_b)

@@ -6,10 +6,10 @@ iteration is the single update
     lam' = (N + a - 1) / (b + sum_i sum_{j=1..k_i} 1/(lam + j))
 
 with Gamma(a, rate b) prior; a=1, b=0 reduces it to the pure-likelihood
-fixed point lam' = N / sum_i [psi(lam+1+k_i) - psi(lam+1)]. Both
-denominator forms are identical through the digamma recurrence; the
-update takes the digamma-difference form from HistogramStack.pooled,
-and the tests keep the finite sum as their reference.
+fixed point. The denominator's pooled sum S1 comes from the table-and-
+tail kernel of special.HistogramStack, a sum of positive terms that
+keeps its digits at every lam >= 0, so every start has an update; the
+tests keep the finite sum as its reference.
 
 The likelihood, the update and the curvature read the data through its
 cached count histogram (CountSample.histogram), so a whole fit
@@ -19,9 +19,9 @@ does, which keeps its digits for counts up to the int64 limit.
 
 There is one update, _updates, and one iteration loop, em_fit_stacked:
 it fits many samples at once on their stacked histograms
-(special.HistogramStack), one digamma call per iteration for all of
-them. em_step and em_fit are their one-sample calls. No update, stopping
-rule or status needs the likelihood, so the loop does not compute it.
+(special.HistogramStack), one S1 pass per iteration for all of them.
+em_step and em_fit are their one-sample calls. No update, stopping rule
+or status needs the likelihood, so the loop does not compute it.
 The fit ends with one joint pass (HistogramStack.sums) at every
 estimate, and each immutable FitResult carries the pooled sums S1 = sum
 sum 1/(lam+j) and S2 = sum sum 1/(lam+j)^2 there: the standard error,
@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .distribution import CountSample, FieldError, _check_lambda, _check_prior
-from .special import HistogramStack, _warn, digamma, log_beta
+from .special import HistogramStack, _warn, log_beta
 
 __all__ = [
     "FitConfig",
@@ -131,23 +131,11 @@ def observed_loglik(data: CountSample, lam: float) -> float:
     return float(data.n * math.log(lam) + c @ log_beta(lam + 1.0, u.astype(np.float64)))
 
 
-def _updates(
-    stack: HistogramStack, lams: list[float], prior_a: float, prior_b: float,
-    start: tuple[str, object],
-) -> list[float]:
-    """em_step of every sample of the stack from its own lam, one digamma
-    call: (N + a - 1) / (b + sum_u c_u psi(lam+1+u) - N psi(lam+1)).
-
-    At a lam so large (about 1e15 and up) that the digamma difference
-    loses every digit, the denominator can round to 0; that raises a
-    FieldError naming start, the (field, value) the iterates began from."""
-    sums = stack.pooled(digamma, lams)
-    try:
-        return [(n + prior_a - 1.0) / (prior_b + s) for n, s in zip(stack.n, sums)]
-    except ZeroDivisionError:
-        field, value = start
-        raise FieldError("no EM update from {%s} {!r}: the pooled sum b + S1 rounds to 0"
-                         % field, value) from None
+def _updates(stack: HistogramStack, lams: list[float], prior_a: float,
+             prior_b: float) -> list[float]:
+    """em_step of every sample of the stack from its own lam, one S1
+    pass: (N + a - 1) / (b + S1), where S1 > 0 at every finite lam."""
+    return [(n + prior_a - 1.0) / (prior_b + s) for n, s in zip(stack.n, stack.s1(lams))]
 
 
 def em_step(
@@ -163,8 +151,7 @@ def em_step(
     if not (lam_prev >= 0.0 and math.isfinite(lam_prev)):
         raise ValueError("lam_prev must be finite and >= 0")
     _check_numerator([data.n], prior_a)
-    return _updates(HistogramStack([data]), [lam_prev], prior_a, prior_b,
-                    ("lam_prev", lam_prev))[0]
+    return _updates(HistogramStack([data]), [lam_prev], prior_a, prior_b)[0]
 
 
 def _check_numerator(ns, prior_a: float) -> None:
@@ -209,8 +196,8 @@ def em_fit(data: CountSample, config: FitConfig | None = None) -> FitResult:
 
 def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     """Fit every sample with the same config, iterating all of them
-    together on their stacked histograms: each iteration makes one
-    digamma call for all samples still running, and a sample leaves the
+    together on their stacked histograms: each iteration makes one S1
+    pass for all samples still running, and a sample leaves the
     stack when it stops. The loop computes no likelihood. One joint pass
     over the whole stack at the estimates then gives each fit its sums.
     Each fit equals em_fit of its sample alone.
@@ -230,7 +217,7 @@ def em_fit_stacked(samples, config: FitConfig | None = None) -> list[FitResult]:
     running = list(range(len(samples)))
     for _ in range(config.max_iter):
         prev = [traces[r][-1] for r in running]
-        lams = _updates(stack, prev, config.prior_a, config.prior_b, ("init", config.init))
+        lams = _updates(stack, prev, config.prior_a, config.prior_b)
         still = []
         for r, lam, old in zip(running, lams, prev):
             traces[r].append(lam)

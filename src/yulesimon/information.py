@@ -10,7 +10,9 @@ pooled sum S2, so it is written once (_information, _standard_error)
 for two sources of S2: a finished fit carries S2 at its estimate from
 the fit's own last pass (_fit_standard_error, which ys fit and the
 experiments read), and oakes_information and standard_error take it
-from special.pooled_harmonic_sum_sq at any lambda.
+from special.pooled_harmonic_sum_sq at any lambda. Both come from the
+one table-and-tail kernel of special.HistogramStack, whose S2 sums
+positive terms and so keeps its digits at every lambda.
 Two cross-checks compute the same quantity another way and are kept for
 the tests. The Louis-style route assembles it from complete-data
 moments: minus expected complete-data curvature B = N/lam^2, the

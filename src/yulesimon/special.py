@@ -1,15 +1,17 @@
 """Numerically stable log-gamma, digamma, trigamma and the pooled
-harmonic sums built on them, in pure float64 arithmetic: arguments below
-6 are shifted upward with the standard recurrences, and the asymptotic
+harmonic sums, in pure float64 arithmetic: arguments below 6 are
+shifted upward with the standard recurrences, and the asymptotic
 (de Moivre / Bernoulli) series of ten terms is a few ulp off at the
 threshold. Scalars or numpy arrays in, broadcast like numpy ufuncs.
 
 The pooled sums S_p = sum_i sum_{j=1..k_i} (lam + j)^-p, p = 1, 2, of
 the EM update, the Oakes information and the rate of convergence are
-sum_u c_u fn(lam+1+u) - N fn(lam+1) over the count histogram (distinct
-counts u, multiplicities c). HistogramStack.pooled forms it for several
-samples laid end to end from one call of digamma, trigamma, or the joint
-kernel _polygammas (both, in HistogramStack.sums).
+sum_u c_u sum_{j=1..u} (lam + j)^-p over the count histogram (distinct
+counts u, multiplicities c). HistogramStack forms them for several
+samples laid end to end, S1 alone (s1) or both (sums), from a table of
+1/(lam + j) for the first 64 terms of each count and a cancellation-free
+series for the rest; every summand is positive, so the sums keep their
+digits at every lam, and a pass makes a fixed number of numpy calls.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ def _validated(x, name: str) -> tuple[np.ndarray, bool]:
 
 def _poly(coef: np.ndarray, r2: np.ndarray) -> np.ndarray:
     # Horner evaluation of sum coef[n] * r2**n, n = 0..len-1, in place
-    acc = np.full_like(r2, coef[-1])
-    for c in coef[-2::-1]:
+    acc = coef[-1] * r2
+    acc += coef[-2]
+    for c in coef[-3::-1]:
         acc *= r2
         acc += c
     return acc
@@ -130,18 +133,6 @@ def trigamma(x):
     out = _psi1_series(r, r * r)
     out[low] += adj
     return float(out[0]) if scalar else out
-
-
-def _polygammas(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(digamma(x), trigamma(x)) bit for bit, for an array x > 0
-    unchecked: each argument is shifted up once, summing 1/v and 1/v^2."""
-    z, low, (adj1, adj2) = _shift_up(x, lambda v: (1.0 / v, 1.0 / (v * v)))
-    r = 1.0 / z
-    r2 = r * r
-    psi, psi1 = _psi_series(z, r, r2), _psi1_series(r, r2)
-    psi[low] -= adj1
-    psi1[low] += adj2
-    return psi, psi1
 
 
 def _log_gamma_ratio(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -223,58 +214,103 @@ def _check_lambda(lam: float, field: str = "lam") -> float:
     return lam
 
 
+# HistogramStack's table width. Its tail series starts at z = lam +
+# _TABLE + 1 >= 65, where four Bernoulli terms reach float precision: the
+# first term left out is below 4e-18 of the tail's first summand.
+_TABLE = 64
+_STEPS = np.arange(1.0, _TABLE + 1.0)
+_TAIL_PSI = _DIGAMMA_COEF[:4]
+_TAIL_PSI1 = _BERNOULLI[:4]
+
+
 def pooled_harmonic_sum(lam: float, data) -> float:
-    """sum_i sum_{j=1..k_i} 1/(lam + j) over a whole CountSample, read
-    through its cached histogram as sum_u c_u psi(lam+1+u) - N psi(lam+1):
-    one digamma per distinct count."""
-    return HistogramStack([data]).pooled(digamma, [_check_lambda(lam)])[0]
+    """sum_i sum_{j=1..k_i} 1/(lam + j) over a whole CountSample, the
+    one-sample call of HistogramStack.s1."""
+    return HistogramStack([data]).s1([_check_lambda(lam)])[0]
 
 
 def pooled_harmonic_sum_sq(lam: float, data) -> float:
-    """sum_i sum_{j=1..k_i} 1/(lam + j)^2 over a whole CountSample, as
-    N psi_1(lam+1) - sum_u c_u psi_1(lam+1+u)."""
-    return -HistogramStack([data]).pooled(trigamma, [_check_lambda(lam)])[0]
+    """sum_i sum_{j=1..k_i} 1/(lam + j)^2 over a whole CountSample, from
+    the one-sample joint pass HistogramStack.sums."""
+    return HistogramStack([data]).sums([_check_lambda(lam)])[0][1]
 
 
 class HistogramStack:
-    """The count histograms of several CountSamples laid end to end: a
-    special function acts on the whole stack in one call (pooled), and
-    each sample's sum reduces its own slice of the result. The functions
-    act elementwise, so a sample's results do not depend on which samples
-    share its stack, and a stack of one gives the one-sample bits."""
+    """The count histograms of several CountSamples laid end to end, and
+    the pooled sums of every sample r at its own lam_r,
+
+        S1 = sum_u c_u sum_{j=1..u} 1/(lam_r + j),  S2 the same of squares,
+
+    over its distinct counts u (multiplicities c), from a fixed number of
+    numpy calls however many samples and counts the stack holds.
+
+    Sample r has a table row T_r[j] = sum_{i<=j} 1/(lam_r + i), j <=
+    _TABLE, and a count u reads its cell min(u, _TABLE). A count above
+    _TABLE adds psi(z+d) - psi(z), the sum over j = _TABLE+1..u, with
+    z = lam_r + _TABLE + 1 and d = u - _TABLE, taken without cancellation:
+
+        log1p(d/z) + d/(2z(z+d)) - [S(z+d) - S(z)],
+
+    S the Bernoulli tail of the digamma series. The tail of S2 is
+    d/(z(z+d)) + d(2z+d)/(2z^2(z+d)^2) + [T(z) - T(z+d)], T that of the
+    trigamma series. No summand is negative, so the sums keep their
+    digits at every lam >= 0. Each sample's summands are added over its
+    own slice of the stack, so its sums do not depend on which samples
+    share the stack, and a stack of one gives the one-sample bits."""
 
     def __init__(self, samples):
         hists = [s.histogram() for s in samples]
-        self.n = [int(c.sum()) for _, c in hists]
-        self.lengths = [u.size for u, _ in hists]
         none = np.zeros(0, dtype=np.int64)  # a stack of no samples is empty
-        self.u = np.concatenate([none, *(u for u, _ in hists)]).astype(np.float64)
-        self.c = np.concatenate([none, *(c for _, c in hists)])
-        ends = np.cumsum(self.lengths).tolist()
-        self._slices = [slice(e - m, e) for e, m in zip(ends, self.lengths)]
+        u = np.concatenate([none, *(values for values, _ in hists)])
+        c = np.concatenate([none, *(counts for _, counts in hists)])
+        sizes = np.array([values.size for values, _ in hists], dtype=np.intp)
+        # where each sample's slice starts; no sample is empty
+        self._starts = np.cumsum(sizes) - sizes
+        self.n = np.add.reduceat(c, self._starts).tolist()
+        self._c = c.astype(np.float64)
+        row = np.repeat(np.arange(sizes.size), sizes)
+        # cells from the int64 counts: a float count near 2**63 would wrap
+        self._cell = row * _TABLE + np.minimum(u, _TABLE) - 1
+        self._tail_at = np.flatnonzero(u > _TABLE)
+        self._tail_row = row.take(self._tail_at)
+        self._d = (u.take(self._tail_at) - _TABLE).astype(np.float64)
 
-    def pooled(self, fn, lams) -> list:
-        """sum_u c_u fn(lam_r+1+u) - N_r fn(lam_r+1) for every sample r,
-        from one call of fn over the stack: S1 with fn = digamma, -S2 with
-        trigamma, and a tuple of sums from a kernel that returns a tuple
-        of arrays. The lams are not checked here."""
-        lam1 = np.asarray(lams, dtype=np.float64) + 1.0
-        outs = fn(np.concatenate([np.repeat(lam1, self.lengths) + self.u, lam1]))
-        if not isinstance(outs, tuple):
-            return self._reduce(outs)
-        return list(zip(*map(self._reduce, outs)))
+    def s1(self, lams) -> list[float]:
+        """S1 of every sample at its lam; the lams are not checked here."""
+        return self._pass(lams, squares=False).tolist()
 
     def sums(self, lams) -> list[tuple[float, float]]:
-        """(S1, S2) of every sample at its lam from one pass of the joint
-        kernel; a lam of inf gets NaN sums, quietly. S2 is 0.0 - x, not -x,
-        so one that underflowed to 0 reads +0.0."""
+        """(S1, S2) of every sample at its lam from one joint pass; a lam
+        of inf gets NaN sums, quietly."""
+        lam = np.asarray(lams, dtype=np.float64)
+        s1, s2 = self._pass(lam, squares=True)
         with np.errstate(invalid="ignore"):
-            sums = self.pooled(_polygammas, lams)
-        return [(s1, 0.0 - minus_s2) for s1, minus_s2 in sums]
+            nan_at_inf = lam - lam
+        return list(zip((s1 + nan_at_inf).tolist(), (s2 + nan_at_inf).tolist()))
 
-    def _reduce(self, out: np.ndarray) -> list[float]:
-        cx = self.c * out[: self.u.size]
-        return [
-            float(cx[s].sum() - n * f1)
-            for s, n, f1 in zip(self._slices, self.n, out[self.u.size :])
-        ]
+    def _pass(self, lams, squares: bool):
+        lam = np.asarray(lams, dtype=np.float64)
+        rows, at, d = lam.size, self._tail_row, self._d
+        inv = 1.0 / np.add.outer(lam, _STEPS)
+        z_row = lam + (_TABLE + 1.0)
+        z = z_row.take(at)
+        w = d / z
+        # 1/z of each sample, then 1/(z+d) of each count above the table
+        h = 1.0 / np.concatenate([z_row, z + d])
+        h2 = h * h
+        q = h[rows:]
+        s = h2 * _poly(_TAIL_PSI, h2)
+        tail = np.log1p(w) + 0.5 * w * q + (s.take(at) - s[rows:])
+        s1 = self._per_sample(np.cumsum(inv, axis=1), tail)
+        if not squares:
+            return s1
+        t = h * h2 * _poly(_TAIL_PSI1, h2)
+        tail = w * q * (1.0 + 0.5 * (h.take(at) + q)) + (t.take(at) - t[rows:])
+        return s1, self._per_sample(np.cumsum(inv * inv, axis=1), tail)
+
+    def _per_sample(self, table: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """Each sample's sum of c times its table cell and its tail."""
+        summands = table.take(self._cell)
+        summands[self._tail_at] += tail
+        summands *= self._c
+        return np.add.reduceat(summands, self._starts)

@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import mpmath as mp
@@ -22,13 +21,14 @@ from yulesimon import (
 )
 from yulesimon import em
 from yulesimon.em import CONVERGED, DIVERGENCE_CEILING, DIVERGING, MAX_ITER_REACHED, em_fit_stacked
-from yulesimon.special import FieldError, log_beta, pooled_harmonic_sum, pooled_harmonic_sum_sq
+from yulesimon.special import log_beta, pooled_harmonic_sum, pooled_harmonic_sum_sq
 
 from _oracles import (
     CONVEXITY_BOUND,
     convexity_check,
     em_fit_loop,
     finite_em_step,
+    finite_pooled_sum,
     golden_section_maximize,
     int64_limit_sample,
     loglik_trace,
@@ -92,13 +92,17 @@ def test_em_step_degenerate_prior_errors():
 
 @pytest.mark.parametrize("start", [1e15, 1e16, 1e300])
 def test_a_start_where_the_pooled_sum_loses_every_digit_is_a_field_error(start):
-    # on 2 3 1 the digamma difference at lam >= 1e15 rounds to exactly 0
+    """On 2 3 1 the digamma-difference form of S1 rounds to exactly 0 at
+    a lam of 1e15 and up. The kernel's S1 sums positive terms and keeps
+    its digits there, so every start gets an update and a fit."""
     data = CountSample([2, 3, 1])
-    with pytest.raises(FieldError, match=re.escape(f"no EM update from init {start!r}: ")):
-        em_fit(data, FitConfig(init=start))
-    with pytest.raises(FieldError, match=re.escape(f"no EM update from lam_prev {start!r}: ")):
-        em_step(start, data)
-    # a prior rate keeps the denominator positive
+    s1 = pooled_harmonic_sum(start, data)
+    assert s1 > 0.0 and s1 == pytest.approx(finite_pooled_sum(start, data), rel=1e-12)
+    assert em_step(start, data) == 3.0 / s1
+    fit = em_fit(data, FitConfig(init=start))
+    assert fit.trace[0] == start and fit.lambda_hat < start
+    # from 1e300 the iterates halve, too slowly for the budget
+    assert fit.status == (CONVERGED if start < 1e100 else MAX_ITER_REACHED)
     assert em_fit(data, FitConfig(init=start, prior_b=2.0)).converged
 
 
@@ -357,17 +361,17 @@ def test_convexity_negative_inside_certified_interval():
 EM_FIT_BITS = {
     "lambda 0.6, N 2.5e5": (
         lambda: sample_mixture(0.6, 250_000, RngStream(6)),
-        ["0x1.0000000000000p+0", "0x1.5b4365e949d09p-1", "0x1.3b23d06dc842ap-1",
-         "0x1.34832558a43a1p-1", "0x1.3320d15874340p-1", "0x1.32d6a195ea16bp-1",
-         "0x1.32c7171971ea1p-1"],
-        ["-0x1.7fe1aa2435832p+19", "-0x1.728df0b5814c2p+19", "-0x1.71d3fb81d33f2p+19",
-         "-0x1.71cb5d242bbfep+19", "-0x1.71cafb2188925p+19", "-0x1.71caf6d15edfdp+19",
-         "-0x1.71caf6a0e0509p+19"],
+        ["0x1.0000000000000p+0", "0x1.5b4365e949d07p-1", "0x1.3b23d06dc8429p-1",
+         "0x1.34832558a43a0p-1", "0x1.3320d15874341p-1", "0x1.32d6a195ea16ap-1",
+         "0x1.32c7171971e9ep-1"],
+        ["-0x1.7fe1aa2435832p+19", "-0x1.728df0b5814c3p+19", "-0x1.71d3fb81d33f3p+19",
+         "-0x1.71cb5d242bbfep+19", "-0x1.71cafb2188925p+19", "-0x1.71caf6d15ee00p+19",
+         "-0x1.71caf6a0e050ap+19"],
     ),
     "lambda 0.05 near the int64 limit": (
         int64_limit_sample,
-        ["0x1.0000000000000p+0", "0x1.eab6be16b6b13p-5", "0x1.d299774d6ce1ep-5",
-         "0x1.d27c36992fda2p-5"],
+        ["0x1.0000000000000p+0", "0x1.eab6be16b6b12p-5", "0x1.d299774d6ce1fp-5",
+         "0x1.d27c36992fda3p-5"],
         ["-0x1.8ffdcf3ec8f89p+16", "-0x1.ea01784fed80fp+15", "-0x1.e9f9af5d10230p+15",
          "-0x1.e9f9af513635cp+15"],
     ),
@@ -391,24 +395,24 @@ def test_em_fit_reproduces_pinned_bits(case):
 # pooled sums keeps its bits
 SUM_BITS = {
     "lambda 0.6, N 2.5e5": {
-        "0x1.32c7171971ea1p-1": [
-            "0x1.32c40de6149d9p-1", "0x1.977a6293bae1bp+18", "0x1.1cf9de314c3b1p+17",
-            "0x1.6154953a98143p-10", "0x1.ad1dff98a9313p-3", "0x1.ad1510e0c63a8p-3",
-            "-0x1.0cc63e1489055p+19"],
+        "0x1.32c7171971e9ep-1": [
+            "0x1.32c40de6149d9p-1", "0x1.977a6293bae1ap+18", "0x1.1cf9de314c3b4p+17",
+            "0x1.6154953a98140p-10", "0x1.ad1dff98a9310p-3", "0x1.ad1510e0c63afp-3",
+            "-0x1.0cc63e148905ap+19"],
         "0x1.0000000000000p+0": [
-            "0x1.5b43a2129bb83p-1", "0x1.67f51af80b7c4p+18", "0x1.8c0c3f304c836p+16",
-            "0x1.5400e3504b590p-9", "0x1.9f494845636a6p-2", "0x1.7e14d71813418p-3",
-            "-0x1.2241e067d9be5p+17"],
+            "0x1.5b43a2129bb81p-1", "0x1.67f51af80b7c6p+18", "0x1.8c0c3f304c85ap+16",
+            "0x1.5400e3504b59bp-9", "0x1.9f494845636ccp-2", "0x1.7e14d71813437p-3",
+            "-0x1.2241e067d9bd3p+17"],
     },
     "lambda 0.05 near the int64 limit": {
-        "0x1.d27c36992fda2p-5": [
-            "0x1.d2a2bf52a52d0p-5", "0x1.9b96cebcff6ddp+15", "0x1.1281791a3bb4bp+12",
-            "0x1.112ff47ad5e4ep-10", "0x1.371e5cac2f9e3p-8", "0x1.37373695a0107p-8",
-            "-0x1.c19a433b9c05bp+19"],
+        "0x1.d27c36992fda3p-5": [
+            "0x1.d2a2bf52a52d0p-5", "0x1.9b96cebcff6ddp+15", "0x1.1281791a3bb57p+12",
+            "0x1.112ff47ad5e4ep-10", "0x1.371e5cac2f9f2p-8", "0x1.37373695a0115p-8",
+            "-0x1.c19a433b9c05ap+19"],
         "0x1.0000000000000p+0": [
-            "0x1.eadf5cb9bb194p-5", "0x1.87444894e67e7p+15", "0x1.c659c08f6b2c3p+10",
-            "0x1.dc6ebc942c57ap-6", "0x1.362b8580a08b6p-1", "0x1.1d014af8f29d0p-9",
-            "-0x1.27a63f7094d3dp+10"],
+            "0x1.eadf5cb9bb193p-5", "0x1.87444894e67e8p+15", "0x1.c659c08f6b30cp+10",
+            "0x1.dc6ebc942c5b5p-6", "0x1.362b8580a08e8p-1", "0x1.1d014af8f29fdp-9",
+            "-0x1.27a63f7094cf4p+10"],
     },
 }
 

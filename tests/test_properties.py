@@ -42,8 +42,7 @@ from yulesimon.corpus import _chunk_counts
 from yulesimon.distribution import _READ_BLOCK, _WRITE_BLOCK, _mixture_block
 from yulesimon.em import em_fit_stacked
 from yulesimon.information import _fit_standard_error
-from yulesimon.special import (_polygammas, digamma, pooled_harmonic_sum, pooled_harmonic_sum_sq,
-                               trigamma)
+from yulesimon.special import HistogramStack, pooled_harmonic_sum, pooled_harmonic_sum_sq
 
 from _oracles import (
     batch_means_se,
@@ -95,33 +94,28 @@ def mixture_samples(draw, max_count=None, max_n=100_000, rates=log_lambdas):
     return counts
 
 
+# log-uniform over [1e-3, 1e16]: up to where the digamma-difference form
+# of the pooled sums keeps no digit
+wide_lambdas = st.floats(0.0, 1.0).map(lambda t: 1e-3 * 1e19**t)
+
+
 @reproducible
-@given(counts=mixture_samples(max_count=1_000_000), lam=lambdas)
-def test_finite_and_polygamma_sums_agree(counts, lam):
+@given(counts=mixture_samples(max_count=1_000_000), lam=lambdas, wide=wide_lambdas)
+def test_finite_and_polygamma_sums_agree(counts, lam, wide):
+    """The kernel's pooled sums are the finite sums within 1e-12
+    relative at lam in [0.02, 50], log-uniform over [1e-3, 1e16] and at
+    0, the start em_step allows; at lam = inf they are NaN, quietly."""
     sample = CountSample(counts)
-    for pooled, finite in ((pooled_harmonic_sum, finite_pooled_sum),
-                           (pooled_harmonic_sum_sq, finite_pooled_sum_sq)):
-        assert pooled(lam, sample) == pytest.approx(finite(lam, sample), rel=1e-12)
-
-
-# log-uniform over [1e-3, 1e16], and floats on both sides of the shift
-# threshold 6: within 64 ulp of it, within 1 of it, and the whole numbers
-# below it, where the shift takes the most steps
-kernel_arguments = st.one_of(
-    st.floats(0.0, 1.0).map(lambda t: 1e-3 * 1e19**t),
-    st.integers(-64, 64).map(lambda k: 6.0 + k * math.ulp(6.0)),
-    st.floats(5.0, 7.0),
-    st.integers(1, 7).map(float),
-)
-
-
-@reproducible
-@given(x=st.lists(kernel_arguments, min_size=1, max_size=40))
-def test_joint_kernel_is_digamma_and_trigamma_bit_for_bit(x):
-    x = np.array(x)
-    psi, psi1 = _polygammas(x)
-    assert np.array_equal(psi.view(np.int64), digamma(x).view(np.int64))
-    assert np.array_equal(psi1.view(np.int64), trigamma(x).view(np.int64))
+    for x in (lam, wide):
+        for pooled, finite in ((pooled_harmonic_sum, finite_pooled_sum),
+                               (pooled_harmonic_sum_sq, finite_pooled_sum_sq)):
+            assert pooled(x, sample) == pytest.approx(finite(x, sample), rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_zero, at_inf = HistogramStack([sample, sample]).sums([0.0, math.inf])
+    assert at_zero == pytest.approx((finite_pooled_sum(0.0, sample),
+                                     finite_pooled_sum_sq(0.0, sample)), rel=1e-12)
+    assert all(math.isnan(x) for x in at_inf)
 
 
 @reproducible

@@ -1,11 +1,13 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from yulesimon import CountSample
+from yulesimon import CountSample, RngStream, sample_mixture
 from yulesimon.special import (
+    HistogramStack,
     beta_log_moments,
     digamma,
     log_beta,
@@ -188,6 +190,44 @@ def test_pooled_sum_matches_direct_loop():
     assert pooled_harmonic_sum(lam, counts) == pytest.approx(direct, rel=1e-14)
     direct2 = sum(harmonic_sum_sq(lam, int(k)) for k in counts.counts)
     assert pooled_harmonic_sum_sq(lam, counts) == pytest.approx(direct2, rel=1e-14)
+
+
+def stack_samples():
+    """Samples whose counts sit on both sides of the table's last cell,
+    one held by the table alone, and one with counts near the int64
+    limit."""
+    return [CountSample([64, 65, 1, 64, 200]), CountSample([2, 3, 1]),
+            sample_mixture(0.6, 500, RngStream(9)), CountSample([2**63 - 1, 5, 2**62])]
+
+
+def test_stacked_sums_are_each_samples_own_bit_for_bit():
+    samples = stack_samples()
+    lams = [0.0, 1.3, 0.6, 1e16]
+    s1 = HistogramStack(samples).s1(lams)
+    sums = HistogramStack(samples).sums(lams)
+    alone = [HistogramStack([data]).sums([lam])[0] for data, lam in zip(samples, lams)]
+    assert [x.hex() for x in s1] == [s.hex() for s, _ in sums]
+    assert [(a.hex(), b.hex()) for a, b in sums] == [(a.hex(), b.hex()) for a, b in alone]
+    assert HistogramStack(samples).n == [data.n for data in samples]
+
+
+def _calls(fn) -> int:
+    """How many Python and C functions fn calls."""
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return events.count("call") + events.count("c_call")
+
+
+def test_a_pass_makes_as_many_calls_for_one_small_sample_as_for_a_stack():
+    """No loop of the kernel runs per sample, per count or per shift."""
+    small, big = HistogramStack([CountSample([2, 3, 1])]), HistogramStack(stack_samples())
+    lams = [0.6, 0.0, 7.5, 1e300]
+    assert _calls(lambda: small.s1(lams[:1])) == _calls(lambda: big.s1(lams))
+    assert _calls(lambda: small.sums(lams[:1])) == _calls(lambda: big.sums(lams))
 
 
 @pytest.mark.parametrize("fn", [pooled_harmonic_sum, pooled_harmonic_sum_sq])
